@@ -240,17 +240,17 @@ def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
             return inner.star(ctx.regime)
         if value in _SCALAR_ATOMS:
             return _scalar_poly(ctx, _SCALAR_ATOMS[value])
-        if value.rstrip("'") in ("u", "ub", "x", "h") and toks.peek()[0] == "[":
+        stem = value.rstrip("'")
+        if stem in _INDEX_RANGE and toks.peek()[0] == "[":
             toks.next()
-            a = int(toks.expect("num")[1])
+            a = _generator_index(toks, stem)
             toks.expect(",")
-            b = int(toks.expect("num")[1])
+            b = _generator_index(toks, stem)
             toks.expect("]")
-            primes = value[len(value.rstrip("'")):]
+            primes = value[len(stem):]
             while toks.peek()[0] == "'":
                 toks.next()
                 primes += "'"
-            stem = value.rstrip("'")
             if stem == "x":
                 name = algebras.PAIR_NAMES[((a - 1) << 1) | (b - 1)] + primes
             elif stem == "h":
@@ -260,6 +260,19 @@ def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
             return _generator(ctx, name, pos)
         return _generator(ctx, value, pos)
     raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+
+
+# admissible bracket indices: x, u, ub use 1..2, h uses 0..3
+_INDEX_RANGE = {"x": (1, 2), "u": (1, 2), "ub": (1, 2), "h": (0, 3)}
+
+
+def _generator_index(toks: _Tokens, stem: str) -> int:
+    _, value, pos = toks.expect("num")
+    lo, hi = _INDEX_RANGE[stem]
+    k = int(value)
+    if not lo <= k <= hi:
+        raise ExprSyntaxError(f"{stem}[...] index {value} outside {lo}..{hi}", pos)
+    return k
 
 
 def _generator(ctx: ParseContext, name: str, pos: int) -> NCPoly:
@@ -409,7 +422,8 @@ def _cmd_nf(args) -> int:
     ctx = ParseContext(alph, regime)
     try:
         poly = parse_expr(args.expr, ctx)
-    except (ExprSyntaxError, UnknownSymbolError, NoncommutativeDivisionError) as exc:
+    except (ExprSyntaxError, UnknownSymbolError, NoncommutativeDivisionError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = str(system.normal_form(poly))
@@ -470,7 +484,11 @@ def _cmd_eval(args) -> int:
     samples: list[tuple[complex, float, complex | None]] = []
     t_values = [args.t] if args.t else [0.5, 2.0]
     if args.q:
-        re, im = (float(v) for v in args.q.split(","))
+        try:
+            re, im = (float(v) for v in args.q.split(","))
+        except ValueError:
+            print(f"error: --q needs RE,IM, got {args.q!r}", file=sys.stderr)
+            return 2
         q = complex(re, im)
         if regime.kind is RegimeKind.UNIT_CIRCLE and q != 0:
             q /= abs(q)  # project user input onto the circle exactly
@@ -491,7 +509,11 @@ def _cmd_eval(args) -> int:
             samples.append((q, t, qb))
     worst: dict[str, float] = {}
     for q, t, qb in samples:
-        res = intertwiners.numeric_suite(regime, q, t, qb)
+        try:
+            res = intertwiners.numeric_suite(regime, q, t, qb)
+        except (coeff.DomainError, ZeroDivisionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for k, v in res.items():
             worst[k] = max(worst.get(k, 0.0), v)
     ok = True

@@ -12,6 +12,13 @@ by cross multiplication, and construction only strips a common monomial
 factor and makes the denominator monic.  That keeps representations small
 without a multivariate gcd engine, and zero testing stays exact because
 the numerator of a zero value is the zero polynomial.
+
+Gaussian coefficients keep each integral real or imaginary part as a
+plain ``int`` and fall back to ``fractions.Fraction`` only for a part
+that is truly fractional, so the common all-integer case never pays for
+``Fraction`` arithmetic.  Results are normalised back to ``int`` whenever
+their denominator is 1; the stored type is never visible in equality,
+hashing or printing.
 """
 
 from __future__ import annotations
@@ -45,16 +52,44 @@ class MissingParameterError(ValueError):
 # Gaussian rationals
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex rational re + im*i."""
+def _part(x: Fraction):
+    """A Fraction part in stored form: its int value when integral."""
+    return x.numerator if x.denominator == 1 else x
 
-    re: Fraction
-    im: Fraction
+
+class GaussianRational:
+    """Exact complex rational re + im*i.
+
+    Each part is stored as an ``int`` when it is integral and as a reduced
+    ``Fraction`` only when it is not; the constructor normalises, so a
+    ``Fraction`` with denominator 1 never survives.  Almost every product
+    in the engine has integral parts, and for those ``+``, ``-`` and ``*``
+    run on plain ``int`` arithmetic without touching ``Fraction``; the
+    constructor's ``type(...) is int`` test is the whole fast path.
+    Equality, hashing and printing do not depend on the stored type,
+    because ``3 == Fraction(3)`` and both hash and print alike.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int | Fraction, im: int | Fraction):
+        self.re = re if type(re) is int else _part(re)
+        self.im = im if type(im) is int else _part(im)
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -66,10 +101,8 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -78,7 +111,7 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return GaussianRational(Fraction(self.re) / n, Fraction(-self.im) / n)
 
     def power(self, k: int) -> "GaussianRational":
         base = self if k >= 0 else self.inverse()

@@ -19,7 +19,7 @@ from .coeff import (GENERIC, ONE, Q, Q_HALF, QB, QB_HALF, Regime, RegimeKind,
                     Scalar, T, T_HALF, ZERO, GaussianRational, integer,
                     MissingParameterError)
 from .tensor import (B, Leg, TMap, U, compose, identity, invert,
-                     permutation, place, span_equal, tau_conjugate,
+                     permutation, place, placement, span_equal, tau_conjugate,
                      tensor_product)
 
 __all__ = [
@@ -444,8 +444,19 @@ def run_matrix_identity(chk: MatrixIdentity, source: OperatorSource) -> CheckRep
 
 
 def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
-                     q: complex, t: float, qbar: complex | None = None) -> float:
-    """Re-run an identity with floating point matrix products."""
+                     q: complex, t: float, qbar: complex | None = None,
+                     values: dict[str, np.ndarray] | None = None) -> float:
+    """Re-run an identity with floating point matrix products.
+
+    Each operator is evaluated once per sample point, as its own small
+    matrix, and the result is scattered into every placed copy through
+    the same index map that exact placement uses.  ``values`` holds the
+    matrices already evaluated at this point, keyed by operator name; it
+    is filled as operators are evaluated, so callers that check several
+    identities at one point can share it.
+    """
+    if values is None:
+        values = {}
 
     def side(factors):
         acc = None
@@ -456,10 +467,14 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
                 pending *= f.scalar.specialize(source.regime).eval(
                     q, t, source.regime, qbar)
                 continue
-            placed = place(source.get(f.name), f.legs, sig, f.out_legs)
-            a = placed.to_numpy(q, t, source.regime, qbar)
+            op = source.get(f.name)
+            a = values.get(f.name)
+            if a is None:
+                a = values[f.name] = op.to_numpy(q, t, source.regime, qbar)
+            pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
+            a = pl.scatter(a)
             acc = a if acc is None else a @ acc
-            sig = placed.out_sig
+            sig = pl.out_sig
         return acc * pending
 
     return float(np.max(np.abs(side(chk.lhs) - side(chk.rhs))))
@@ -861,8 +876,9 @@ def numeric_suite(regime: Regime, q: complex, t: float,
     """Residual max-norms of every declarative identity at a sample point."""
     src = operator_source(regime)
     out = {}
+    values: dict[str, np.ndarray] = {}
     for chk in identity_catalog(regime):
-        out[chk.check_id] = numeric_residual(chk, src, q, t, qbar)
+        out[chk.check_id] = numeric_residual(chk, src, q, t, qbar, values)
     if regime.kind is RegimeKind.UNIT_CIRCLE:
         pm = src.get("Pminus").to_numpy(q, t, regime)
         w = src.get("What").to_numpy(q, t, regime)

@@ -9,6 +9,7 @@ indices with leg 1 most significant, each leg indexed 1, 2.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from itertools import product
 
@@ -19,7 +20,8 @@ from .coeff import GENERIC, ONE, ZERO, Regime, Scalar
 __all__ = [
     "Leg", "U", "B", "TMap",
     "TypeMismatchError", "ArityMismatchError", "SignatureMismatchError",
-    "compose", "place", "tensor_product", "bar_conjugate", "tau_conjugate",
+    "compose", "place", "placement", "Placement",
+    "tensor_product", "bar_conjugate", "tau_conjugate",
     "permutation", "flip", "identity",
     "row_echelon", "annihilator_basis", "nullspace_basis", "span_equal",
     "invert", "sig_str",
@@ -168,18 +170,15 @@ def compose(f: TMap, g: TMap) -> TMap:
         raise SignatureMismatchError(
             f"cannot compose {sig_str(f.in_sig)}<-... with ...->{sig_str(g.out_sig)}")
     out = TMap.zero(g.in_sig, f.out_sig)
-    ge = g.entries
-    width = len(ge[0])
+    # the nonzero (column, value) pairs of each row of g, found once
+    g_nonzero = [[(j, gv) for j, gv in enumerate(grow) if not gv.is_zero()]
+                 for grow in g.entries]
     for i, frow in enumerate(f.entries):
         orow = out.entries[i]
         for k, fv in enumerate(frow):
             if fv.is_zero():
                 continue
-            grow = ge[k]
-            for j in range(width):
-                gv = grow[j]
-                if gv.is_zero():
-                    continue
+            for j, gv in g_nonzero[k]:
                 orow[j] = orow[j] + fv * gv
     return out
 
@@ -200,6 +199,97 @@ def tensor_product(f: TMap, g: TMap) -> TMap:
     return out
 
 
+class Placement:
+    """Where the entries of an operator land when it is placed.
+
+    Entry (r, c) of the operator is copied once per setting s of the
+    spectator legs, to row ``rows[r] + spect_rows[s]`` and column
+    ``cols[c] + spect_cols[s]`` of the ambient matrix.  The map depends
+    only on signatures and leg positions, so exact and numeric placement
+    share it.
+    """
+
+    __slots__ = ("ambient", "out_sig", "rows", "cols", "spect_rows",
+                 "spect_cols", "_ix")
+
+    def __init__(self, ambient: Signature, out_sig: Signature,
+                 rows: tuple[int, ...], cols: tuple[int, ...],
+                 spect_rows: tuple[int, ...], spect_cols: tuple[int, ...]):
+        self.ambient = ambient
+        self.out_sig = out_sig
+        self.rows = rows
+        self.cols = cols
+        self.spect_rows = spect_rows
+        self.spect_cols = spect_cols
+        # broadcastable (operator row, operator column, spectator) indices
+        self._ix = (np.add.outer(rows, spect_rows)[:, None, :],
+                    np.add.outer(cols, spect_cols)[None, :, :])
+
+    def scatter(self, a: np.ndarray) -> np.ndarray:
+        """The ambient matrix of a placed operator, from its numeric matrix."""
+        out = np.zeros((_dim(self.out_sig), _dim(self.ambient)), dtype=a.dtype)
+        out[self._ix] = a[:, :, None]
+        return out
+
+
+@functools.lru_cache(maxsize=512)
+def placement(in_sig: Signature, out_sig: Signature, legs: tuple[int, ...],
+              ambient: Signature, out_legs: tuple[int, ...] | None = None
+              ) -> Placement:
+    """Index map of an operator with signature in_sig -> out_sig placed at
+    legs of ambient (see ``place``); validates the placement."""
+    n_in = len(in_sig)
+    n_out = len(out_sig)
+    if len(legs) != n_in:
+        raise ArityMismatchError(f"need {n_in} leg positions, got {len(legs)}")
+    if len(set(legs)) != len(legs):
+        raise ArityMismatchError("duplicate leg positions")
+    for k, p in enumerate(legs):
+        if not 1 <= p <= len(ambient):
+            raise ArityMismatchError(f"leg position {p} outside ambient space")
+        if ambient[p - 1] != in_sig[k]:
+            raise TypeMismatchError(
+                f"ambient leg {p} has type {ambient[p - 1].value}, "
+                f"operator expects {in_sig[k].value}")
+    spect_in = [p for p in range(1, len(ambient) + 1) if p not in legs]
+    if out_legs is None:
+        if n_out == n_in:
+            out_legs = legs
+        elif n_out == 0:
+            out_legs = ()
+        else:
+            raise ArityMismatchError("arity-raising placement needs out_legs")
+    if len(out_legs) != n_out:
+        raise ArityMismatchError(f"need {n_out} output positions, got {len(out_legs)}")
+    n_amb_out = len(spect_in) + n_out
+    if sorted(out_legs) != sorted(set(out_legs)) or any(
+            not 1 <= p <= n_amb_out for p in out_legs):
+        raise ArityMismatchError("bad output leg positions")
+    out_ambient: list[Leg | None] = [None] * n_amb_out
+    for k, p in enumerate(out_legs):
+        out_ambient[p - 1] = out_sig[k]
+    spect_out = [p + 1 for p in range(n_amb_out) if out_ambient[p] is None]
+    for p, s in zip(spect_out, spect_in):
+        out_ambient[p - 1] = ambient[s - 1]
+
+    def index(bits, positions, n):
+        full = [0] * n
+        for b, p in zip(bits, positions):
+            full[p - 1] = b
+        return _index_of(full)
+
+    n_amb_in = len(ambient)
+    spect = list(product((0, 1), repeat=len(spect_in)))
+    return Placement(
+        ambient, tuple(out_ambient),
+        tuple(index(_bits_of(r, n_out), out_legs, n_amb_out)
+              for r in range(_dim(out_sig))),
+        tuple(index(_bits_of(c, n_in), legs, n_amb_in)
+              for c in range(_dim(in_sig))),
+        tuple(index(s, spect_out, n_amb_out) for s in spect),
+        tuple(index(s, spect_in, n_amb_in) for s in spect))
+
+
 def place(op: TMap, legs: tuple[int, ...], ambient: Signature,
           out_legs: tuple[int, ...] | None = None) -> TMap:
     """Embed op into an ambient space, acting on the listed legs (1-based).
@@ -211,64 +301,19 @@ def place(op: TMap, legs: tuple[int, ...], ambient: Signature,
     positions of the inserted legs in the result signature.  Functionals
     (no output legs) simply drop their input positions.
     """
-    ambient = tuple(ambient)
-    legs = tuple(legs)
-    n_in = len(op.in_sig)
-    n_out = len(op.out_sig)
-    if len(legs) != n_in:
-        raise ArityMismatchError(f"need {n_in} leg positions, got {len(legs)}")
-    if len(set(legs)) != len(legs):
-        raise ArityMismatchError("duplicate leg positions")
-    for k, p in enumerate(legs):
-        if not 1 <= p <= len(ambient):
-            raise ArityMismatchError(f"leg position {p} outside ambient space")
-        if ambient[p - 1] != op.in_sig[k]:
-            raise TypeMismatchError(
-                f"ambient leg {p} has type {ambient[p - 1].value}, "
-                f"operator expects {op.in_sig[k].value}")
-    spect_in = [p for p in range(1, len(ambient) + 1) if p not in legs]
-    if out_legs is None:
-        if n_out == n_in:
-            out_legs = legs
-        elif n_out == 0:
-            out_legs = ()
-        else:
-            raise ArityMismatchError("arity-raising placement needs out_legs")
-    out_legs = tuple(out_legs)
-    if len(out_legs) != n_out:
-        raise ArityMismatchError(f"need {n_out} output positions, got {len(out_legs)}")
-    n_amb_out = len(spect_in) + n_out
-    if sorted(out_legs) != sorted(set(out_legs)) or any(
-            not 1 <= p <= n_amb_out for p in out_legs):
-        raise ArityMismatchError("bad output leg positions")
-    out_ambient: list[Leg | None] = [None] * n_amb_out
-    for k, p in enumerate(out_legs):
-        out_ambient[p - 1] = op.out_sig[k]
-    spect_out = [p + 1 for p in range(n_amb_out) if out_ambient[p] is None]
-    for p, s in zip(spect_out, spect_in):
-        out_ambient[p - 1] = ambient[s - 1]
-    out_sig = tuple(out_ambient)
-
-    result = TMap.zero(ambient, out_sig)
-    n_spect = len(spect_in)
+    pl = placement(op.in_sig, op.out_sig, tuple(legs), tuple(ambient),
+                   None if out_legs is None else tuple(out_legs))
+    result = TMap.zero(pl.ambient, pl.out_sig)
+    entries = result.entries
+    spect = list(zip(pl.spect_rows, pl.spect_cols))
     for r, row in enumerate(op.entries):
-        rbits = _bits_of(r, n_out)
+        i = pl.rows[r]
         for c, v in enumerate(row):
             if v.is_zero():
                 continue
-            cbits = _bits_of(c, n_in)
-            for s in product((0, 1), repeat=n_spect):
-                col_bits = [0] * len(ambient)
-                for k, p in enumerate(legs):
-                    col_bits[p - 1] = cbits[k]
-                for k, p in enumerate(spect_in):
-                    col_bits[p - 1] = s[k]
-                row_bits = [0] * n_amb_out
-                for k, p in enumerate(out_legs):
-                    row_bits[p - 1] = rbits[k]
-                for k, p in enumerate(spect_out):
-                    row_bits[p - 1] = s[k]
-                result.entries[_index_of(row_bits)][_index_of(col_bits)] = v
+            j = pl.cols[c]
+            for si, sj in spect:
+                entries[i + si][j + sj] = v
     return result
 
 

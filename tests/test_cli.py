@@ -76,6 +76,20 @@ def test_parse_errors():
         parse_expr("alpha^-1", CTX)
 
 
+@pytest.mark.parametrize("text, pos", [("x[0,1]", 2), ("x[3,1]", 2),
+                                       ("u[1,3]", 4), ("h[4,0]", 2)])
+def test_generator_index_out_of_range(text, pos):
+    alph, _ = nf_system(UNIT_CIRCLE)
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(text, ParseContext(alph, UNIT_CIRCLE))
+    assert exc.value.pos == pos
+
+
+def test_generator_index_out_of_range_exits_2(capsys):
+    assert main(["nf", "--regime", "unit-circle", "--expr", "x[0,1]"]) == 2
+    assert "outside 1..2" in capsys.readouterr().err
+
+
 def test_print_parse_round_trip():
     sys = minkowski_system(UNIT_CIRCLE).system
     for lhs, rhs in sys.rules.items():
@@ -132,6 +146,11 @@ def test_nf_command_bad_expression(capsys):
     assert "unknown symbol" in capsys.readouterr().err
 
 
+def test_nf_command_division_by_zero(capsys):
+    assert main(["nf", "--regime", "unit-circle", "--expr", "1/(q-q)"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_nf_pretty_rendering(capsys):
     assert main(["nf", "--regime", "unit-circle", "--expr", "delta*alpha",
                  "--pretty"]) == 0
@@ -174,6 +193,20 @@ def test_eval_command_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "seed 7" in first
+
+
+@pytest.mark.parametrize("point", ["0,1", "0,0"])
+def test_eval_excluded_point_exits_2(capsys, point):
+    args = ["eval", "--regime", "unit-circle", "--q", point, "--samples", "1"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "excluded" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_eval_malformed_point_exits_2(capsys):
+    assert main(["eval", "--regime", "unit-circle", "--q", "1"]) == 2
+    assert "--q needs RE,IM" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -221,3 +222,63 @@ def test_exact_divide_reverses_multiplication(p, d):
     quot = exact_divide(p * d, d)
     assert quot is not None
     assert quot == p
+
+
+# ---------------------------------------------------------------------------
+# Gaussian coefficient storage: int when integral, Fraction otherwise
+# ---------------------------------------------------------------------------
+
+# mixed integral and fractional parts, integral ones also given as Fraction
+parts = st.one_of(st.integers(-40, 40),
+                  st.integers(-40, 40).map(Fraction),
+                  st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (Fraction(x[0]) / n, Fraction(-x[1]) / n)
+
+
+def _assert_stored(g, ref):
+    """g equals the Fraction pair ref exactly, stored in normal form."""
+    for part, want in ((g.re, Fraction(ref[0])), (g.im, Fraction(ref[1]))):
+        assert part == want
+        if want.denominator == 1:
+            assert type(part) is int, (part, want)
+        else:
+            assert type(part) is Fraction, (part, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts, parts, parts, st.integers(-3, 3))
+def test_gaussian_storage_matches_fraction_reference(a, b, c, d, k):
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    xr, yr = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))
+    _assert_stored(x, xr)
+    _assert_stored(x + y, (xr[0] + yr[0], xr[1] + yr[1]))
+    _assert_stored(x - y, (xr[0] - yr[0], xr[1] - yr[1]))
+    _assert_stored(-x, (-xr[0], -xr[1]))
+    _assert_stored(x * y, _ref_mul(xr, yr))
+    _assert_stored(x.conj(), (xr[0], -xr[1]))
+    assert x == GaussianRational.of(Fraction(a), Fraction(b))
+    assert hash(x) == hash((xr[0], xr[1]))
+    if x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    _assert_stored(x.inverse(), _ref_inverse(xr))
+    want = (Fraction(1), Fraction(0))
+    base = xr if k >= 0 else _ref_inverse(xr)
+    for _ in range(abs(k)):
+        want = _ref_mul(want, base)
+    _assert_stored(x.power(k), want)
+
+
+def test_gaussian_printing_ignores_storage():
+    assert str(GaussianRational(Fraction(4, 2), Fraction(-1))) == "2 - i"
+    assert str(GaussianRational.of(Fraction(1, 2), 3)) == "1/2 + 3*i"
+    assert GaussianRational(Fraction(6, 3), 0) == GaussianRational(2, 0)

@@ -16,7 +16,7 @@ from qmink.intertwiners import (Factor, MatrixIdentity,
                                 suite_moves, suite_spectral,
                                 vector_components)
 from qmink.tensor import (B, TMap, TypeMismatchError, U, compose, flip,
-                          identity, place, tensor_product)
+                          identity, place, placement, tensor_product)
 
 ALL_REGIMES = (GENERIC, UNIT_CIRCLE, REAL_Q, CASE2_PLUS, CASE2_MINUS)
 GR_ONE = GaussianRational.of(1)
@@ -282,6 +282,43 @@ def test_numeric_identities_at_a_sample_point():
 def test_numeric_catalog_matches_symbolic_catalog():
     ids = {c.check_id for c in identity_catalog(UNIT_CIRCLE)}
     assert "braid/Rhat+" in ids and "crossed/S.S.E:first" in ids
+
+
+# one valid sample point (q, t, qbar) per regime
+SAMPLE_POINTS = {
+    GENERIC: (0.9 * cmath.exp(0.7j), 0.7, 1.2 * cmath.exp(2.1j)),
+    UNIT_CIRCLE: (cmath.exp(1j * cmath.pi / 5), 2.0, None),
+    REAL_Q: (1.3 + 0j, 0.7, None),
+    CASE2_PLUS: (1.3 + 0j, 0.7, None),
+    CASE2_MINUS: (0.8 + 0j, 1.6, None),
+}
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+def test_numeric_placement_equals_exact_placement(regime):
+    """Scattering an operator's own numeric matrix gives exactly the
+    numeric matrix of its exact placement, for every factor of every
+    declarative identity (exact place + to_numpy is the oracle)."""
+    q, t, qbar = SAMPLE_POINTS[regime]
+    src = operator_source(regime)
+    checked = 0
+    for chk in identity_catalog(regime):
+        for factors in (chk.lhs, chk.rhs):
+            sig = chk.ambient
+            for f in reversed(factors):
+                if f.name == "#":
+                    continue
+                op = src.get(f.name)
+                exact = place(op, f.legs, sig, f.out_legs)
+                pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
+                assert pl.out_sig == exact.out_sig
+                want = exact.to_numpy(q, t, regime, qbar)
+                got = pl.scatter(op.to_numpy(q, t, regime, qbar))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert (got == want).all(), (chk.check_id, f.name)
+                sig = pl.out_sig
+                checked += 1
+    assert checked > 0
 
 
 def test_numeric_residual_detects_wrong_scalar():
