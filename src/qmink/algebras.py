@@ -71,9 +71,7 @@ def x_alphabet(regime: Regime) -> Alphabet:
 def _functional_to_relation(f: TMap, alph: Alphabet) -> NCPoly:
     """Quadratic relation <f, x x> = 0 read off a 4-leg functional."""
     p = NCPoly.zero(alph)
-    for col, v in enumerate(f.entries[0]):
-        if v.is_zero():
-            continue
+    for col, v in f.rows[0].items():
         p1 = (col >> 2) & 3
         p2 = col & 3
         p = p + NCPoly.word(alph, (PAIR_NAMES[p1], PAIR_NAMES[p2]), v)
@@ -373,20 +371,14 @@ def _cross_rules_for(alph: Alphabet, regime: Regime, variant: str) -> list[Rewri
                 row = (a_bit << 2) | (b_bit << 1) | cc
                 # x u -> T u x
                 rhs = NCPoly.zero(alph)
-                for col in range(8):
-                    v = tmat.entries[row][col]
-                    if v.is_zero():
-                        continue
+                for col, v in tmat.rows[row].items():
                     ee, kk, ll = (col >> 2) & 1, (col >> 1) & 1, col & 1
                     rhs = rhs + NCPoly.word(
                         alph, (f"u[{ee + 1},{dd + 1}]", PAIR_NAMES[(kk << 1) | ll]), v)
                 rules.append(RewriteRule((xg, alph.index(f"u[{cc + 1},{dd + 1}]")), rhs))
                 # x ub -> T' ub x
                 rhs = NCPoly.zero(alph)
-                for col in range(8):
-                    v = tpmat.entries[row][col]
-                    if v.is_zero():
-                        continue
+                for col, v in tpmat.rows[row].items():
                     ee, kk, ll = (col >> 2) & 1, (col >> 1) & 1, col & 1
                     rhs = rhs + NCPoly.word(
                         alph, (f"ub[{ee + 1},{dd + 1}]", PAIR_NAMES[(kk << 1) | ll]), v)
@@ -420,10 +412,7 @@ def _w_rules(alph: Alphabet, what: TMap) -> list[RewriteRule]:
             row = (j << 2) | k
             for ll in range(4):
                 rhs = NCPoly.zero(alph)
-                for col in range(16):
-                    v = what.entries[row][col]
-                    if v.is_zero():
-                        continue
+                for col, v in what.rows[row].items():
                     aa, bb = (col >> 2) & 3, col & 3
                     rhs = rhs + NCPoly.word(
                         alph, (f"h[{aa},{ll}]", PAIR_NAMES[bb]), v)
@@ -593,40 +582,34 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
             total = NCPoly.zero(alph)
             correction = NCPoly.zero(alph)
             row = (m << 2) | n
-            for j in range(4):
-                for k in range(4):
-                    c = pm.entries[row][(j << 2) | k]
-                    if c.is_zero():
-                        continue
-                    xj, xk = PAIR_NAMES[j], PAIR_NAMES[k]
-                    term = NCPoly.word(alph, (xj, xk), c)
-                    for a in range(4):
-                        for b in range(4):
-                            term = term + NCPoly.word(
-                                alph, (f"h[{j},{a}]", PAIR_NAMES[a] + "'",
-                                       f"h[{k},{b}]", PAIR_NAMES[b] + "'"), c)
-                    for cc in range(4):
+            for col, c in pm.rows[row].items():
+                j, k = col >> 2, col & 3
+                xj, xk = PAIR_NAMES[j], PAIR_NAMES[k]
+                term = NCPoly.word(alph, (xj, xk), c)
+                for a in range(4):
+                    for b in range(4):
                         term = term + NCPoly.word(
-                            alph, (xj, f"h[{k},{cc}]", PAIR_NAMES[cc] + "'"), c)
-                        term = term + NCPoly.word(
-                            alph, (f"h[{j},{cc}]", PAIR_NAMES[cc] + "'", xk), c)
-                    total = total + term
-                    # certified exchange: subtract P.hh, add hh.P
-                    for a in range(4):
-                        for b in range(4):
-                            correction = correction - NCPoly.word(
-                                alph, (f"h[{j},{a}]", f"h[{k},{b}]",
-                                       PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'"), c)
-            for jp in range(4):
-                for kp in range(4):
-                    for a in range(4):
-                        for b in range(4):
-                            c2 = pm.entries[(jp << 2) | kp][(a << 2) | b]
-                            if c2.is_zero():
-                                continue
-                            correction = correction + NCPoly.word(
-                                alph, (f"h[{m},{jp}]", f"h[{n},{kp}]",
-                                       PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'"), c2)
+                            alph, (f"h[{j},{a}]", PAIR_NAMES[a] + "'",
+                                   f"h[{k},{b}]", PAIR_NAMES[b] + "'"), c)
+                for cc in range(4):
+                    term = term + NCPoly.word(
+                        alph, (xj, f"h[{k},{cc}]", PAIR_NAMES[cc] + "'"), c)
+                    term = term + NCPoly.word(
+                        alph, (f"h[{j},{cc}]", PAIR_NAMES[cc] + "'", xk), c)
+                total = total + term
+                # certified exchange: subtract P.hh, add hh.P
+                for a in range(4):
+                    for b in range(4):
+                        correction = correction - NCPoly.word(
+                            alph, (f"h[{j},{a}]", f"h[{k},{b}]",
+                                   PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'"), c)
+            for prow, pm_row in enumerate(pm.rows):
+                jp, kp = prow >> 2, prow & 3
+                for col, c2 in pm_row.items():
+                    a, b = col >> 2, col & 3
+                    correction = correction + NCPoly.word(
+                        alph, (f"h[{m},{jp}]", f"h[{n},{kp}]",
+                               PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'"), c2)
             residuals[(m, n)] = sys.normal_form(sys.normal_form(total) + correction)
     return residuals, steps, sq
 
@@ -663,7 +646,7 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
                 bb = PAIR_NAMES.index(names[1])
                 if names[2] != PAIR_NAMES[cc] + "'":
                     return False, f"unexpected residual word {names}", None
-                want = obstruction.entries[row][(aa << 2) | bb]
+                want = obstruction.rows[row].get((aa << 2) | bb, ZERO)
                 if c != want:
                     return False, "residual does not match the matrix obstruction", None
         return True, f"{len(nonzero)} nonzero components", \

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -51,6 +52,18 @@ class ParseContext:
     alphabet: Alphabet
     regime: Regime
 
+
+# Input budget.  A product whose term count could exceed MAX_TERMS, a
+# power whose term count or longest word could exceed the limits, and an
+# exponent larger than MAX_EXPONENT in magnitude are refused before they
+# are computed.  Along a product word lengths only add up, so they are
+# checked once, on the parsed result, with its term count.  Normal forms
+# grow fast with word length: delta^6*alpha^6 (length 12) takes about 4 s,
+# length 14 about 45 s.  Queries of ordinary size (a few terms, words of
+# length 6 or less) stay well inside the budget.
+MAX_TERMS = 1024
+MAX_WORD_LENGTH = 12
+MAX_EXPONENT = 64
 
 _SCALAR_ATOMS = {"q": coeff.Q, "qb": coeff.QB, "t": coeff.T, "i": coeff.I}
 _HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
@@ -129,6 +142,7 @@ def parse_expr(text: str, ctx: ParseContext) -> NCPoly:
     tok = toks.peek()
     if tok[0] != "eof":
         raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    _check_budget(len(out.terms), _word_length(out), 0)
     return out
 
 
@@ -152,7 +166,7 @@ def _parse_term(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         op, _, pos = toks.next()
         rhs = _parse_factor(toks, ctx)
         if op == "*":
-            out = out * rhs
+            out = _product(out, rhs, pos)
         else:
             out = out.scale(_as_scalar(rhs, pos).inverse())
     return out
@@ -167,6 +181,9 @@ def _parse_factor(toks: _Tokens, ctx: ParseContext) -> NCPoly:
     while toks.peek()[0] == "^":
         _, _, pos = toks.next()
         kind_e, val = _parse_exponent(toks)
+        if abs(val) > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"exponent too large: {val}, budget {MAX_EXPONENT} in magnitude", pos)
         if kind_e == "half":
             if base_name not in _HALF_ATOMS:
                 raise ExprSyntaxError("half powers only apply to q, qb, t", pos)
@@ -209,9 +226,30 @@ def _parse_exponent(toks: _Tokens) -> tuple[str, int]:
     raise ExprSyntaxError("expected an exponent", tok[2])
 
 
+def _word_length(p: NCPoly) -> int:
+    return max(map(len, p.terms), default=0)
+
+
+def _check_budget(terms: int, length: int, pos: int) -> None:
+    if terms > MAX_TERMS:
+        raise ExprSyntaxError(
+            f"expression too large: up to {terms} terms, budget {MAX_TERMS}", pos)
+    if length > MAX_WORD_LENGTH:
+        raise ExprSyntaxError(
+            f"expression too large: words of length up to {length}, "
+            f"budget {MAX_WORD_LENGTH}", pos)
+
+
+def _product(a: NCPoly, b: NCPoly, pos: int) -> NCPoly:
+    """a * b, refused when it could have more terms than the budget."""
+    _check_budget(len(a.terms) * len(b.terms), 0, pos)
+    return a * b
+
+
 def _poly_pow(p: NCPoly, k: int, pos: int) -> NCPoly:
     if k < 0:
         return NCPoly.scalar(p.alphabet, _as_scalar(p, pos).inverse() ** (-k))
+    _check_budget(len(p.terms) ** k, _word_length(p) * k, pos)
     out = NCPoly.scalar(p.alphabet, ONE)
     for _ in range(k):
         out = out * p
@@ -231,7 +269,7 @@ def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         toks.expect(",")
         right = _parse_sum(toks, ctx)
         toks.expect("]")
-        return left * right - right * left
+        return _product(left, right, pos) - _product(right, left, pos)
     if kind == "name":
         if value == "star":
             toks.expect("(")
@@ -480,9 +518,21 @@ def _cmd_length(args) -> int:
 
 def _cmd_eval(args) -> int:
     regime = regime_from_label(args.regime)
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}",
+              file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be finite and positive, got {args.tol:g}",
+              file=sys.stderr)
+        return 2
+    if args.t is not None and not (math.isfinite(args.t) and args.t > 0):
+        print(f"error: --t must be finite and positive, got {args.t:g}",
+              file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     samples: list[tuple[complex, float, complex | None]] = []
-    t_values = [args.t] if args.t else [0.5, 2.0]
+    t_values = [args.t] if args.t is not None else [0.5, 2.0]
     if args.q:
         try:
             re, im = (float(v) for v in args.q.split(","))

@@ -109,6 +109,8 @@ class GaussianRational:
 
     def inverse(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im
+        if n == 1:
+            return GaussianRational(self.re, -self.im)  # a unit: 1/z = conj(z)
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GaussianRational(Fraction(self.re) / n, Fraction(-self.im) / n)
@@ -338,16 +340,49 @@ def _coeff_mono_str(c: GaussianRational, ms: str, first: bool) -> str:
 _POLY_ONE = LaurentPoly({_MONO_ONE: GR_ONE})
 
 
+def _exp_spans(terms) -> Mono:
+    """Per atom, the largest minus the smallest exponent among the terms."""
+    a, b, c = zip(*terms)
+    return (max(a) - min(a), max(b) - min(b), max(c) - min(c))
+
+
 def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """Return p/d when d divides p exactly, else None.
 
     Works up to monomial units: both arguments are shifted to honest
     polynomials first, so divisibility is decided in the Laurent ring.
+
+    Two necessary conditions are tested before any long division, and
+    both are exact because the Laurent ring is an integral domain:
+
+    - a single term is a unit, so a divisor with two or more terms (not a
+      unit) cannot divide it;
+    - in each atom the exponent span (largest minus smallest exponent) of
+      a product is the sum of the factors' spans, so a divisor whose span
+      exceeds p's in some atom cannot divide p.
+
+    Only a pair that passes both is divided out (``_long_divide``).
     """
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return LaurentPoly.zero()
+    if len(d.terms) > 1:  # a one-term divisor has span 0 and always divides
+        if len(p.terms) == 1:
+            return None
+        sp = _exp_spans(p.terms)
+        sd = _exp_spans(d.terms)
+        if sp[0] < sd[0] or sp[1] < sd[1] or sp[2] < sd[2]:
+            return None
+    return _long_divide(p, d)
+
+
+def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
+    """p/d by deglex long division of the shifted polynomials, else None.
+
+    p and d are nonzero.  The division decides divisibility on its own;
+    ``exact_divide`` only adds cheap rejects in front of it.
+    """
     mp = p.min_exps()
     md = d.min_exps()
     p2 = p.shifted(tuple(-e for e in mp))

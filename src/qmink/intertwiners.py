@@ -104,45 +104,33 @@ class NamedOperator:
 
 
 def _e_vector() -> TMap:
-    m = TMap.zero((), (U, U))
-    m.entries[1][0] = ONE
-    m.entries[2][0] = -Q
-    return m
+    return TMap((), (U, U), [[ZERO], [ONE], [-Q], [ZERO]])
 
 
 def _e_functional() -> TMap:
-    m = TMap.zero((U, U), ())
-    m.entries[0][1] = -(Q ** -1)
-    m.entries[0][2] = ONE
-    return m
+    return TMap((U, U), (), [[ZERO, -(Q ** -1), ONE, ZERO]])
 
 
 def _x(eps: int, perturbed: bool = False) -> TMap:
-    m = TMap.zero((U, B), (B, U))
-    m.entries[0][0] = ONE
-    m.entries[3][3] = ONE
-    m.entries[2][1] = T ** -1
-    m.entries[1][2] = T ** -1
-    if eps:
-        m.entries[0][3] = integer(eps)
+    corner = integer(eps)
+    t21 = T ** -1
     if perturbed:
         # negative control: t^-1 -> t in one slot is a diagonal gauge
         # symmetry of the slide moves, so a corner term is added too;
         # between them every regime's moves break
-        m.entries[2][1] = T
-        m.entries[0][3] = m.entries[0][3] + T if eps else T
-    return m
+        t21 = T
+        corner = corner + T
+    return TMap((U, B), (B, U), [[ONE, ZERO, ZERO, corner],
+                                 [ZERO, ZERO, T ** -1, ZERO],
+                                 [ZERO, t21, ZERO, ZERO],
+                                 [ZERO, ZERO, ZERO, ONE]])
 
 
 def _x_inverse(eps: int) -> TMap:
-    m = TMap.zero((B, U), (U, B))
-    m.entries[0][0] = ONE
-    m.entries[3][3] = ONE
-    m.entries[1][2] = T
-    m.entries[2][1] = T
-    if eps:
-        m.entries[0][3] = integer(-eps)
-    return m
+    return TMap((B, U), (U, B), [[ONE, ZERO, ZERO, integer(-eps)],
+                                 [ZERO, ZERO, T, ZERO],
+                                 [ZERO, T, ZERO, ZERO],
+                                 [ZERO, ZERO, ZERO, ONE]])
 
 
 def _conjugate_by_x(middle: TMap, x: TMap, xinv: TMap) -> TMap:
@@ -329,27 +317,17 @@ def pauli_basis() -> TMap:
     pair encodes the vector index j in row-major order.
     """
     i = coeff.I
-    m = TMap.zero((U, B), (U, B))
-    cols = {
-        0: {0: ONE, 3: ONE},
-        1: {1: ONE, 2: ONE},
-        2: {1: -i, 2: i},
-        3: {0: ONE, 3: -ONE},
-    }
-    for j, col in cols.items():
-        for r, v in col.items():
-            m.entries[r][j] = v
-    return m
+    return TMap((U, B), (U, B), [[ONE, ZERO, ZERO, ONE],
+                                 [ZERO, ONE, -i, ZERO],
+                                 [ZERO, ONE, i, ZERO],
+                                 [ONE, ZERO, ZERO, -ONE]])
 
 
 def pauli_basis_inverse() -> TMap:
-    c = pauli_basis()
+    c = pauli_basis().entries
     half = coeff.rat(1, 2)
-    m = TMap.zero((U, B), (U, B))
-    for j in range(4):
-        for r in range(4):
-            m.entries[j][r] = c.entries[r][j].star() * half
-    return m
+    return TMap((U, B), (U, B), [[c[r][j].star() * half for r in range(4)]
+                                 for j in range(4)])
 
 
 def vector_components(op: TMap, regime: Regime = GENERIC) -> TMap:
@@ -688,7 +666,7 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
             qsq_minus_1 = Q ** 2 - ONE
             divisible = any(
                 v.numerator_divisible_by(qsq_minus_1)
-                for row in resid.entries for v in row if not v.is_zero())
+                for row in resid.rows for v in row.values())
             at_q1 = resid.map_entries(
                 lambda s: s.subst_half(GR_ONE, GR_ONE, None))
             vanishes = at_q1.is_zero_map()
@@ -712,9 +690,9 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
             fac = Q ** 2 - ONE
             bad = [
                 f"entry[{i}][{j}]"
-                for i, row in enumerate(resid.entries)
-                for j, v in enumerate(row)
-                if not v.is_zero() and not v.numerator_divisible_by(fac)]
+                for i, row in enumerate(resid.rows)
+                for j, v in row.items()
+                if not v.numerator_divisible_by(fac)]
             ok = not bad and not resid.is_zero_map()
             return ok, "; ".join(bad[:4]) or None, \
                 "all residual entries divisible by q^2-1"
@@ -807,11 +785,11 @@ def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[
 
     def scan():
         z_a2, z_ab, z_b2, e23 = _sse_scan_matrices(src)
+        a2, ab, b2, e = (m.entries for m in (z_a2, z_ab, z_b2, e23))
         rows = []
-        for i in range(len(z_a2.entries)):
-            for j in range(len(z_a2.entries[0])):
-                row = [z_a2.entries[i][j], z_ab.entries[i][j],
-                       z_b2.entries[i][j], -e23.entries[i][j]]
+        for i in range(len(a2)):
+            for j in range(len(a2[0])):
+                row = [a2[i][j], ab[i][j], b2[i][j], -e[i][j]]
                 if any(not v.is_zero() for v in row):
                     rows.append(row)
         qq = (Q + Q ** -1).specialize(regime)
@@ -838,17 +816,11 @@ def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[
             acc = [[ZERO] * n for _ in range(n)]
             for rp in range(n):
                 L, Kk, A = (rp >> 2) & 1, (rp >> 1) & 1, rp & 1
-                for cp in range(n):
-                    v = tpmat.entries[rp][cp]
-                    if v.is_zero():
-                        continue
+                for cp, v in tpmat.rows[rp].items():
                     sv = v.star(src.regime)
                     E, Mm, N = (cp >> 2) & 1, (cp >> 1) & 1, cp & 1
                     trow = (N << 2) | (Mm << 1) | E
-                    for ccol in range(n):
-                        tv = tmat.entries[trow][ccol]
-                        if tv.is_zero():
-                            continue
+                    for ccol, tv in tmat.rows[trow].items():
                         col = (A << 2) | (Kk << 1) | L
                         acc[ccol][col] = acc[ccol][col] + sv * tv
             bad = None

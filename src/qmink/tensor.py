@@ -5,6 +5,15 @@ are typed: unbarred (the defining C^2) or barred (its conjugate), and the
 types are enforced at placement and composition time because several of
 the structure maps swap bar-types.  Basis order is row major over the leg
 indices with leg 1 most significant, each leg indexed 1, 2.
+
+Storage is sparse: a TMap keeps only its nonzero entries, row by row, so
+composition, sums and placement cost is proportional to the nonzeros (a
+placed 64x64 crossing has about 100 of 4096).  ``entries`` is a read-only
+dense view for code that wants a plain matrix.  Every operation combines
+entries in the same order as the dense matrix loops would (in ``compose``:
+inner index ascending, then column ascending), so each Scalar is built by
+the same sequence of operations and printed results do not depend on the
+storage.
 """
 
 from __future__ import annotations
@@ -73,10 +82,30 @@ def _index_of(bits) -> int:
     return out
 
 
-class TMap:
-    """Exact linear map between typed tensor products of 2-dim legs."""
+Row = dict[int, Scalar]
 
-    __slots__ = ("in_sig", "out_sig", "entries")
+
+def _kept(row: Row, fn) -> Row:
+    """fn applied to each entry of a sparse row; zero results are dropped."""
+    out = {}
+    for j, v in row.items():
+        w = fn(v)
+        if not w.is_zero():
+            out[j] = w
+    return out
+
+
+class TMap:
+    """Exact linear map between typed tensor products of 2-dim legs.
+
+    ``rows[i]`` maps each column j of row i to its entry, a nonzero
+    Scalar; zero entries are absent and the keys are in ascending order.
+    Rows are never mutated once the map is built.  The constructor takes
+    dense rows (one Scalar per column); ``entries`` gives them back as a
+    read-only tuple of tuples, built on each access.
+    """
+
+    __slots__ = ("in_sig", "out_sig", "rows")
 
     def __init__(self, in_sig: Signature, out_sig: Signature,
                  entries: list[list[Scalar]]):
@@ -86,23 +115,61 @@ class TMap:
             raise SignatureMismatchError("entry matrix shape does not match signatures")
         self.in_sig = in_sig
         self.out_sig = out_sig
-        self.entries = entries
+        self.rows = [{j: v for j, v in enumerate(r) if not v.is_zero()}
+                     for r in entries]
+
+    @staticmethod
+    def _of(in_sig: Signature, out_sig: Signature, rows: list[Row]) -> "TMap":
+        """A map from rows that already keep the storage invariant."""
+        m = object.__new__(TMap)
+        m.in_sig = in_sig
+        m.out_sig = out_sig
+        m.rows = rows
+        return m
 
     @staticmethod
     def zero(in_sig: Signature, out_sig: Signature) -> "TMap":
-        return TMap(in_sig, out_sig,
-                    [[ZERO] * _dim(in_sig) for _ in range(_dim(out_sig))])
+        return TMap._of(tuple(in_sig), tuple(out_sig),
+                        [{} for _ in range(_dim(tuple(out_sig)))])
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        n = _dim(self.in_sig)
+        out = []
+        for row in self.rows:
+            dense = [ZERO] * n
+            for j, v in row.items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return tuple(out)
 
     def map_entries(self, fn) -> "TMap":
-        return TMap(self.in_sig, self.out_sig,
-                    [[fn(v) for v in row] for row in self.entries])
+        """fn applied to every nonzero entry; fn must send zero to zero."""
+        return TMap._of(self.in_sig, self.out_sig,
+                        [_kept(row, fn) for row in self.rows])
 
     def __add__(self, other: "TMap") -> "TMap":
         if self.in_sig != other.in_sig or self.out_sig != other.out_sig:
             raise SignatureMismatchError("sum of maps with different signatures")
-        return TMap(self.in_sig, self.out_sig,
-                    [[a + b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.entries, other.entries)])
+        rows = []
+        for r1, r2 in zip(self.rows, other.rows):
+            if not r1 or not r2:
+                rows.append(dict(r1 or r2))
+                continue
+            out = {}
+            for j in sorted(r1.keys() | r2.keys()):
+                a = r1.get(j)
+                b = r2.get(j)
+                if a is None:
+                    out[j] = b
+                elif b is None:
+                    out[j] = a
+                else:
+                    s = a + b
+                    if not s.is_zero():
+                        out[j] = s
+            rows.append(out)
+        return TMap._of(self.in_sig, self.out_sig, rows)
 
     def __sub__(self, other: "TMap") -> "TMap":
         return self + other.scale(-ONE)
@@ -111,7 +178,7 @@ class TMap:
         return self.map_entries(lambda v: v * c)
 
     def is_zero_map(self) -> bool:
-        return all(v.is_zero() for row in self.entries for v in row)
+        return not any(self.rows)
 
     def equals(self, other: "TMap") -> bool:
         if self.in_sig != other.in_sig or self.out_sig != other.out_sig:
@@ -119,18 +186,19 @@ class TMap:
         return (self - other).is_zero_map()
 
     def first_nonzero(self) -> tuple[int, int, Scalar] | None:
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    return i, j, v
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                return i, j, v
         return None
 
     def trace(self) -> Scalar:
         if self.in_sig != self.out_sig:
             raise SignatureMismatchError("trace of a non-square map")
         out = ZERO
-        for k in range(_dim(self.in_sig)):
-            out = out + self.entries[k][k]
+        for k, row in enumerate(self.rows):
+            v = row.get(k)
+            if v is not None:
+                out = out + v
         return out
 
     def specialize(self, regime: Regime) -> "TMap":
@@ -138,11 +206,10 @@ class TMap:
 
     def to_numpy(self, q: complex, t: float, regime: Regime = GENERIC,
                  qbar: complex | None = None) -> np.ndarray:
-        out = np.zeros((len(self.entries), len(self.entries[0])), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    out[i, j] = v.eval(q, t, regime, qbar)
+        out = np.zeros((_dim(self.out_sig), _dim(self.in_sig)), dtype=complex)
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                out[i, j] = v.eval(q, t, regime, qbar)
         return out
 
     def to_json_dict(self) -> dict:
@@ -157,46 +224,37 @@ class TMap:
 
 
 def identity(sig: Signature) -> TMap:
-    n = _dim(tuple(sig))
-    m = TMap.zero(sig, sig)
-    for k in range(n):
-        m.entries[k][k] = ONE
-    return m
+    sig = tuple(sig)
+    return TMap._of(sig, sig, [{k: ONE} for k in range(_dim(sig))])
 
 
 def compose(f: TMap, g: TMap) -> TMap:
-    """Matrix product f after g."""
+    """Matrix product f after g.
+
+    Products are summed into each output entry in the dense order, inner
+    index k ascending, then column j ascending.
+    """
     if g.out_sig != f.in_sig:
         raise SignatureMismatchError(
             f"cannot compose {sig_str(f.in_sig)}<-... with ...->{sig_str(g.out_sig)}")
-    out = TMap.zero(g.in_sig, f.out_sig)
-    # the nonzero (column, value) pairs of each row of g, found once
-    g_nonzero = [[(j, gv) for j, gv in enumerate(grow) if not gv.is_zero()]
-                 for grow in g.entries]
-    for i, frow in enumerate(f.entries):
-        orow = out.entries[i]
-        for k, fv in enumerate(frow):
-            if fv.is_zero():
-                continue
-            for j, gv in g_nonzero[k]:
-                orow[j] = orow[j] + fv * gv
-    return out
+    g_rows = g.rows
+    rows = []
+    for frow in f.rows:
+        acc: Row = {}
+        for k, fv in frow.items():
+            for j, gv in g_rows[k].items():
+                s = acc.get(j)
+                acc[j] = fv * gv if s is None else s + fv * gv
+        rows.append({j: acc[j] for j in sorted(acc) if not acc[j].is_zero()})
+    return TMap._of(g.in_sig, f.out_sig, rows)
 
 
 def tensor_product(f: TMap, g: TMap) -> TMap:
-    out = TMap.zero(f.in_sig + g.in_sig, f.out_sig + g.out_sig)
     dg_in = _dim(g.in_sig)
-    dg_out = _dim(g.out_sig)
-    for i1, r1 in enumerate(f.entries):
-        for j1, v1 in enumerate(r1):
-            if v1.is_zero():
-                continue
-            for i2, r2 in enumerate(g.entries):
-                for j2, v2 in enumerate(r2):
-                    if v2.is_zero():
-                        continue
-                    out.entries[i1 * dg_out + i2][j1 * dg_in + j2] = v1 * v2
-    return out
+    rows = [{j1 * dg_in + j2: v1 * v2
+             for j1, v1 in r1.items() for j2, v2 in r2.items()}
+            for r1 in f.rows for r2 in g.rows]
+    return TMap._of(f.in_sig + g.in_sig, f.out_sig + g.out_sig, rows)
 
 
 class Placement:
@@ -303,25 +361,23 @@ def place(op: TMap, legs: tuple[int, ...], ambient: Signature,
     """
     pl = placement(op.in_sig, op.out_sig, tuple(legs), tuple(ambient),
                    None if out_legs is None else tuple(out_legs))
-    result = TMap.zero(pl.ambient, pl.out_sig)
-    entries = result.entries
+    rows: list[Row] = [{} for _ in range(_dim(pl.out_sig))]
     spect = list(zip(pl.spect_rows, pl.spect_cols))
-    for r, row in enumerate(op.entries):
+    for r, row in enumerate(op.rows):
         i = pl.rows[r]
-        for c, v in enumerate(row):
-            if v.is_zero():
-                continue
+        for c, v in row.items():
             j = pl.cols[c]
             for si, sj in spect:
-                entries[i + si][j + sj] = v
-    return result
+                rows[i + si][j + sj] = v
+    return TMap._of(pl.ambient, pl.out_sig,
+                    [{j: row[j] for j in sorted(row)} for row in rows])
 
 
 def bar_conjugate(f: TMap, regime: Regime = GENERIC) -> TMap:
     """Entrywise conjugation; every leg toggles its bar-type."""
-    return TMap(tuple(l.bar() for l in f.in_sig),
-                tuple(l.bar() for l in f.out_sig),
-                [[v.star(regime) for v in row] for row in f.entries])
+    return TMap._of(tuple(l.bar() for l in f.in_sig),
+                    tuple(l.bar() for l in f.out_sig),
+                    [_kept(row, lambda v: v.star(regime)) for row in f.rows])
 
 
 def tau_conjugate(f: TMap, regime: Regime = GENERIC) -> TMap:
@@ -329,9 +385,12 @@ def tau_conjugate(f: TMap, regime: Regime = GENERIC) -> TMap:
     if len(f.in_sig) != 2 or len(f.out_sig) != 2:
         raise ArityMismatchError("tau conjugation needs 2-leg maps")
     g = bar_conjugate(f, regime)
-    swap = {0: 0, 1: 2, 2: 1, 3: 3}
-    entries = [[g.entries[swap[i]][swap[j]] for j in range(4)] for i in range(4)]
-    return TMap((g.in_sig[1], g.in_sig[0]), (g.out_sig[1], g.out_sig[0]), entries)
+    swap = (0, 2, 1, 3)
+    rows = []
+    for i in range(4):
+        src = g.rows[swap[i]]
+        rows.append({j: src[swap[j]] for j in range(4) if swap[j] in src})
+    return TMap._of((g.in_sig[1], g.in_sig[0]), (g.out_sig[1], g.out_sig[0]), rows)
 
 
 def permutation(sig: Signature, perm: tuple[int, ...]) -> TMap:
@@ -341,12 +400,11 @@ def permutation(sig: Signature, perm: tuple[int, ...]) -> TMap:
     if sorted(perm) != list(range(1, n + 1)):
         raise ArityMismatchError("perm must list 1..n exactly once")
     out_sig = tuple(sig[p - 1] for p in perm)
-    m = TMap.zero(sig, out_sig)
+    rows: list[Row] = [{} for _ in range(_dim(sig))]
     for c in range(_dim(sig)):
         bits = _bits_of(c, n)
-        rbits = tuple(bits[p - 1] for p in perm)
-        m.entries[_index_of(rbits)][c] = ONE
-    return m
+        rows[_index_of(tuple(bits[p - 1] for p in perm))][c] = ONE
+    return TMap._of(sig, out_sig, rows)
 
 
 def flip(a: Leg, b: Leg) -> TMap:

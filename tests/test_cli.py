@@ -225,3 +225,67 @@ def test_run_suites_all_regimes_green():
         assert all(r.status != "fail" for r in reports), label
         ids = [r.check_id for r in reports]
         assert len(ids) == len(set(ids)), f"duplicate check ids in {label}"
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-3"], "--samples"),
+    (["--t", "0"], "--t"),
+    (["--t", "-1"], "--t"),
+    (["--t", "nan"], "--t"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "inf"], "--tol"),
+    (["--tol", "0"], "--tol"),
+    (["--tol=-1e-9"], "--tol"),
+])
+def test_eval_rejects_vacuous_or_meaningless_options(capsys, extra, needle):
+    assert main(["eval", "--regime", "unit-circle"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert "samples," not in captured.out  # nothing was checked or reported
+
+
+def test_eval_uses_the_given_t(monkeypatch, capsys):
+    from qmink import intertwiners
+    seen = []
+
+    def fake_suite(regime, q, t, qb):
+        seen.append(t)
+        return {"moves/X.X.M": 0.0}
+    monkeypatch.setattr(intertwiners, "numeric_suite", fake_suite)
+    assert main(["eval", "--regime", "unit-circle", "--t", "3", "--samples", "2"]) == 0
+    assert seen == [3.0, 3.0]
+
+
+def test_nf_input_budget_refuses_blowup_quickly(capsys):
+    import time
+    t0 = time.perf_counter()
+    code = main(["nf", "--regime", "unit-circle",
+                 "--expr", "(alpha+beta+gamma+delta)^8"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression too large") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", [
+    "alpha^13",                       # word length over budget
+    "alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha",
+    "[(alpha+beta)^6, (gamma+delta)^5]",
+    "q^65",
+    "q^(-129/2)",
+])
+def test_nf_input_budget_limits(capsys, expr):
+    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large" in err
+
+
+def test_nf_input_budget_leaves_room_for_ordinary_queries():
+    alph, _ = nf_system(UNIT_CIRCLE)
+    ctx = ParseContext(alph, UNIT_CIRCLE)
+    assert len(parse_expr("(alpha+beta+gamma+delta)^5", ctx).terms) == 1024
+    assert len(parse_expr("alpha^12", ctx).terms) == 1
+    parse_expr("(q*alpha*beta + t*gamma)^2*(i*alpha - delta*u[1,2])*h[0,3]^2", ctx)
+    with pytest.raises(ExprSyntaxError, match="too large"):
+        parse_expr("(alpha+beta+gamma+delta)^6", ctx)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, REAL_Q,
-                         T, UNIT_CIRCLE, GaussianRational, integer, rat,
+                         T, UNIT_CIRCLE, ZERO, GaussianRational, integer, rat,
                          MissingParameterError)
 from qmink.intertwiners import (Factor, MatrixIdentity,
                                 OperatorSource, UnknownNameError, build,
@@ -43,11 +43,10 @@ def test_unrescaled_crossing_is_a_scalar_multiple():
     # the sqrt(t)-weighted form, built from its own displayed entries,
     # equals sqrt(t) times the canonical rescaled crossing
     from qmink.coeff import T_HALF
-    full = TMap.zero((U, B), (B, U))
-    full.entries[0][0] = T_HALF
-    full.entries[3][3] = T_HALF
-    full.entries[2][1] = T_HALF ** -1
-    full.entries[1][2] = T_HALF ** -1
+    full = TMap((U, B), (B, U), [[T_HALF, ZERO, ZERO, ZERO],
+                                 [ZERO, ZERO, T_HALF ** -1, ZERO],
+                                 [ZERO, T_HALF ** -1, ZERO, ZERO],
+                                 [ZERO, ZERO, ZERO, T_HALF]])
     src = operator_source(GENERIC)
     assert full.equals(src.get("Xfull"))
     assert full.equals(src.get("X").scale(T_HALF))
@@ -238,13 +237,9 @@ def test_numeric_unitary_gives_real_vector_entries():
     # u = diag((3+4i)/5, (3-4i)/5) is exactly unitary over the Gaussians
     from qmink.coeff import gauss
     u = [[gauss("3/5", "4/5"), gauss(0, 0)], [gauss(0, 0), gauss("3/5", "-4/5")]]
-    h = TMap.zero((U, B), (U, B))
-    for A in range(2):
-        for Bb in range(2):
-            for C in range(2):
-                for D in range(2):
-                    h.entries[(A << 1) | Bb][(C << 1) | D] = \
-                        u[A][C] * u[Bb][D].star()
+    h = TMap((U, B), (U, B), [[u[A][C] * u[Bb][D].star()
+                               for C in range(2) for D in range(2)]
+                              for A in range(2) for Bb in range(2)])
     vec = vector_components(h)
     for row in vec.entries:
         for v in row:

@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink.coeff import GENERIC, ONE, Q, T, ZERO, integer
+from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, integer
 from qmink.intertwiners import operator_source
 from qmink.tensor import (ArityMismatchError, B, SignatureMismatchError, TMap,
                           TypeMismatchError, U, annihilator_basis,
                           bar_conjugate, compose, flip, identity, invert,
-                          nullspace_basis, permutation, place, row_echelon,
-                          span_equal, tau_conjugate, tensor_product)
+                          nullspace_basis, permutation, place, placement,
+                          row_echelon, span_equal, tau_conjugate,
+                          tensor_product)
 
 SRC = operator_source(GENERIC)
 
@@ -74,10 +75,11 @@ def test_place_vector_insertion_matches_bookkeeping():
     placed = place(e, (), (B,), (1, 2))
     assert placed.in_sig == (B,)
     assert placed.out_sig == (U, U, B)
-    expected = TMap.zero((B,), (U, U, B))
+    dense = [[ZERO] * 2 for _ in range(8)]
     for r4, row in enumerate(e.entries):
         for s in range(2):
-            expected.entries[r4 * 2 + s][s] = row[0]
+            dense[r4 * 2 + s][s] = row[0]
+    expected = TMap((B,), (U, U, B), dense)
     assert placed.equals(expected)
 
 
@@ -85,10 +87,11 @@ def test_place_functional_drops_legs():
     ep = SRC.get("E'")
     placed = place(ep, (1, 2), (U, U, B))
     assert placed.out_sig == (B,)
-    expected = TMap.zero((U, U, B), (B,))
+    dense = [[ZERO] * 8 for _ in range(2)]
     for c4, v in enumerate(ep.entries[0]):
         for s in range(2):
-            expected.entries[s][c4 * 2 + s] = v
+            dense[s][c4 * 2 + s] = v
+    expected = TMap((U, U, B), (B,), dense)
     assert placed.equals(expected)
 
 
@@ -237,8 +240,191 @@ coeff_scalars = st.builds(lambda n: integer(n), st.integers(-3, 3))
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), coeff_scalars),
                 max_size=5))
 def test_bar_conjugate_involution_on_random_maps(entries):
-    m = TMap.zero((U, B), (U, B))
+    dense = [[ZERO] * 4 for _ in range(4)]
     for i, j, v in entries:
-        m.entries[i][j] = m.entries[i][j] + v * Q + v * T
+        dense[i][j] = dense[i][j] + v * Q + v * T
+    m = TMap((U, B), (U, B), dense)
     assert bar_conjugate(bar_conjugate(m)).equals(m)
     assert tau_conjugate(tau_conjugate(m)).equals(m)
+
+
+# ---------------------------------------------------------------------------
+# sparse storage against dense references
+# ---------------------------------------------------------------------------
+
+leg_sigs = st.lists(st.sampled_from([U, B]), max_size=2).map(tuple)
+# values with nontrivial denominators, so that a different summation
+# order would show up in the printed form
+entry_values = st.sampled_from([ONE, -ONE, integer(2), I, Q, T ** -1, Q - T,
+                                (Q + ONE) ** -1, (Q - ONE) ** -1,
+                                (Q * Q - ONE) ** -1, Q * (T + Q) ** -1])
+
+
+@st.composite
+def sparse_maps(draw, in_sig=None, out_sig=None):
+    in_sig = draw(leg_sigs) if in_sig is None else in_sig
+    out_sig = draw(leg_sigs) if out_sig is None else out_sig
+    n_in, n_out = 1 << len(in_sig), 1 << len(out_sig)
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_out - 1), st.integers(0, n_in - 1)),
+        entry_values, max_size=6))
+    dense = [[ZERO] * n_in for _ in range(n_out)]
+    for (i, j), v in cells.items():
+        dense[i][j] = v
+    return TMap(in_sig, out_sig, dense)
+
+
+def strs(rows):
+    return [[str(v) for v in row] for row in rows]
+
+
+def assert_sparse_invariant(m):
+    n_in = 1 << len(m.in_sig)
+    assert len(m.rows) == 1 << len(m.out_sig)
+    for row in m.rows:
+        keys = list(row)
+        assert keys == sorted(keys)
+        assert all(0 <= j < n_in for j in keys)
+        assert not any(v.is_zero() for v in row.values())
+
+
+def dense_compose(f, g):
+    """The dense triple loop: k ascending, then j ascending."""
+    fe, ge = f.entries, g.entries
+    out = [[ZERO] * (1 << len(g.in_sig)) for _ in fe]
+    for i, frow in enumerate(fe):
+        for k, fv in enumerate(frow):
+            if fv.is_zero():
+                continue
+            for j, gv in enumerate(ge[k]):
+                if not gv.is_zero():
+                    out[i][j] = out[i][j] + fv * gv
+    return out
+
+
+@st.composite
+def composable(draw):
+    mid = draw(leg_sigs)
+    g = draw(sparse_maps(out_sig=mid))
+    f = draw(sparse_maps(in_sig=mid))
+    return f, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(composable())
+def test_sparse_compose_matches_dense(fg):
+    f, g = fg
+    out = compose(f, g)
+    assert_sparse_invariant(out)
+    assert strs(out.entries) == strs(dense_compose(f, g))
+
+
+def test_compose_sums_in_dense_order():
+    # the stored form of a sum depends on the order of its terms:
+    # (a + b) + c and (c + b) + a print differently for these three
+    a, b, c = (Q + ONE) ** -1, Q * (T + Q) ** -1, (Q * Q - ONE) ** -1
+    assert str((a + b) + c) != str((c + b) + a)
+    f = TMap((U, U), (), [[ONE, ONE, ONE, ZERO]])
+    g = TMap((), (U, U), [[a], [b], [c], [ZERO]])
+    assert str(compose(f, g).entries[0][0]) == str((a + b) + c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_sum_and_scale_match_dense(data):
+    a = data.draw(sparse_maps())
+    b = data.draw(sparse_maps(in_sig=a.in_sig, out_sig=a.out_sig))
+    c = data.draw(entry_values)
+    for got, want in (
+            (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
+            (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
+            (a.scale(c), [[x * c for x in r] for r in a.entries]),
+            (a - a, [[ZERO] * len(r) for r in a.entries])):
+        assert_sparse_invariant(got)
+        assert strs(got.entries) == strs(want)
+    assert (a - a).is_zero_map()
+    assert a.is_zero_map() == all(v.is_zero() for r in a.entries for v in r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_place_matches_dense(data):
+    op = data.draw(sparse_maps(in_sig=data.draw(
+        st.lists(st.sampled_from([U, B]), min_size=1, max_size=2).map(tuple))))
+    n_amb = 3
+    legs = tuple(data.draw(st.permutations(range(1, n_amb + 1)))[:len(op.in_sig)])
+    ambient = [data.draw(st.sampled_from([U, B])) for _ in range(n_amb)]
+    for k, p in enumerate(legs):
+        ambient[p - 1] = op.in_sig[k]
+    ambient = tuple(ambient)
+    out_legs = None
+    if len(op.out_sig) not in (0, len(op.in_sig)):
+        n_amb_out = n_amb - len(op.in_sig) + len(op.out_sig)
+        out_legs = tuple(sorted(data.draw(st.permutations(range(1, n_amb_out + 1)))
+                                [:len(op.out_sig)]))
+    got = place(op, legs, ambient, out_legs)
+    pl = placement(op.in_sig, op.out_sig, legs, ambient, out_legs)
+    want = [[ZERO] * (1 << len(pl.ambient)) for _ in range(1 << len(pl.out_sig))]
+    for r, row in enumerate(op.entries):
+        for c, v in enumerate(row):
+            if not v.is_zero():
+                for si, sj in zip(pl.spect_rows, pl.spect_cols):
+                    want[pl.rows[r] + si][pl.cols[c] + sj] = v
+    assert_sparse_invariant(got)
+    assert strs(got.entries) == strs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_maps(), sparse_maps())
+def test_sparse_tensor_product_matches_kron(f, g):
+    tp = tensor_product(f, g)
+    assert_sparse_invariant(tp)
+    assert strs(tp.entries) == strs(kron(f.entries, g.entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_maps())
+def test_sparse_readers_match_dense(m):
+    assert_sparse_invariant(m)
+    dense = m.entries
+    hit = next(((i, j, v) for i, r in enumerate(dense) for j, v in enumerate(r)
+                if not v.is_zero()), None)
+    got = m.first_nonzero()
+    assert (got is None) == (hit is None)
+    if hit is not None:
+        assert got[:2] == hit[:2] and got[2] == hit[2]
+    if m.in_sig == m.out_sig:
+        want = ZERO
+        for k in range(len(dense)):
+            want = want + dense[k][k]
+        assert str(m.trace()) == str(want)
+    assert_sparse_invariant(bar_conjugate(m))
+    ones = m.map_entries(lambda s: s if s == ONE else ZERO)
+    assert_sparse_invariant(ones)
+    assert ones.equals(TMap(m.in_sig, m.out_sig,
+                            [[v if v == ONE else ZERO for v in r] for r in dense]))
+
+
+def test_no_zero_is_stored():
+    m = TMap((U,), (U,), [[ONE, ZERO], [Q - Q, T]])
+    assert m.rows == [{0: ONE}, {1: T}]
+    assert (m - m).rows == [{}, {}]
+    assert identity((U, B)).rows == [{k: ONE} for k in range(4)]
+
+
+def test_place_on_permuted_legs_keeps_rows_sorted():
+    # legs (2, 1) send operator column 1 to ambient column 4 and column 2
+    # to ambient column 2, so the fill order is not the column order
+    op = TMap((U, U), (U, U), [[ONE, Q, T, I]] * 4)
+    m = place(op, (2, 1), (U, U, U))
+    assert_sparse_invariant(m)
+    assert list(m.rows[0]) == [0, 2, 4, 6]
+
+
+def test_entries_view_is_read_only():
+    m = TMap.zero((U,), (U,))
+    with pytest.raises(TypeError):
+        m.entries[0][0] = ONE
+    with pytest.raises(AttributeError):
+        m.entries = [[ONE, ZERO], [ZERO, ONE]]
+    assert m.is_zero_map()
