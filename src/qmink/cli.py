@@ -539,6 +539,9 @@ def _cmd_eval(args) -> int:
         except ValueError:
             print(f"error: --q needs RE,IM, got {args.q!r}", file=sys.stderr)
             return 2
+        if not (math.isfinite(re) and math.isfinite(im)):
+            print(f"error: --q parts must be finite, got {args.q!r}", file=sys.stderr)
+            return 2
         q = complex(re, im)
         if regime.kind is RegimeKind.UNIT_CIRCLE and q != 0:
             q /= abs(q)  # project user input onto the circle exactly
@@ -564,8 +567,14 @@ def _cmd_eval(args) -> int:
         except (coeff.DomainError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except OverflowError as exc:
+            print(f"error: double precision overflow at q = {q}: {exc}",
+                  file=sys.stderr)
+            return 2
         for k, v in res.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+            prev = worst.get(k, 0.0)
+            # max() would drop a NaN; keep it so the check reports FAIL
+            worst[k] = v if v > prev or math.isnan(v) else prev
     ok = True
     for k in sorted(worst):
         status = "PASS" if worst[k] < args.tol else "FAIL"

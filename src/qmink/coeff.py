@@ -19,6 +19,24 @@ that is truly fractional, so the common all-integer case never pays for
 ``Fraction`` arithmetic.  Results are normalised back to ``int`` whenever
 their denominator is 1; the stored type is never visible in equality,
 hashing or printing.
+
+Most products in a run have a one-term factor, and most scalars a one-term
+(monic monomial) denominator, so three shapes take a fast path:
+
+- ``LaurentPoly * LaurentPoly`` with a one-term side translates and scales
+  the other side in one pass (``_mul_general`` is the full loop);
+- ``Scalar * Scalar`` with one-term denominators on both sides, whose
+  product denominator is the monomial x^(m1+m2), only strips the common
+  monomial (``_over_monomials``), as the constructor would;
+- ``Scalar + Scalar`` with one-term denominators shifts the second
+  numerator by x^(m1-m2) over the first denominator, the quotient the
+  general path would find by ``exact_divide``.
+
+Each builds the same monomial -> coefficient maps, in the same term order,
+as the general path, so the stored form, every printed value and every
+float evaluation are unchanged.  That rests on two invariants: no zero
+coefficient is ever stored, and a constructed ``Scalar`` has a monic
+denominator.
 """
 
 from __future__ import annotations
@@ -168,7 +186,7 @@ def _deglex_key(m: Mono):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: finite map monomial -> GaussianRational."""
+    """Sparse Laurent polynomial: finite map monomial -> nonzero GaussianRational."""
 
     __slots__ = ("terms",)
 
@@ -217,22 +235,26 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Mono, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    if not c.is_zero:
-                        out[m] = c
-                else:
-                    s = s + c
-                    if s.is_zero:
-                        del out[m]
-                    else:
-                        out[m] = s
-        return LaurentPoly(out)
+        if len(self.terms) == 1:
+            return other._times_term(self.terms)
+        if len(other.terms) == 1:
+            return self._times_term(other.terms)
+        return _mul_general(self, other)
+
+    def _times_term(self, term: dict[Mono, GaussianRational]) -> "LaurentPoly":
+        """self times the one-term polynomial ``term``.
+
+        The product of the general loop, built in one pass: translating by
+        a monomial is injective, so no two products share a monomial, and
+        Q(i) has no zero divisors, so no product is zero (no zero is ever
+        stored).  The terms come out in self's order, as in the loop.
+        """
+        (m0, c0), = term.items()
+        if c0.re == 1 and c0.im == 0:
+            return self if m0 == _MONO_ONE else self.shifted(m0)
+        a, b, e = m0
+        return LaurentPoly({(m[0] + a, m[1] + b, m[2] + e): c * c0
+                            for m, c in self.terms.items()})
 
     def scale(self, c: GaussianRational) -> "LaurentPoly":
         if c.is_zero:
@@ -258,10 +280,14 @@ class LaurentPoly:
 
     def min_exps(self) -> Mono:
         it = iter(self.terms)
-        first = next(it)
-        a, b, c = first
-        for m in it:
-            a = min(a, m[0]); b = min(b, m[1]); c = min(c, m[2])
+        a, b, c = next(it)
+        for x, y, z in it:  # comparisons, not min() calls: this is hot
+            if x < a:
+                a = x
+            if y < b:
+                b = y
+            if z < c:
+                c = z
         return (a, b, c)
 
     def shifted(self, delta: Mono) -> "LaurentPoly":
@@ -304,6 +330,30 @@ class LaurentPoly:
             ms = _mono_str(m)
             parts.append(_coeff_mono_str(c, ms, first=not parts))
         return "".join(parts)
+
+
+def _mul_general(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a*b by the full double loop, merging and cancelling like terms.
+
+    ``LaurentPoly.__mul__`` uses it when both factors have two or more
+    terms; the tests use it as the reference for the one-term fast path.
+    """
+    out: dict[Mono, GaussianRational] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            c = c1 * c2
+            s = out.get(m)
+            if s is None:
+                if not c.is_zero:
+                    out[m] = c
+            else:
+                s = s + c
+                if s.is_zero:
+                    del out[m]
+                else:
+                    out[m] = s
+    return LaurentPoly(out)
 
 
 def _mono_str(m: Mono) -> str:
@@ -476,7 +526,7 @@ def regime_from_label(label: str) -> Regime:
 # --------------------------------------------------------------------------
 
 class Scalar:
-    """Element of the rational-function field, stored as num/den."""
+    """Element of the rational-function field, stored as num/den, den monic."""
 
     __slots__ = ("num", "den")
 
@@ -541,6 +591,16 @@ class Scalar:
             return other
         if other.num.is_zero:
             return self
+        d1, d2 = self.den, other.den
+        if len(d1.terms) == 1 and len(d2.terms) == 1:
+            # monic monomials: d2 divides d1 with quotient x^(m1-m2), so the
+            # general path below would keep d1 and shift other's numerator
+            (m1,), (m2,) = d1.terms, d2.terms
+            n2 = other.num
+            if m1 != m2:
+                n2 = n2.shifted((m1[0] - m2[0], m1[1] - m2[1], m1[2] - m2[2]))
+            num = self.num + n2
+            return _over_monomials(num, d1, _POLY_ONE) if num.terms else ZERO
         if self.den is other.den or self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         # when one denominator divides the other, keep the larger one
@@ -567,6 +627,8 @@ class Scalar:
             return ZERO
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
+        if len(d1.terms) == 1 and len(d2.terms) == 1:
+            return _over_monomials(n1 * n2, d1, d2)
         # cross-cancel before multiplying to slow denominator growth
         if len(d2.terms) > 1:
             quot = exact_divide(n1, d2)
@@ -693,6 +755,31 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _over_monomials(num: LaurentPoly, d1: LaurentPoly, d2: LaurentPoly) -> Scalar:
+    """The normalised Scalar num/(d1*d2) for one-term denominators d1, d2.
+
+    A normalised one-term denominator is monic, so d1*d2 is the monomial
+    x^(m1+m2).  ``Scalar.__init__`` would try no exact division on it and
+    rescale nothing; it would only strip the common monomial of num and
+    den, which is all that is done here.  A denominator equal to d1 or d2
+    is shared, not rebuilt.
+    """
+    (m1,), (m2,) = d1.terms, d2.terms
+    na, nb, nc = num.min_exps()
+    da, db, dc = m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]
+    sa, sb, sc = min(na, da), min(nb, db), min(nc, dc)
+    if sa or sb or sc:
+        num = num.shifted((-sa, -sb, -sc))
+        da -= sa
+        db -= sb
+        dc -= sc
+    m = (da, db, dc)
+    out = object.__new__(Scalar)
+    out.num = num
+    out.den = d1 if m == m1 else d2 if m == m2 else LaurentPoly({m: GR_ONE})
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -257,6 +257,39 @@ def test_eval_uses_the_given_t(monkeypatch, capsys):
     assert seen == [3.0, 3.0]
 
 
+
+@pytest.mark.parametrize("regime, point", [
+    ("real-q", "nan,0"),
+    ("real-q", "inf,0"),
+    ("generic", "0,inf"),
+    ("unit-circle", "nan,0"),
+    ("generic", "1e200,0"),
+    ("real-q", "1e200,0"),
+])
+def test_eval_non_finite_or_huge_point_exits_2(capsys, regime, point):
+    assert main(["eval", "--regime", regime, "--q", point, "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "samples," not in captured.out  # nothing was checked or reported
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_eval_non_finite_residual_is_a_failure(monkeypatch, capsys, bad):
+    from qmink import intertwiners
+    calls = []
+
+    def fake_suite(regime, q, t, qb):
+        calls.append(q)
+        # the bad value comes first, then a finite one that max() would keep
+        return {"moves/X.X.M": bad if len(calls) == 1 else 1e-15,
+                "braid/Rhat+": 0.0}
+    monkeypatch.setattr(intertwiners, "numeric_suite", fake_suite)
+    assert main(["eval", "--regime", "unit-circle", "--samples", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "PASS braid/Rhat+  max residual 0.000e+00"
+    assert lines[1] == f"FAIL moves/X.X.M  max residual {bad:.3e}"
+
 def test_nf_input_budget_refuses_blowup_quickly(capsys):
     import time
     t0 = time.perf_counter()

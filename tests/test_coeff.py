@@ -9,7 +9,7 @@ from qmink.coeff import (CASE2_PLUS, GENERIC, REAL_Q, UNIT_CIRCLE, DomainError,
                          ONE, Q, QB, Q_HALF, QB_HALF, Regime, RegimeKind,
                          Scalar, T, T_HALF, ZERO, exact_divide, gauss, integer,
                          rat, regime_from_label, I)
-from qmink.coeff import _long_divide
+from qmink.coeff import _long_divide, _mul_general
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -334,6 +334,191 @@ def test_exact_divide_early_rejects():
     assert _long_divide(p, d) is None
     # spans equal in every atom: the division runs and succeeds
     assert exact_divide((Q * T + ONE).num, (Q * T + ONE).num) == ONE.num
+
+
+# ---------------------------------------------------------------------------
+# one-term fast paths: the same terms, in the same order, as the general path
+# ---------------------------------------------------------------------------
+
+units = st.sampled_from([GaussianRational(1, 0), GaussianRational(-1, 0),
+                         GaussianRational(0, 1), GaussianRational(0, -1)])
+nonunit_coeffs = st.one_of(
+    coeffs,
+    st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4)),
+).filter(lambda c: not c.is_zero)
+term_monos = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+one_term = st.builds(lambda m, c: LaurentPoly({m: c}), term_monos,
+                     st.one_of(units, nonunit_coeffs))
+many_terms = st.dictionaries(wide_monos, nonunit_coeffs, min_size=2, max_size=6).map(_poly)
+any_poly = st.one_of(one_term, many_terms, wide_polys)
+
+
+def _same_terms(got: LaurentPoly, want: LaurentPoly):
+    """Equal maps, built in the same order (float evaluation sums in order)."""
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_term, any_poly)
+def test_one_term_product_matches_the_general_loop(t, p):
+    _same_terms(t * p, _mul_general(t, p))
+    _same_terms(p * t, _mul_general(p, t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(many_terms, many_terms)
+def test_many_term_product_is_the_general_loop(a, b):
+    _same_terms(a * b, _mul_general(a, b))
+
+
+def test_one_term_product_examples():
+    p = (Q ** 2 - T + ONE).num
+    unit_shift = LaurentPoly.monomial((1, 0, -2))
+    _same_terms(unit_shift * p, _mul_general(unit_shift, p))
+    assert str(unit_shift * p) == "q^(5/2)*t^-1 - q^(1/2) + q^(1/2)*t^-1"
+    scaled = LaurentPoly.monomial((-2, 0, 0), GaussianRational(Fraction(-3, 2), 0))
+    assert str(p * scaled) == "-3/2*q + 3/2*q^-1*t - 3/2*q^-1"
+    _same_terms(p * scaled, _mul_general(p, scaled))
+    assert ONE.num * p is p  # the unit monomial changes nothing
+
+
+def _ref_scalar_mul(a: Scalar, b: Scalar) -> Scalar:
+    """The product through the general path: cross-cancel, loop, constructor."""
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    quot = exact_divide(n1, d2) if len(d2.terms) > 1 else None
+    if quot is not None:
+        n1, d2 = quot, ONE.num
+    quot = exact_divide(n2, d1) if len(d1.terms) > 1 else None
+    if quot is not None:
+        n2, d1 = quot, ONE.num
+    return Scalar(_mul_general(n1, n2), _mul_general(d1, d2))
+
+
+monomial_den_scalars = st.builds(Scalar, any_poly, one_term)
+mixed_scalars = st.builds(Scalar, any_poly, st.one_of(one_term, many_terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_den_scalars, monomial_den_scalars)
+def test_scalar_product_over_monomial_denominators(a, b):
+    got, want = a * b, _ref_scalar_mul(a, b)
+    _same_terms(got.num, want.num)
+    _same_terms(got.den, want.den)
+    assert str(got) == str(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_scalars, mixed_scalars)
+def test_scalar_product_matches_the_general_path(a, b):
+    got, want = a * b, _ref_scalar_mul(a, b)
+    _same_terms(got.num, want.num)
+    _same_terms(got.den, want.den)
+
+
+def _ref_scalar_add(a: Scalar, b: Scalar) -> Scalar:
+    """The sum through the general path: keep a denominator that the other divides."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if a.den == b.den:
+        return Scalar(a.num + b.num, a.den)
+    quot = exact_divide(a.den, b.den)
+    if quot is not None:
+        return Scalar(a.num + _mul_general(b.num, quot), a.den)
+    quot = exact_divide(b.den, a.den)
+    if quot is not None:
+        return Scalar(_mul_general(a.num, quot) + b.num, b.den)
+    return Scalar(_mul_general(a.num, b.den) + _mul_general(b.num, a.den),
+                  _mul_general(a.den, b.den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_den_scalars, monomial_den_scalars)
+def test_scalar_sum_over_monomial_denominators(a, b):
+    for x, y in ((a, b), (b, a), (a, -a)):
+        got, want = x + y, _ref_scalar_add(x, y)
+        _same_terms(got.num, want.num)
+        _same_terms(got.den, want.den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_scalars, mixed_scalars)
+def test_scalar_sum_matches_the_general_path(a, b):
+    got, want = a + b, _ref_scalar_add(a, b)
+    _same_terms(got.num, want.num)
+    _same_terms(got.den, want.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_polys)
+def test_min_exps_is_the_minimum_per_atom(p):
+    assert p.min_exps() == tuple(min(e) for e in zip(*p.terms))
+
+
+def test_scalar_product_over_monomials_examples():
+    a = (Q ** 2 - ONE) / (Q * T)
+    b = Q * T / (QB ** 3)
+    for x, y in ((a, b), (b, a), (a, a), (Q_HALF, Q ** -1), (Q, Q ** -1)):
+        got, want = x * y, _ref_scalar_mul(x, y)
+        _same_terms(got.num, want.num)
+        _same_terms(got.den, want.den)
+    assert str(a * b) == "(q^2 - 1)/(qb^3)"
+    assert str(Q * Q ** -1) == "1"
+    inv_q = Q ** -1
+    assert (T_HALF * inv_q).den is inv_q.den  # an unchanged denominator is shared
+    total = a + Q / T ** 2
+    assert str(total) == "(q^2*t + q^2 - t)/(q*t^2)"
+    assert str(total - Q / T ** 2 - a) == "0"
+
+
+# ---------------------------------------------------------------------------
+# no zero coefficient is ever stored, and denominators stay monic
+# ---------------------------------------------------------------------------
+
+def _assert_clean_poly(p: LaurentPoly):
+    assert all(not c.is_zero for c in p.terms.values()), p.terms
+
+
+def _assert_clean(s: Scalar):
+    _assert_clean_poly(s.num)
+    _assert_clean_poly(s.den)
+    assert s.den.leading()[1] == GaussianRational(1, 0)
+
+
+def test_constructors_store_no_zero():
+    zero = GaussianRational(0, 0)
+    for p in (LaurentPoly.zero(), LaurentPoly.const(zero),
+              LaurentPoly.monomial((1, -2, 3), zero)):
+        assert p.terms == {}
+    for s in (ZERO, integer(0), rat(0, 5), gauss(0, 0), ONE - ONE, Q * ZERO,
+              ZERO / Q, ZERO.star(), ZERO.specialize(UNIT_CIRCLE)):
+        _assert_clean(s)
+        assert s.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars, scalars, wide_polys, wide_nonzero, regimes, st.sampled_from([0, 1, 2]))
+def test_no_operation_stores_a_zero_coefficient(a, b, p, d, r, atom):
+    for poly in (p + d, p - d, p - p, p * d, -p, p.scale(GaussianRational(0, 2)),
+                 p.scale(GaussianRational(0, 0)), d.shifted((1, -1, 2)),
+                 p.map_monos(lambda m, c: ((0, 0, 0), c)),
+                 exact_divide(p * d, d)):
+        _assert_clean_poly(poly)
+    values = [a + b, a - b, a - a, a * b, -a, a.star(), a.flip_half(atom),
+              a.subst_qbar_minus_q(), a.subst_half(qh=GaussianRational(0, 1)),
+              a ** 2]
+    if not b.is_zero():
+        values += [a / b, b.inverse(), b ** -2]
+    try:
+        values += [a.specialize(r), a.star(r)]
+    except ZeroDivisionError:
+        pass  # denominator vanishes under this substitution
+    for s in values:
+        _assert_clean(s)
 
 
 @pytest.mark.xfail(strict=True, reason="Scalar has no canonical form, so "
