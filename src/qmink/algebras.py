@@ -28,7 +28,8 @@ __all__ = [
     "x_alphabet", "minkowski_system", "pbw_obstruction_generic",
     "minkowski_length", "mz_presentation_check", "CrossedProduct",
     "build_crossed", "crossed_reduce", "crossed_star_check",
-    "BraidedSquare", "build_braided_square", "braided_delta_check",
+    "BraidedSquare", "build_braided_square", "certified_prerequisites",
+    "braided_delta_check",
     "suite_pbw", "suite_delta", "suite_length", "suite_classical",
 ]
 
@@ -546,6 +547,21 @@ def build_braided_square(regime: Regime = UNIT_CIRCLE,
                          RewriteSystem(alph, rules, regime), what, pminus)
 
 
+def certified_prerequisites(regime: Regime) -> list[CheckReport]:
+    """The moves and spectral reports behind the certified substitution.
+
+    Reuses the reports recorded on the regime's operator source (as left
+    by ``qmink verify --suite all``, which runs both suites before delta)
+    and runs a suite only when it has none recorded there.
+    """
+    src = operator_source(regime)
+    out = []
+    for name, suite in (("moves", suite_moves), ("spectral", suite_spectral)):
+        recorded = src.reports.get(name)
+        out += suite(regime, src) if recorded is None else recorded
+    return out
+
+
 def braided_delta_check(regime: Regime = UNIT_CIRCLE,
                         sigma: Scalar | None = None,
                         classical: bool = False,
@@ -559,7 +575,7 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
     have passed.  Returns (residuals by component, steps log, square).
     """
     if prereq is None:
-        prereq = suite_moves(regime) + suite_spectral(regime)
+        prereq = certified_prerequisites(regime)
     failures = [r.check_id for r in prereq if r.status == "fail"]
     if failures:
         raise OracleUnverifiedError(
@@ -619,7 +635,7 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
         return [CheckReport("delta/skip", regime.label, "skip", "info",
                             detail="the braided coproduct check runs on the unit circle")]
     reports = []
-    prereq = suite_moves(regime) + suite_spectral(regime)
+    prereq = certified_prerequisites(regime)
 
     def good():
         residuals, steps, _ = braided_delta_check(regime, prereq=prereq)

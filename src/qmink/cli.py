@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -61,53 +62,59 @@ class ParseContext:
 # grow fast with word length: delta^6*alpha^6 (length 12) takes about 4 s,
 # length 14 about 45 s.  Queries of ordinary size (a few terms, words of
 # length 6 or less) stay well inside the budget.
+#
+# Powers multiply along a chain (q^64^64 is q^4096) and through a
+# parenthesised base ((q+1)^64)^64, so the exponent budget bounds the
+# product of the exponent magnitudes applied to any one subexpression.
+# MAX_DEPTH bounds the nesting of factors (parentheses, brackets, star(),
+# unary minus), which the parser follows by recursion.  MAX_DIGITS keeps a
+# number literal inside what int() converts (4300 digits by default).
 MAX_TERMS = 1024
 MAX_WORD_LENGTH = 12
 MAX_EXPONENT = 64
+MAX_DEPTH = 64
+MAX_DIGITS = 1000
 
 _SCALAR_ATOMS = {"q": coeff.Q, "qb": coeff.QB, "t": coeff.T, "i": coeff.I}
 _HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
 
 
+# One token at a position: ASCII whitespace (the ASCII characters that
+# str.isspace accepts), a run of ASCII digits, a name of ASCII letters,
+# digits and '_' with trailing primes, or a punctuation character.
+# Anything else, any non-ASCII digit or letter included, is refused.
+_TOKEN = re.compile(r"""
+    (?P<space>[\t-\r\x1c-\x20]+)
+  | (?P<num>[0-9]+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
+  | (?P<punct>[-+*/^()\[\],'])
+""", re.VERBOSE)
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.toks: list[tuple[str, str, int]] = []
         self._scan()
         self.k = 0
+        self.depth = 0      # factors entered and not yet left
+        self.magnitude = 1  # largest power product among finished factors
 
     def _scan(self):
         text = self.text
         i = 0
         while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("num", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                name = text[i:j]
-                while j < len(text) and text[j] == "'":
-                    name += "'"
-                    j += 1
-                self.toks.append(("name", name, i))
-                i = j
-                continue
-            if ch in "+-*/^()[],'":
-                self.toks.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+            m = _TOKEN.match(text, i)
+            if m is None:
+                raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+            kind = m.lastgroup
+            if kind == "num" and m.end() - i > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"number too long: {m.end() - i} digits, budget {MAX_DIGITS}", i)
+            if kind != "space":
+                value = m.group()
+                self.toks.append((value if kind == "punct" else kind, value, i))
+            i = m.end()
 
     def peek(self):
         return self.toks[self.k] if self.k < len(self.toks) else ("eof", "", len(self.text))
@@ -173,6 +180,26 @@ def _parse_term(toks: _Tokens, ctx: ParseContext) -> NCPoly:
 
 
 def _parse_factor(toks: _Tokens, ctx: ParseContext) -> NCPoly:
+    toks.depth += 1
+    if toks.depth > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression nested too deeply: budget {MAX_DEPTH} levels",
+            toks.peek()[2])
+    enclosing = toks.magnitude
+    toks.magnitude = 1
+    out = _parse_powers(toks, ctx)
+    toks.magnitude = max(enclosing, toks.magnitude)
+    toks.depth -= 1
+    return out
+
+
+def _parse_powers(toks: _Tokens, ctx: ParseContext) -> NCPoly:
+    """A primary and its chain of powers, or a negated factor.
+
+    On return ``toks.magnitude`` is the product of the exponent magnitudes
+    applied to the innermost operand: the chain's exponents times the
+    largest such product inside the primary.
+    """
     if toks.peek()[0] == "-":
         toks.next()
         return -_parse_factor(toks, ctx)
@@ -184,6 +211,11 @@ def _parse_factor(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         if abs(val) > MAX_EXPONENT:
             raise ExprSyntaxError(
                 f"exponent too large: {val}, budget {MAX_EXPONENT} in magnitude", pos)
+        toks.magnitude *= abs(val)
+        if toks.magnitude > MAX_EXPONENT:
+            raise ExprSyntaxError(
+                f"exponent too large: nested powers multiply to {toks.magnitude}, "
+                f"budget {MAX_EXPONENT} in magnitude", pos)
         if kind_e == "half":
             if base_name not in _HALF_ATOMS:
                 raise ExprSyntaxError("half powers only apply to q, qb, t", pos)
@@ -331,7 +363,6 @@ _SUPERS = str.maketrans("0123456789-", "⁰¹²³⁴⁵"
 
 def unicode_pretty(text: str) -> str:
     """Unicode rendering of the ASCII grammar, for documentation output."""
-    import re
     out = re.sub(r"\bqb\b", _PRETTY["qb"], text)
     for name in ("alpha", "beta", "gamma", "delta"):
         out = re.sub(rf"\b{name}\b", _PRETTY[name], out)

@@ -37,6 +37,16 @@ as the general path, so the stored form, every printed value and every
 float evaluation are unchanged.  That rests on two invariants: no zero
 coefficient is ever stored, and a constructed ``Scalar`` has a monic
 denominator.
+
+Before either path, ``Scalar * Scalar`` with a factor that is exactly +1
+or -1 (numerator the one constant term +-1, denominator 1) returns the
+other factor, or its negation.  That is the num/den the product would
+build anyway.  A one-term denominator is already stripped of the common
+monomial, so ``_over_monomials`` would keep num and den as they are.  A
+multi-term denominator only comes from ``Scalar.__init__``, after its
+``exact_divide(num, den)`` attempt failed; divisibility does not change
+under the monomial shift, the rescaling or a sign, so the general path's
+attempts would fail again and rebuild the same num/den.
 """
 
 from __future__ import annotations
@@ -627,6 +637,14 @@ class Scalar:
             return ZERO
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
+        # a factor of exactly +-1 gives the other factor or its negation,
+        # the num/den either path below would build (module docstring)
+        sign = _unit_sign(n2, d2)
+        if sign:
+            return self if sign > 0 else -self
+        sign = _unit_sign(n1, d1)
+        if sign:
+            return other if sign > 0 else -other
         if len(d1.terms) == 1 and len(d2.terms) == 1:
             return _over_monomials(n1 * n2, d1, d2)
         # cross-cancel before multiplying to slow denominator growth
@@ -755,6 +773,19 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _unit_sign(num: LaurentPoly, den: LaurentPoly) -> int:
+    """1 or -1 when num/den is exactly that constant, else 0.
+
+    A stored denominator is monic, so a one-term denominator at the zero
+    monomial is 1.
+    """
+    if len(num.terms) == 1 and len(den.terms) == 1 and _MONO_ONE in den.terms:
+        c = num.terms.get(_MONO_ONE)
+        if c is not None and c.im == 0 and (c.re == 1 or c.re == -1):
+            return c.re
+    return 0
 
 
 def _over_monomials(num: LaurentPoly, d1: LaurentPoly, d2: LaurentPoly) -> Scalar:

@@ -84,6 +84,17 @@ def _residual_str(m: TMap) -> str | None:
     return f"entry[{i}][{j}] = {s}"
 
 
+def _expect_equal(lhs: TMap, rhs: TMap) -> tuple[bool, str | None]:
+    """Verdict and residual of the expect-zero check lhs - rhs = 0.
+
+    The maps are compared first; the residual lhs - rhs is built only
+    when they differ, to name its first nonzero entry.
+    """
+    if lhs.equals(rhs):
+        return True, None
+    return False, _residual_str(lhs - rhs)
+
+
 def _timed(check_id: str, regime: Regime, mode: str, fn) -> CheckReport:
     t0 = time.perf_counter()
     ok, residual, detail = fn()
@@ -145,12 +156,17 @@ class OperatorSource:
 
     flip_atoms applies the half-power sign automorphism to every entry,
     which is how branch insensitivity of the suites is exercised.
+
+    ``reports`` holds the latest reports of the moves and spectral suites
+    run on this source, by suite name; checks that rest on those suites
+    (the braided coproduct) read them instead of running them again.
     """
 
     def __init__(self, regime: Regime, flip_atoms: tuple[int, ...] = ()):
         self.regime = regime
         self.flip_atoms = tuple(flip_atoms)
         self._cache: dict[str, TMap] = {}
+        self.reports: dict[str, list[CheckReport]] = {}
 
     def get(self, name: str) -> TMap:
         m = self._cache.get(name)
@@ -411,11 +427,10 @@ def run_matrix_identity(chk: MatrixIdentity, source: OperatorSource) -> CheckRep
     def body():
         lhs = _evaluate_side(chk.lhs, chk.ambient, source)
         rhs = _evaluate_side(chk.rhs, chk.ambient, source)
-        resid = lhs - rhs
-        zero = resid.is_zero_map()
         if chk.expect == "zero":
-            return zero, None if zero else _residual_str(resid), None
-        return (not zero), _residual_str(resid), "nonzero as expected"
+            return *_expect_equal(lhs, rhs), None
+        resid = lhs - rhs
+        return (not resid.is_zero_map()), _residual_str(resid), "nonzero as expected"
 
     mode = "expect-zero" if chk.expect == "zero" else "expect-nonzero"
     return _timed(chk.check_id, source.regime, mode, body)
@@ -540,6 +555,7 @@ def suite_moves(regime: Regime, source: OperatorSource | None = None) -> list[Ch
     src = source or operator_source(regime)
     reports = [run_matrix_identity(c, src) for c in _moves_catalog()]
     reports.append(run_matrix_identity(_MOVE_PERTURBED, src))
+    src.reports["moves"] = list(reports)
     return reports
 
 
@@ -571,9 +587,8 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
     }
     for name, coeffs in generic.items():
         def body(name=name, coeffs=coeffs):
-            resid = src.get(name) - _spectral_combination(src, coeffs)
-            z = resid.is_zero_map()
-            return z, None if z else _residual_str(resid), None
+            return *_expect_equal(src.get(name),
+                                  _spectral_combination(src, coeffs)), None
         reports.append(_timed(f"spectral/decomp-{name[-1]}", regime,
                               "expect-zero", body))
 
@@ -587,17 +602,14 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
     if displayed:
         for name, coeffs in displayed.items():
             def body(name=name, coeffs=coeffs):
-                resid = src.get(name) - _spectral_combination(src, coeffs)
-                z = resid.is_zero_map()
-                return z, None if z else _residual_str(resid), None
+                return *_expect_equal(src.get(name),
+                                      _spectral_combination(src, coeffs)), None
             reports.append(_timed(f"spectral/display-{name[-1]}", regime,
                                   "expect-zero", body))
 
     def idem():
         pm = src.get("Pminus")
-        resid = compose(pm, pm) - pm
-        z = resid.is_zero_map()
-        return z, None if z else _residual_str(resid), None
+        return *_expect_equal(compose(pm, pm), pm), None
     reports.append(_timed("spectral/pminus-idempotent", regime, "expect-zero", idem))
 
     def traces():
@@ -622,9 +634,7 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
             w = src.get("What")
             combo = src.get("Pi9").scale(q1) + src.get("Pi1").scale(q1 ** -3) \
                 - src.get("Pminus").scale(q1 ** -1)
-            resid = w - combo
-            z = resid.is_zero_map()
-            return z, None if z else _residual_str(resid), \
+            return *_expect_equal(w, combo), \
                 "eigenvalues q, q^-3, -q^-1 with multiplicities 9, 1, 6"
         reports.append(_timed("spectral/w-spectral-sum", regime, "expect-zero", wsum))
 
@@ -637,6 +647,7 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
             z = r1.is_zero_map() and r2.is_zero_map()
             return z, None if z else _residual_str(r1 if not r1.is_zero_map() else r2), None
         reports.append(_timed("spectral/w-on-pminus", regime, "expect-zero", won))
+    src.reports["spectral"] = list(reports)
     return reports
 
 

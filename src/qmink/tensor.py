@@ -171,8 +171,18 @@ class TMap:
             rows.append(out)
         return TMap._of(self.in_sig, self.out_sig, rows)
 
+    def __neg__(self) -> "TMap":
+        return TMap._of(self.in_sig, self.out_sig,
+                        [{j: -v for j, v in row.items()} for row in self.rows])
+
     def __sub__(self, other: "TMap") -> "TMap":
-        return self + other.scale(-ONE)
+        """self + (-other), negating entry by entry.
+
+        ``-v`` keeps each entry's denominator and negates its numerator,
+        which is what a product by -1 builds, so the result is stored and
+        printed exactly as ``self + other.scale(-ONE)``.
+        """
+        return self + (-other)
 
     def scale(self, c: Scalar) -> "TMap":
         return self.map_entries(lambda v: v * c)
@@ -181,9 +191,21 @@ class TMap:
         return not any(self.rows)
 
     def equals(self, other: "TMap") -> bool:
+        """Exact equality, entry by entry, without building self - other.
+
+        No row stores a zero, so two rows are equal exactly when they have
+        the same columns and ``==`` (cross multiplication) holds at each;
+        this agrees with ``(self - other).is_zero_map()``.
+        """
         if self.in_sig != other.in_sig or self.out_sig != other.out_sig:
             return False
-        return (self - other).is_zero_map()
+        for r1, r2 in zip(self.rows, other.rows):
+            if r1.keys() != r2.keys():
+                return False
+            for j, v in r1.items():
+                if v != r2[j]:
+                    return False
+        return True
 
     def first_nonzero(self) -> tuple[int, int, Scalar] | None:
         for i, row in enumerate(self.rows):

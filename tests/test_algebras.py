@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from qmink import algebras, intertwiners
 from qmink.algebras import (OracleUnverifiedError,
                             PAIR_NAMES, SpanMismatchError, braided_delta_check,
-                            build_braided_square, build_crossed, crossed_reduce,
+                            build_braided_square, build_crossed,
+                            certified_prerequisites, crossed_reduce,
                             crossed_star_check, derived_relations, full_system,
                             minkowski_length, minkowski_length_poly,
                             minkowski_system, mz_presentation_check,
@@ -14,7 +16,7 @@ from qmink.algebras import (OracleUnverifiedError,
                             table_relations, x_alphabet, x_order)
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q,
                          T, UNIT_CIRCLE, integer, rat)
-from qmink.intertwiners import CheckReport, operator_source
+from qmink.intertwiners import CheckReport, operator_source, suite_moves
 from qmink.rewrite import NCPoly
 from qmink.tensor import compose, identity, U, B
 
@@ -294,6 +296,47 @@ def test_braided_delta_requires_certified_prerequisites():
     bad = [CheckReport("probe", "unit-circle", "fail")]
     with pytest.raises(OracleUnverifiedError):
         braided_delta_check(UNIT_CIRCLE, prereq=bad)
+
+
+def _passing(check_id):
+    return [CheckReport(check_id, "unit-circle", "pass")]
+
+
+@pytest.mark.parametrize("failing", ["moves", "spectral"])
+def test_suite_delta_gate_reads_recorded_failing_reports(monkeypatch, failing):
+    monkeypatch.setattr(intertwiners, "_SOURCES", {})
+    src = operator_source(UNIT_CIRCLE)
+    src.reports = {"moves": _passing("moves/a"), "spectral": _passing("spectral/b")}
+    src.reports[failing] = [CheckReport(f"{failing}/probe", "unit-circle", "fail")]
+    with pytest.raises(OracleUnverifiedError, match=f"{failing}/probe"):
+        suite_delta(UNIT_CIRCLE)
+
+
+def test_prerequisites_run_only_the_suites_not_recorded(monkeypatch):
+    monkeypatch.setattr(intertwiners, "_SOURCES", {})
+    calls = []
+
+    def fake(name):
+        def suite(regime, source):
+            calls.append(name)
+            assert source is operator_source(regime)
+            return _passing(f"{name}/ran")
+        return suite
+
+    monkeypatch.setattr(algebras, "suite_moves", fake("moves"))
+    monkeypatch.setattr(algebras, "suite_spectral", fake("spectral"))
+    src = operator_source(UNIT_CIRCLE)
+    src.reports["moves"] = _passing("moves/recorded")
+    got = certified_prerequisites(UNIT_CIRCLE)
+    assert [r.check_id for r in got] == ["moves/recorded", "spectral/ran"]
+    assert calls == ["spectral"]
+
+
+def test_suite_moves_records_its_reports_on_the_source():
+    src = operator_source(UNIT_CIRCLE)
+    reports = suite_moves(UNIT_CIRCLE)
+    assert src.reports["moves"] == reports
+    assert src.reports["moves"] is not reports
 
 
 def test_braided_square_is_unit_circle_only():

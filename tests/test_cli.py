@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmink.algebras import minkowski_system, table_relations, x_alphabet
 from qmink.cli import (ExprSyntaxError, NoncommutativeDivisionError,
@@ -322,3 +323,103 @@ def test_nf_input_budget_leaves_room_for_ordinary_queries():
     parse_expr("(q*alpha*beta + t*gamma)^2*(i*alpha - delta*u[1,2])*h[0,3]^2", ctx)
     with pytest.raises(ExprSyntaxError, match="too large"):
         parse_expr("(alpha+beta+gamma+delta)^6", ctx)
+
+
+# ---------------------------------------------------------------------------
+# hostile input: power chains, non-ASCII characters, deep nesting
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("expr", [
+    "q^64^64", "(q+1)^64^64", "((q+1)^64)^64", "((q+1)^8)^9",
+    "q^2^2^2^2^2^2^2", "(q^(3/2))^(-43)", "-(q^-1^65)",
+])
+def test_nf_power_chains_share_one_exponent_budget(capsys, expr):
+    import time
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", "unit-circle", f"--expr={expr}"]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent too large") and "Traceback" not in err
+
+
+def test_nf_power_chains_within_the_budget_multiply():
+    alph, _ = nf_system(UNIT_CIRCLE)
+    ctx = ParseContext(alph, UNIT_CIRCLE)
+    assert parse_expr("q^8^8", ctx).equals(parse_expr("q^64", ctx))
+    assert parse_expr("((q+1)^8)^8", ctx).equals(parse_expr("(q+1)^64", ctx))
+    assert parse_expr("(q^(1/2))^4^2", ctx).equals(parse_expr("q^4", ctx))
+    # a product adds exponents, which the input length already bounds
+    assert parse_expr("q^64*q^64", ctx).equals(parse_expr("q^2*q^63*q^63", ctx))
+    assert parse_expr("(q^0)^64^0", ctx).equals(parse_expr("1", ctx))
+
+
+@pytest.mark.parametrize("expr, pos", [
+    ("alpha^\u00b2", 6), ("\u00b2*alpha", 0), ("q^(1/\u00b2)", 5),
+    ("x[\u00b2,1]", 2), ("h[\u0663,1]", 2), ("\u00e9", 0),
+    ("alpha\u03b1", 5), ("alpha\u00a0*beta", 5),
+])
+def test_nf_refuses_non_ascii_characters(capsys, expr, pos):
+    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 2
+    assert capsys.readouterr().err == \
+        f"error: unexpected character {expr[pos]!r} (at position {pos})\n"
+
+
+def test_nf_nesting_budget(capsys):
+    from qmink.cli import MAX_DEPTH
+    deep = "(" * 400 + "alpha" + ")" * 400
+    assert main(["nf", "--regime", "unit-circle", "--expr", deep]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    for expr in ("-" * 2000 + "alpha", "star(" * 400 + "q" + ")" * 400):
+        assert main(["nf", "--regime", "unit-circle", f"--expr={expr}"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+    # MAX_DEPTH factors: MAX_DEPTH - 1 parentheses around one generator
+    ok = "(" * (MAX_DEPTH - 1) + "alpha" + ")" * (MAX_DEPTH - 1)
+    assert main(["nf", "--regime", "unit-circle", "--expr", ok]) == 0
+    assert capsys.readouterr().out == "alpha\n"
+
+
+def test_nf_number_literal_budget(capsys):
+    assert main(["nf", "--regime", "unit-circle", "--expr", "9" * 5000]) == 2
+    assert capsys.readouterr().err.startswith("error: number too long: 5000 digits")
+    assert main(["nf", "--regime", "unit-circle", "--expr", "9" * 1000]) == 0
+
+
+def _reference_scan(text):
+    """The character-class scanner the regex replaced, for ASCII input."""
+    toks, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            toks.append(("num", text[i:j], i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            while j < len(text) and text[j] == "'":
+                j += 1
+            toks.append(("name", text[i:j], i))
+            i = j
+        elif ch in "+-*/^()[],'":
+            toks.append((ch, ch, i))
+            i += 1
+        else:
+            return toks, i
+    return toks, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=30))
+def test_scanner_matches_the_character_class_scanner_on_ascii(text):
+    from qmink.cli import _Tokens
+    want, bad = _reference_scan(text)
+    if bad is None:
+        assert _Tokens(text).toks == want
+    else:
+        with pytest.raises(ExprSyntaxError, match=f"at position {bad}"):
+            _Tokens(text)

@@ -529,3 +529,35 @@ def test_numerator_divisibility_does_not_depend_on_representation():
     reduced = Scalar(((Q - ONE) * (T + ONE)).num, (T + Q).num)
     assert unreduced == reduced
     assert unreduced.numerator_divisible_by(fac) == reduced.numerator_divisible_by(fac)
+
+
+# ---------------------------------------------------------------------------
+# products by exactly +-1 return the other factor (or its negation) as the
+# general path would build it; other constants still take that path
+# ---------------------------------------------------------------------------
+
+_MINUS_ONE = Scalar(LaurentPoly.const(GaussianRational(-1, 0)),
+                    LaurentPoly.const(GaussianRational(1, 0)))
+constants = st.sampled_from([ONE, -ONE, integer(1), integer(-1), _MINUS_ONE,
+                             (Q + T) / (Q + T), I, -I, integer(2), rat(1, 2),
+                             rat(-1, 3), Q_HALF, Q ** 0])
+# equal to (q-1)(t+1)/(t+q), stored with the factor q+1 in both parts
+_UNREDUCED = Scalar(((Q ** 2 - ONE) * (T + ONE)).num, ((Q + ONE) * (T + Q)).num)
+sign_operands = st.one_of(mixed_scalars, monomial_den_scalars, scalars,
+                          st.sampled_from([_UNREDUCED, -_UNREDUCED, ZERO,
+                                           (Q + T) ** -1, rat(3, 4) * Q / T]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(sign_operands, constants)
+def test_product_by_a_constant_matches_the_general_path(a, c):
+    for got, want in ((a * c, _ref_scalar_mul(a, c)), (c * a, _ref_scalar_mul(c, a))):
+        _same_terms(got.num, want.num)
+        _same_terms(got.den, want.den)
+
+
+def test_product_by_one_returns_the_other_factor():
+    for a in (_UNREDUCED, Q / T, rat(2, 3), I):
+        assert a * ONE is a and ONE * a is a
+        assert str(a * -ONE) == str(-a) and (-ONE * a).den is a.den
+    assert str(_UNREDUCED * -ONE) == str(_ref_scalar_mul(_UNREDUCED, -ONE))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, integer
+from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, Scalar, integer
 from qmink.intertwiners import operator_source
 from qmink.tensor import (ArityMismatchError, B, SignatureMismatchError, TMap,
                           TypeMismatchError, U, annihilator_basis,
@@ -428,3 +428,54 @@ def test_entries_view_is_read_only():
     with pytest.raises(AttributeError):
         m.entries = [[ONE, ZERO], [ZERO, ONE]]
     assert m.is_zero_map()
+
+
+# ---------------------------------------------------------------------------
+# equals compares entries without building the residual; __sub__ negates
+# entry by entry
+# ---------------------------------------------------------------------------
+
+def _restated(m):
+    """The same map with each entry's num and den multiplied by t + q.
+
+    The constructor cancels that factor only where the denominator
+    divides the numerator, so many entries keep a different, unreduced
+    denominator while their values stay equal.
+    """
+    f = (T + Q).num
+    return m.map_entries(lambda v: Scalar(v.num * f, v.den * f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equals_agrees_with_the_residual(data):
+    a = data.draw(sparse_maps())
+    b = data.draw(st.one_of(sparse_maps(in_sig=a.in_sig, out_sig=a.out_sig),
+                            st.just(_restated(a))))
+    for x, y in ((a, b), (b, a), (a, _restated(b)), (_restated(a), a)):
+        assert x.equals(y) == (x - y).is_zero_map()
+    assert a.equals(_restated(a))
+
+
+def test_equals_on_entries_stored_differently():
+    a = TMap((U,), (U,), [[(Q - ONE) ** -1, ZERO], [ZERO, Q]])
+    b = _restated(a)
+    assert str(b.entries[0][0]) != str(a.entries[0][0])
+    assert a.equals(b) and b.equals(a)
+    c = TMap((U,), (U,), [[(Q - ONE) ** -1, ONE], [ZERO, Q]])
+    assert not a.equals(c) and not c.equals(a)
+    assert not a.equals(TMap((B,), (U,), [[ONE, ZERO], [ZERO, Q]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sub_is_the_sum_with_the_negated_map(data):
+    a = data.draw(sparse_maps())
+    b = data.draw(st.one_of(sparse_maps(in_sig=a.in_sig, out_sig=a.out_sig),
+                            st.just(_restated(a))))
+    got, want = a - b, a + b.scale(-ONE)
+    assert_sparse_invariant(got)
+    for r1, r2 in zip(got.rows, want.rows):
+        assert [(j, str(v.num), str(v.den)) for j, v in r1.items()] == \
+            [(j, str(v.num), str(v.den)) for j, v in r2.items()]
+    assert strs((-a).entries) == strs(a.scale(-ONE).entries)
