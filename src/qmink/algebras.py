@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import (GENERIC, ONE, Q, QB, REAL_Q, Regime, RegimeKind,
-                    Scalar, T, UNIT_CIRCLE, ZERO, GaussianRational, integer,
+                    Scalar, T, UNIT_CIRCLE, ZERO, integer,
                     rat)
-from .intertwiners import (CheckReport, _timed, classical_limit,
+from .intertwiners import (CheckReport, _timed, classical_limit, classical_value,
                            operator_source, suite_moves, suite_spectral,
                            vector_components)
 from .rewrite import (Alphabet, Generator, NCPoly, RewriteRule, RewriteSystem,
@@ -26,15 +26,13 @@ from .tensor import (B, TMap, U, annihilator_basis, bar_conjugate, compose,
 __all__ = [
     "SpanMismatchError", "OracleUnverifiedError", "MinkowskiAlgebra",
     "x_alphabet", "minkowski_system", "pbw_obstruction_generic",
+    "obstruction_criteria",
     "minkowski_length", "mz_presentation_check", "CrossedProduct",
-    "build_crossed", "crossed_reduce", "crossed_star_check",
+    "build_crossed", "crossed_reduce",
     "BraidedSquare", "build_braided_square", "certified_prerequisites",
     "braided_delta_check",
     "suite_pbw", "suite_delta", "suite_length", "suite_classical",
 ]
-
-GR_ONE = GaussianRational.of(1)
-
 
 class SpanMismatchError(AssertionError):
     """Derived and tabulated relation spaces differ."""
@@ -45,6 +43,10 @@ class OracleUnverifiedError(RuntimeError):
 
 
 PAIR_NAMES = ("alpha", "beta", "gamma", "delta")  # component codes 0..3
+_PRIMED = tuple(n + "'" for n in PAIR_NAMES)
+_H_NAMES = tuple(f"h[{k},{ll}]" for k in range(4) for ll in range(4))
+_U_NAMES = tuple(f"{stem}[{a},{b}]" for stem in ("u", "ub")
+                 for a in (1, 2) for b in (1, 2))
 
 _X_GENS = {
     "alpha": Generator("alpha", "alpha"),
@@ -79,24 +81,25 @@ def _functional_to_relation(f: TMap, alph: Alphabet) -> NCPoly:
     return p
 
 
-def derived_relations(regime: Regime) -> list[NCPoly]:
-    """Relations from the antisymmetrizer kernel functionals.
+def _block_functionals(regime: Regime) -> list[TMap]:
+    """The six kernel functionals of the antisymmetrizer, block by block.
 
     Annihilator bases of the two rank-3 blocks are tensored and composed
-    with the inverse crossing on legs 2, 3; evaluating the six resulting
-    functionals on the quadratic monomials gives the relations.
+    with the inverse crossing on legs 2, 3.
     """
     src = operator_source(regime)
-    amb = (U, B, U, B)
-    xinv23 = place(src.get("X^-1"), (2, 3), amb)
+    xinv23 = place(src.get("X^-1"), (2, 3), (U, B, U, B))
+    return [compose(tensor_product(f1, f2), xinv23)
+            for a, b in (("P'", "Q"), ("P", "Q'"))
+            for f1 in annihilator_basis(src.get(a))
+            for f2 in annihilator_basis(src.get(b))]
+
+
+def derived_relations(regime: Regime) -> list[NCPoly]:
+    """Relations from the antisymmetrizer kernel functionals, evaluated on
+    the quadratic monomials."""
     alph = x_alphabet(regime)
-    rels = []
-    for a, b in (("P'", "Q"), ("P", "Q'")):
-        for f1 in annihilator_basis(src.get(a)):
-            for f2 in annihilator_basis(src.get(b)):
-                f = compose(tensor_product(f1, f2), xinv23)
-                rels.append(_functional_to_relation(f, alph))
-    return rels
+    return [_functional_to_relation(f, alph) for f in _block_functionals(regime)]
 
 
 def table_relations(regime: Regime) -> list[NCPoly]:
@@ -169,18 +172,17 @@ class MinkowskiAlgebra:
     """Quadratic x-algebra for one regime: relations plus oriented rules."""
 
     regime: Regime
-    source: str
     relations: list[NCPoly]
     system: RewriteSystem
 
 
-_MINK_CACHE: dict[tuple, MinkowskiAlgebra] = {}
+_MINK_CACHE: dict[Regime, MinkowskiAlgebra] = {}
 
 
-def minkowski_system(regime: Regime, source: str = "derived") -> MinkowskiAlgebra:
-    """Build the Minkowski algebra; always cross-checks the two sources."""
-    key = (regime, source)
-    hit = _MINK_CACHE.get(key)
+def minkowski_system(regime: Regime) -> MinkowskiAlgebra:
+    """Build the Minkowski algebra from the derived relations; always
+    cross-checks them against the tabulated ones."""
+    hit = _MINK_CACHE.get(regime)
     if hit is not None:
         return hit
     derived = derived_relations(regime)
@@ -188,10 +190,9 @@ def minkowski_system(regime: Regime, source: str = "derived") -> MinkowskiAlgebr
     if not span_equal(_relation_rows(derived), _relation_rows(table)):
         raise SpanMismatchError(
             f"derived and tabulated relation spaces differ in {regime.label}")
-    rels = derived if source == "derived" else table
-    alg = MinkowskiAlgebra(regime, source, rels,
-                           orient(rels, x_alphabet(regime), regime))
-    _MINK_CACHE[key] = alg
+    alg = MinkowskiAlgebra(regime, derived,
+                           orient(derived, x_alphabet(regime), regime))
+    _MINK_CACHE[regime] = alg
     return alg
 
 
@@ -223,6 +224,24 @@ def pbw_obstruction_generic() -> tuple[Scalar, Scalar, NCPoly]:
     if extra:
         raise AssertionError(f"obstruction supported outside expected words: {extra}")
     return diff.terms.get(aad, ZERO), diff.terms.get(abg, ZERO), diff
+
+
+def obstruction_criteria(aad: Scalar, abg: Scalar) -> dict[str, bool]:
+    """What the paper says of the two obstruction coefficients, by label."""
+    f1 = ONE - (Q * QB) ** 2
+    f2 = QB ** 2 - Q ** 2
+
+    def both(test) -> bool:
+        return test(aad) and test(abg)
+
+    return {
+        "nonzero in generic": not (aad.is_zero() or abg.is_zero()),
+        "divisible by 1-(q*qb)^2": both(lambda s: s.numerator_divisible_by(f1)),
+        "divisible by qb^2-q^2": both(lambda s: s.numerator_divisible_by(f2)),
+        "vanishes on |q|=1": both(lambda s: s.specialize(UNIT_CIRCLE).is_zero()),
+        "vanishes for real q": both(lambda s: s.specialize(REAL_Q).is_zero()),
+        "vanishes for qb=-q": both(lambda s: s.subst_qbar_minus_q().is_zero()),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -328,24 +347,16 @@ def mz_presentation_check() -> CheckReport:
 # --------------------------------------------------------------------------
 
 def _crossed_generators(regime: Regime, primes: bool, hs: bool) -> list[Generator]:
-    gens = []
-    for a in (1, 2):
-        for bb in (1, 2):
-            gens.append(Generator(f"u[{a},{bb}]", f"ub[{a},{bb}]"))
-    for a in (1, 2):
-        for bb in (1, 2):
-            gens.append(Generator(f"ub[{a},{bb}]", f"u[{a},{bb}]"))
+    # u[a,b] and ub[a,b] are each other's stars
+    gens = [Generator(n, star) for n, star in zip(_U_NAMES, _U_NAMES[4:] + _U_NAMES[:4])]
     if hs:
         swap = (0, 2, 1, 3)
-        for r in range(4):
-            for c in range(4):
-                gens.append(Generator(f"h[{r},{c}]", f"h[{swap[r]},{swap[c]}]"))
-    for n in x_order(regime):
-        gens.append(_X_GENS[n])
+        gens += [Generator(f"h[{r},{c}]", f"h[{swap[r]},{swap[c]}]")
+                 for r in range(4) for c in range(4)]
+    xs = [_X_GENS[n] for n in x_order(regime)]
+    gens += xs
     if primes:
-        for n in x_order(regime):
-            g = _X_GENS[n]
-            gens.append(Generator(g.name + "'", g.star + "'"))
+        gens += [Generator(g.name + "'", g.star + "'") for g in xs]
     return gens
 
 
@@ -359,48 +370,58 @@ class CrossedProduct:
     system: RewriteSystem
 
 
+def _matrix_rule(alph: Alphabet, lhs: tuple[str, str], row: dict,
+                 word) -> RewriteRule:
+    """lhs -> the sum over the row's entries v at column col of v word(col)."""
+    rhs = NCPoly.zero(alph)
+    for col, v in row.items():
+        rhs = rhs + NCPoly.word(alph, word(col), v)
+    return RewriteRule(tuple(alph.index(n) for n in lhs), rhs)
+
+
 def _cross_rules_for(alph: Alphabet, regime: Regime, variant: str) -> list[RewriteRule]:
     src = operator_source(regime)
     tmat = src.get(f"T:{variant}")
     tpmat = src.get(f"T':{variant}")
     rules = []
     for code in range(4):
-        a_bit, b_bit = (code >> 1) & 1, code & 1
-        xg = alph.index(PAIR_NAMES[code])
         for cc in (0, 1):
             for dd in (0, 1):
-                row = (a_bit << 2) | (b_bit << 1) | cc
-                # x u -> T u x
-                rhs = NCPoly.zero(alph)
-                for col, v in tmat.rows[row].items():
-                    ee, kk, ll = (col >> 2) & 1, (col >> 1) & 1, col & 1
-                    rhs = rhs + NCPoly.word(
-                        alph, (f"u[{ee + 1},{dd + 1}]", PAIR_NAMES[(kk << 1) | ll]), v)
-                rules.append(RewriteRule((xg, alph.index(f"u[{cc + 1},{dd + 1}]")), rhs))
-                # x ub -> T' ub x
-                rhs = NCPoly.zero(alph)
-                for col, v in tpmat.rows[row].items():
-                    ee, kk, ll = (col >> 2) & 1, (col >> 1) & 1, col & 1
-                    rhs = rhs + NCPoly.word(
-                        alph, (f"ub[{ee + 1},{dd + 1}]", PAIR_NAMES[(kk << 1) | ll]), v)
-                rules.append(RewriteRule((xg, alph.index(f"ub[{cc + 1},{dd + 1}]")), rhs))
+                row = (code << 1) | cc
+                # x u -> T u x and x ub -> T' ub x
+                for stem, mat in (("u", tmat), ("ub", tpmat)):
+                    rules.append(_matrix_rule(
+                        alph, (PAIR_NAMES[code], f"{stem}[{cc + 1},{dd + 1}]"),
+                        mat.rows[row],
+                        lambda col: (f"{stem}[{(col >> 2) + 1},{dd + 1}]",
+                                     PAIR_NAMES[col & 3])))
     return rules
 
 
+def _classical_poly(p: NCPoly) -> NCPoly:
+    """p at q = qb = t = 1, without the coefficients that vanish there."""
+    terms = {}
+    for w, c in p.terms.items():
+        c = classical_value(c)
+        if not c.is_zero():
+            terms[w] = c
+    return NCPoly(p.alphabet, terms)
+
+
 def _mapped_x_rules(alph: Alphabet, regime: Regime, prime: str = "",
-                    coeff_map=None) -> list[RewriteRule]:
+                    classical: bool = False) -> list[RewriteRule]:
+    """The Minkowski rules of the regime, over alph, on the x (or x') letters."""
     mink = minkowski_system(regime)
-    fix = coeff_map or (lambda s: s)
+
+    def word(w):
+        return tuple(alph.index(mink.system.alphabet.name(k) + prime) for k in w)
+
     out = []
     for lhs, rhs in mink.system.rules.items():
-        lhs2 = tuple(alph.index(mink.system.alphabet.name(k) + prime) for k in lhs)
-        terms = {}
-        for w, c in rhs.terms.items():
-            c2 = fix(c)
-            if not c2.is_zero():
-                terms[tuple(alph.index(mink.system.alphabet.name(k) + prime)
-                            for k in w)] = c2
-        out.append(RewriteRule(lhs2, NCPoly(alph, terms)))
+        if classical:
+            rhs = _classical_poly(rhs)
+        terms = {word(w): c for w, c in rhs.terms.items()}
+        out.append(RewriteRule(word(lhs), NCPoly(alph, terms)))
     return out
 
 
@@ -408,53 +429,20 @@ def _w_rules(alph: Alphabet, what: TMap) -> list[RewriteRule]:
     """x h -> W h x: the matrix rule moving an h-symbol left past x."""
     rules = []
     for j in range(4):
-        xg = alph.index(PAIR_NAMES[j])
-        for k in range(4):
-            row = (j << 2) | k
-            for ll in range(4):
-                rhs = NCPoly.zero(alph)
-                for col, v in what.rows[row].items():
-                    aa, bb = (col >> 2) & 3, col & 3
-                    rhs = rhs + NCPoly.word(
-                        alph, (f"h[{aa},{ll}]", PAIR_NAMES[bb]), v)
-                rules.append(RewriteRule((xg, alph.index(f"h[{k},{ll}]")), rhs))
-    return rules
-
-
-def _xprime_h_rules(alph: Alphabet) -> list[RewriteRule]:
-    rules = []
-    for i in PAIR_NAMES:
-        xpg = alph.index(i + "'")
         for k in range(4):
             for ll in range(4):
-                name = f"h[{k},{ll}]"
-                rules.append(RewriteRule(
-                    (xpg, alph.index(name)), NCPoly.word(alph, (name, i + "'"))))
+                rules.append(_matrix_rule(
+                    alph, (PAIR_NAMES[j], f"h[{k},{ll}]"), what.rows[(j << 2) | k],
+                    lambda col: (f"h[{col >> 2},{ll}]", PAIR_NAMES[col & 3])))
     return rules
 
 
-def _braid_rules(alph: Alphabet, sigma: Scalar) -> list[RewriteRule]:
-    rules = []
-    for i in PAIR_NAMES:
-        for j in PAIR_NAMES:
-            rules.append(RewriteRule(
-                (alph.index(i + "'"), alph.index(j)),
-                NCPoly.word(alph, (j, i + "'"), sigma)))
-    return rules
-
-
-def _xprime_u_rules(alph: Alphabet) -> list[RewriteRule]:
-    rules = []
-    for i in PAIR_NAMES:
-        xpg = alph.index(i + "'")
-        for stem in ("u", "ub"):
-            for a in (1, 2):
-                for b in (1, 2):
-                    name = f"{stem}[{a},{b}]"
-                    rules.append(RewriteRule(
-                        (xpg, alph.index(name)),
-                        NCPoly.word(alph, (name, i + "'"))))
-    return rules
+def _commuting_rules(alph: Alphabet, lefts, rights,
+                     c: Scalar = ONE) -> list[RewriteRule]:
+    """l r -> c r l: each letter l moves right past each letter r."""
+    return [RewriteRule((alph.index(left), alph.index(right)),
+                        NCPoly.word(alph, (right, left), c))
+            for left in lefts for right in rights]
 
 
 def full_system(regime: Regime) -> tuple[Alphabet, RewriteSystem]:
@@ -475,9 +463,10 @@ def full_system(regime: Regime) -> tuple[Alphabet, RewriteSystem]:
         rules += _w_rules(alph, operator_source(regime).get("What"))
     if primes:
         rules += _mapped_x_rules(alph, regime, "'")
-        rules += _braid_rules(alph, (Q ** -1).specialize(regime))
-        rules += _xprime_h_rules(alph)
-        rules += _xprime_u_rules(alph)
+        rules += _commuting_rules(alph, _PRIMED, PAIR_NAMES,
+                                  (Q ** -1).specialize(regime))
+        rules += _commuting_rules(alph, _PRIMED, _H_NAMES)
+        rules += _commuting_rules(alph, _PRIMED, _U_NAMES)
     return alph, RewriteSystem(alph, rules, regime)
 
 
@@ -491,15 +480,6 @@ def build_crossed(regime: Regime, variant: str = "first") -> CrossedProduct:
 def crossed_reduce(cp: CrossedProduct, names, coeff: Scalar = ONE) -> NCPoly:
     """Normal form of a word over {x, u, ub}: symmetry letters move left."""
     return cp.system.normal_form(NCPoly.word(cp.alphabet, names, coeff))
-
-
-def crossed_star_check(regime: Regime, variant: str = "first") -> CheckReport:
-    """Involutivity of the star-flip on generator pairs, at matrix level."""
-    from .intertwiners import suite_crossed  # local import to reuse the check
-    for rep in suite_crossed(regime):
-        if rep.check_id == f"crossed/star-involution:{variant}":
-            return rep
-    raise KeyError("star involution check missing from crossed suite")
 
 
 # --------------------------------------------------------------------------
@@ -533,16 +513,13 @@ def build_braided_square(regime: Regime = UNIT_CIRCLE,
     if sigma is None:
         sigma = (Q ** -1).specialize(regime)
 
-    def fix(s: Scalar) -> Scalar:
-        return s.subst_half(GR_ONE, GR_ONE, GR_ONE) if classical else s
-
     # alphabet: h[0..3,0..3], then x, then x'
     alph = Alphabet(_crossed_generators(regime, primes=True, hs=True)[8:])
-    rules = (_mapped_x_rules(alph, regime, "", fix if classical else None)
-             + _mapped_x_rules(alph, regime, "'", fix if classical else None)
-             + _braid_rules(alph, sigma)
+    rules = (_mapped_x_rules(alph, regime, "", classical)
+             + _mapped_x_rules(alph, regime, "'", classical)
+             + _commuting_rules(alph, _PRIMED, PAIR_NAMES, sigma)
              + _w_rules(alph, what)
-             + _xprime_h_rules(alph))
+             + _commuting_rules(alph, _PRIMED, _H_NAMES))
     return BraidedSquare(regime, sigma, alph,
                          RewriteSystem(alph, rules, regime), what, pminus)
 
@@ -637,11 +614,13 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
     reports = []
     prereq = certified_prerequisites(regime)
 
+    def all_zero(residuals, detail):
+        bad = sum(not v.is_zero() for v in residuals.values())
+        return not bad, f"{bad} nonzero components" if bad else None, detail
+
     def good():
         residuals, steps, _ = braided_delta_check(regime, prereq=prereq)
-        bad = {k: v for k, v in residuals.items() if not v.is_zero()}
-        return not bad, f"{len(bad)} nonzero components" if bad else None, \
-            "; ".join(steps)
+        return all_zero(residuals, "; ".join(steps))
     reports.append(_timed("delta/braided-coproduct", regime, "expect-zero", good))
 
     def sigma_one():
@@ -672,9 +651,7 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
     def classical():
         residuals, _, _ = braided_delta_check(regime, sigma=ONE, classical=True,
                                               prereq=prereq)
-        bad = {k: v for k, v in residuals.items() if not v.is_zero()}
-        return not bad, f"{len(bad)} nonzero components" if bad else None, \
-            "plain tensor square at q = t = 1"
+        return all_zero(residuals, "plain tensor square at q = t = 1")
     reports.append(_timed("delta/classical-sigma-one", regime, "expect-zero",
                           classical))
 
@@ -708,12 +685,8 @@ def suite_length(regime: Regime) -> list[CheckReport]:
         reports.append(mz_presentation_check())
 
         def classical():
-            alg = minkowski_system(regime)
-            ell = minkowski_length_poly(regime)
-            cl = NCPoly(alg.system.alphabet,
-                        {w: c.subst_half(GR_ONE, GR_ONE, GR_ONE)
-                         for w, c in ell.terms.items()})
-            alph = alg.system.alphabet
+            cl = _classical_poly(minkowski_length_poly(regime))
+            alph = minkowski_system(regime).system.alphabet
             want = (NCPoly.word(alph, ("alpha", "delta"), integer(-2))
                     + NCPoly.word(alph, ("beta", "gamma"), integer(2)))
             # compare modulo the classical (commutative) relations
@@ -728,11 +701,18 @@ def suite_length(regime: Regime) -> list[CheckReport]:
 
 
 def _classical_system(regime: Regime) -> RewriteSystem:
+    """The Minkowski relations at q = t = 1, oriented."""
     alg = minkowski_system(regime)
-    alph = alg.system.alphabet
-    rels = [NCPoly(alph, {w: c.subst_half(GR_ONE, GR_ONE, GR_ONE)
-                          for w, c in p.terms.items()}) for p in alg.relations]
-    return orient(rels, alph, regime)
+    return orient([_classical_poly(p) for p in alg.relations],
+                  alg.system.alphabet, regime)
+
+
+def _classical_crossed_system() -> RewriteSystem:
+    """The unit-circle crossed product's rules at q = t = 1."""
+    cp = build_crossed(UNIT_CIRCLE, "first")
+    return RewriteSystem(cp.alphabet, [RewriteRule(lhs, _classical_poly(rhs))
+                                       for lhs, rhs in cp.system.rules.items()],
+                         UNIT_CIRCLE)
 
 
 def suite_pbw(regime: Regime) -> list[CheckReport]:
@@ -751,15 +731,8 @@ def suite_pbw(regime: Regime) -> list[CheckReport]:
         # the antisymmetrizer's own row space spans the same functionals
         # as the block-by-block route through the inverse crossing
         src = operator_source(regime)
-        amb = (U, B, U, B)
-        xinv23 = place(src.get("X^-1"), (2, 3), amb)
         direct = [f.entries[0] for f in annihilator_basis(src.get("Pminus"))]
-        blocks = []
-        for a, b in (("P'", "Q"), ("P", "Q'")):
-            for f1 in annihilator_basis(src.get(a)):
-                for f2 in annihilator_basis(src.get(b)):
-                    blocks.append(compose(tensor_product(f1, f2), xinv23)
-                                  .entries[0])
+        blocks = [f.entries[0] for f in _block_functionals(regime)]
         ok = len(direct) == 6 and span_equal(direct, blocks)
         return ok, None if ok else "spans differ", None
     reports.append(_timed("pbw/antisymmetrizer-annihilator-span", regime,
@@ -767,18 +740,10 @@ def suite_pbw(regime: Regime) -> list[CheckReport]:
 
     if regime.kind is RegimeKind.GENERIC:
         def obstruction():
-            aad, abg, _ = pbw_obstruction_generic()
-            if aad.is_zero() or abg.is_zero():
+            criteria = obstruction_criteria(*pbw_obstruction_generic()[:2])
+            if not criteria["nonzero in generic"]:
                 return False, "obstruction unexpectedly vanishes", None
-            f1 = ONE - (Q * QB) ** 2
-            f2 = QB ** 2 - Q ** 2
-            ok = (aad.numerator_divisible_by(f1) and aad.numerator_divisible_by(f2)
-                  and abg.numerator_divisible_by(f1) and abg.numerator_divisible_by(f2))
-            specs = [aad.specialize(UNIT_CIRCLE), aad.specialize(REAL_Q),
-                     aad.subst_qbar_minus_q(),
-                     abg.specialize(UNIT_CIRCLE), abg.specialize(REAL_Q),
-                     abg.subst_qbar_minus_q()]
-            ok = ok and all(s.is_zero() for s in specs)
+            ok = all(criteria.values())
             return ok, None if ok else "factorization or specialization failed", \
                 "nonzero; factors through (1-(q qb)^2)(qb^2-q^2); vanishes on " \
                 "|q|=1, real q, and qb=-q"
@@ -837,6 +802,13 @@ def suite_pbw(regime: Regime) -> list[CheckReport]:
     return reports
 
 
+def _commutes(sys: RewriteSystem, a: str, b: str) -> bool:
+    """a b - b a reduces to zero."""
+    ab = NCPoly.word(sys.alphabet, (a, b))
+    ba = NCPoly.word(sys.alphabet, (b, a))
+    return sys.normal_form(ab - ba).is_zero()
+
+
 def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
     """q = t = 1 degeneration: flips, antisymmetrizers, commutativity."""
     if regime.kind is not RegimeKind.GENERIC:
@@ -846,25 +818,15 @@ def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
     reports = []
 
     def operators():
-        bad = []
-        fl = flip(U, U)
-        if not classical_limit(src.get("M")).equals(fl):
-            bad.append("M")
-        if not classical_limit(src.get("K")).equals(flip(B, B)):
-            bad.append("K")
-        if not classical_limit(src.get("X")).equals(flip(U, B)):
-            bad.append("X")
         tau_bold = permutation((U, B, U, B), (3, 4, 1, 2))
-        for name in ("Rhat+", "Rhat-"):
-            if not classical_limit(src.get(name)).equals(tau_bold):
-                bad.append(name)
         half = rat(1, 2)
-        anti2 = (identity((U, U)) - flip(U, U)).scale(half)
-        if not classical_limit(src.get("P")).equals(anti2):
-            bad.append("P")
         anti_bold = (identity((U, B, U, B)) - tau_bold).scale(half)
-        if not classical_limit(src.get("Pminus")).equals(anti_bold):
-            bad.append("Pminus")
+        limits = {"M": flip(U, U), "K": flip(B, B), "X": flip(U, B),
+                  "Rhat+": tau_bold, "Rhat-": tau_bold,
+                  "P": (identity((U, U)) - flip(U, U)).scale(half),
+                  "Pminus": anti_bold}
+        bad = [name for name, want in limits.items()
+               if not classical_limit(src.get(name)).equals(want)]
         vec = vector_components(classical_limit(src.get("Pminus")))
         if not vec.equals(anti_bold):
             bad.append("Pminus(vector)")
@@ -874,52 +836,29 @@ def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
 
     def commutative():
         csys = _classical_system(UNIT_CIRCLE)
-        alph = csys.alphabet
-        bad = []
-        for a in PAIR_NAMES:
-            for b in PAIR_NAMES:
-                pa, pb = NCPoly.word(alph, (a,)), NCPoly.word(alph, (b,))
-                if not csys.normal_form(pa * pb - pb * pa).is_zero():
-                    bad.append(f"[{a},{b}]")
+        bad = [f"[{a},{b}]" for a in PAIR_NAMES for b in PAIR_NAMES
+               if not _commutes(csys, a, b)]
         return not bad, ", ".join(bad) or None, "x-algebra commutes at q = t = 1"
     reports.append(_timed("classical/minkowski-commutative", regime,
                           "expect-zero", commutative))
 
     def crossed_classical():
-        cp = build_crossed(UNIT_CIRCLE, "first")
-        alph = cp.alphabet
-        sysc = RewriteSystem(
-            alph,
-            [RewriteRule(lhs, NCPoly(alph, {w: c.subst_half(GR_ONE, GR_ONE, GR_ONE)
-                                            for w, c in rhs.terms.items()}))
-             for lhs, rhs in cp.system.rules.items()],
-            UNIT_CIRCLE)
-        bad = []
-        for xname in PAIR_NAMES:
-            for uname in ("u[1,1]", "u[1,2]", "u[2,1]", "u[2,2]",
-                          "ub[1,1]", "ub[2,2]"):
-                w = NCPoly.word(alph, (xname, uname))
-                wr = NCPoly.word(alph, (uname, xname))
-                if not sysc.normal_form(w - wr).is_zero():
-                    bad.append(f"[{xname},{uname}]")
+        sysc = _classical_crossed_system()
+        bad = [f"[{xname},{uname}]" for xname in PAIR_NAMES
+               for uname in ("u[1,1]", "u[1,2]", "u[2,1]", "u[2,2]",
+                             "ub[1,1]", "ub[2,2]")
+               if not _commutes(sysc, xname, uname)]
         return not bad, ", ".join(bad[:4]) or None, \
             "cross relations become plain commutation at q = t = 1"
     reports.append(_timed("classical/crossed-commutative", regime,
                           "expect-zero", crossed_classical))
 
     def braided_classical():
-        sq = build_braided_square(UNIT_CIRCLE, sigma=ONE, classical=True)
-        alph = sq.alphabet
+        sys = build_braided_square(UNIT_CIRCLE, sigma=ONE, classical=True).system
         bad = []
         for a in PAIR_NAMES:
-            for b in PAIR_NAMES:
-                w = NCPoly.word(alph, (a + "'", b))
-                wr = NCPoly.word(alph, (b, a + "'"))
-                if not sq.system.normal_form(w - wr).is_zero():
-                    bad.append(f"[{a}',{b}]")
-            w = NCPoly.word(alph, (a, "h[1,2]"))
-            wr = NCPoly.word(alph, ("h[1,2]", a))
-            if not sq.system.normal_form(w - wr).is_zero():
+            bad += [f"[{a}',{b}]" for b in PAIR_NAMES if not _commutes(sys, a + "'", b)]
+            if not _commutes(sys, a, "h[1,2]"):
                 bad.append(f"[{a},h]")
         return not bad, ", ".join(bad[:4]) or None, \
             "braided square collapses to the plain square at q = t = 1"

@@ -1,7 +1,9 @@
 """Construction of the named structure maps and the identity suites.
 
-Everything is built once over the generic scalar field and specialized to
-the requested regime, so a single code path serves all regimes.  The
+Each named map has one recipe in a table.  The structure maps are built
+over the generic scalar field and specialized to the requested regime once;
+the maps derived from them are built from the specialized ones, so a single
+code path serves all regimes.  The
 canonical crossing map X is the rescaled form (epsilon = 0 in case 1,
 epsilon = +-1 with t = q in case 2); every identity checked here has the
 same number of X factors on both sides, so the rescaling scalar cancels.
@@ -23,11 +25,11 @@ from .tensor import (B, Leg, TMap, U, compose, identity, invert,
                      tensor_product)
 
 __all__ = [
-    "CheckReport", "NamedOperator", "UnknownNameError", "build",
+    "CheckReport", "UnknownNameError",
     "Factor", "MatrixIdentity", "run_matrix_identity", "identity_catalog",
     "suite_moves", "suite_braid", "suite_spectral", "suite_compat",
     "suite_crossed", "vector_components", "pauli_basis", "pauli_basis_inverse",
-    "numeric_suite", "classical_limit", "OperatorSource",
+    "numeric_suite", "classical_value", "classical_limit", "OperatorSource",
 ]
 
 
@@ -103,16 +105,33 @@ def _timed(check_id: str, regime: Regime, mode: str, fn) -> CheckReport:
                        mode, residual, ms, detail)
 
 
+# The three map verdicts.  Each takes a thunk that builds the maps, so the
+# report's elapsed time covers building them.
+
+def _check_equal(check_id: str, regime: Regime, sides,
+                 detail: str | None = None) -> CheckReport:
+    """Expect-zero check lhs - rhs = 0, where sides() gives (lhs, rhs)."""
+    return _timed(check_id, regime, "expect-zero",
+                  lambda: (*_expect_equal(*sides()), detail))
+
+
+def _check_zero(check_id: str, regime: Regime, resid,
+                detail: str | None = None, mode: str = "expect-zero") -> CheckReport:
+    """The map resid() is zero (or, in expect-nonzero mode, is not)."""
+    def body():
+        m = resid()
+        return m.is_zero_map() == (mode == "expect-zero"), _residual_str(m), detail
+    return _timed(check_id, regime, mode, body)
+
+
+def _check_nonzero(check_id: str, regime: Regime, resid,
+                   detail: str | None = None) -> CheckReport:
+    return _check_zero(check_id, regime, resid, detail, "expect-nonzero")
+
+
 # --------------------------------------------------------------------------
 # Named operators
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NamedOperator:
-    name: str
-    regime: Regime
-    value: TMap
-
 
 def _e_vector() -> TMap:
     return TMap((), (U, U), [[ZERO], [ONE], [-Q], [ZERO]])
@@ -151,6 +170,101 @@ def _conjugate_by_x(middle: TMap, x: TMap, xinv: TMap) -> TMap:
                    compose(middle, place(xinv, (2, 3), amb_in)))
 
 
+def _twist(p: TMap, c: Scalar) -> TMap:
+    """c on the complement of the projector p, -1/c on its image."""
+    return (identity(p.in_sig) - p).scale(c) - p.scale(c ** -1)
+
+
+def _t_map(x: str, variant: str):
+    def recipe(get, regime):
+        amb = (U, U, B)
+        return compose(place(get(x), (2, 3), amb),
+                       place(get("S:" + variant), (1, 2), amb))
+    return recipe
+
+
+def _t_prime_map(variant: str):
+    def recipe(get, regime):
+        step1 = place(get("X^-1"), (1, 2), (B, U, B))
+        return compose(place(get("tauSbarInvTau:" + variant), (2, 3),
+                             step1.out_sig), step1)
+    return recipe
+
+
+def _conjugated(a: str, b: str, x: str = "X"):
+    """X (a tensor b) X^-1, the middle factors acting on legs 1, 2 and 3, 4."""
+    def recipe(get, regime):
+        return _conjugate_by_x(tensor_product(get(a), get(b)),
+                               get(x), get(x + "^-1"))
+    return recipe
+
+
+def _what(get, regime: Regime) -> TMap:
+    if regime.kind is RegimeKind.UNIT_CIRCLE:
+        return get("Rhat-").scale((Q ** -1).specialize(regime))
+    if regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
+        return get("Rhat-")
+    raise MissingParameterError(
+        "the translation commutation matrix needs |q|=1 or real q")
+
+
+# name -> recipe(g, eps) over the generic field, where g(name) is another
+# generic recipe's map; the result is specialized and branch-flipped once
+_GENERIC = {
+    "E": lambda g, eps: _e_vector(),
+    "E'": lambda g, eps: _e_functional(),
+    "X": lambda g, eps: _x(eps),
+    "X^-1": lambda g, eps: _x_inverse(eps),
+    # unrescaled normalization: sqrt(t) times the canonical form
+    "Xfull": lambda g, eps: g("X").scale(T_HALF),
+    "Xfull^-1": lambda g, eps: g("X^-1").scale(T_HALF ** -1),
+    "X!pert": lambda g, eps: _x(eps, perturbed=True),
+    "P": lambda g, eps: compose(g("E"), g("E'")).scale(-((Q + Q ** -1) ** -1)),
+    "Q": lambda g, eps: tau_conjugate(g("P")),
+    "M": lambda g, eps: _twist(g("P"), Q),
+    "M^-1": lambda g, eps: _twist(g("P"), Q ** -1),
+    "K": lambda g, eps: _twist(g("Q"), QB),
+    "K^-1": lambda g, eps: _twist(g("Q"), QB ** -1),
+    "S:first": lambda g, eps: g("M").scale(Q_HALF ** -1),
+    "S:second": lambda g, eps: g("M^-1").scale(Q_HALF),
+    "tauSbarInvTau:first": lambda g, eps: tau_conjugate(g("S:second")),
+    "tauSbarInvTau:second": lambda g, eps: tau_conjugate(g("S:first")),
+}
+
+# name -> recipe(get, regime) over already specialized operators
+_DERIVED = {
+    "X!pert^-1": lambda get, regime: invert(get("X!pert")),
+    "P'": lambda get, regime: identity((U, U)).specialize(regime) - get("P"),
+    "Q'": lambda get, regime: identity((B, B)).specialize(regime) - get("Q"),
+    "Rhat+": _conjugated("M", "K"),
+    "Rhat-": _conjugated("M", "K^-1"),
+    "Rhat+^-1": _conjugated("M^-1", "K^-1"),
+    "Rhat-^-1": _conjugated("M^-1", "K"),
+    "Rhat+!pert": _conjugated("M", "K", "X!pert"),
+    "Rhat-!pert": _conjugated("M", "K^-1", "X!pert"),
+    "Pminus": lambda get, regime: _conjugate_by_x(
+        tensor_product(get("P'"), get("Q")) + tensor_product(get("P"), get("Q'")),
+        get("X"), get("X^-1")),
+    "Pi9": _conjugated("P'", "Q'"),
+    "Pi1": _conjugated("P", "Q"),
+    "Ryb+": lambda get, regime: compose(
+        permutation((U, B, U, B), (3, 4, 1, 2)), get("Rhat+")),
+    "Ryb-": lambda get, regime: compose(
+        permutation((U, B, U, B), (3, 4, 1, 2)), get("Rhat-")),
+    "T:first": _t_map("X", "first"),
+    "T:second": _t_map("X", "second"),
+    "Tfull:first": _t_map("Xfull", "first"),
+    "Tfull:second": _t_map("Xfull", "second"),
+    "T':first": _t_prime_map("first"),
+    "T':second": _t_prime_map("second"),
+    "What": _what,
+}
+
+
+def _generic(name: str, eps: int) -> TMap:
+    return _GENERIC[name](lambda n: _generic(n, eps), eps)
+
+
 class OperatorSource:
     """Resolves operator names to specialized TMaps, with a cache.
 
@@ -175,133 +289,16 @@ class OperatorSource:
             self._cache[name] = m
         return m
 
-    # generic constructions, specialized at the end
     def _build(self, name: str) -> TMap:
-        reg = self.regime
-        eps = reg.epsilon
-
-        def done(m: TMap) -> TMap:
-            m = m.specialize(reg)
+        if name in _GENERIC:
+            m = _generic(name, self.regime.epsilon).specialize(self.regime)
             for a in self.flip_atoms:
                 m = m.map_entries(lambda s: s.flip_half(a))
             return m
-
-        if name == "E":
-            return done(_e_vector())
-        if name == "E'":
-            return done(_e_functional())
-        if name == "X":
-            return done(_x(eps))
-        if name == "X^-1":
-            return done(_x_inverse(eps))
-        if name == "Xfull":
-            # unrescaled normalization: sqrt(t) times the canonical form
-            return done(_x(eps).scale(T_HALF))
-        if name == "Xfull^-1":
-            return done(_x_inverse(eps).scale(T_HALF ** -1))
-        if name == "X!pert":
-            return done(_x(eps, perturbed=True))
-        if name == "X!pert^-1":
-            return invert(self.get("X!pert"))
-        if name == "P":
-            ee = compose(_e_vector(), _e_functional())
-            return done(ee.scale(-((Q + Q ** -1) ** -1)))
-        if name == "P'":
-            return identity((U, U)).specialize(reg) - self.get("P")
-        if name == "Q":
-            return done(tau_conjugate(
-                compose(_e_vector(), _e_functional())
-                .scale(-((Q + Q ** -1) ** -1))))
-        if name == "Q'":
-            return identity((B, B)).specialize(reg) - self.get("Q")
-        if name == "M":
-            p = compose(_e_vector(), _e_functional()).scale(-((Q + Q ** -1) ** -1))
-            pp = identity((U, U)) - p
-            return done(pp.scale(Q) - p.scale(Q ** -1))
-        if name == "M^-1":
-            p = compose(_e_vector(), _e_functional()).scale(-((Q + Q ** -1) ** -1))
-            pp = identity((U, U)) - p
-            return done(pp.scale(Q ** -1) - p.scale(Q))
-        if name == "K":
-            q = tau_conjugate(compose(_e_vector(), _e_functional())
-                              .scale(-((Q + Q ** -1) ** -1)))
-            qp = identity((B, B)) - q
-            return done(qp.scale(QB) - q.scale(QB ** -1))
-        if name == "K^-1":
-            q = tau_conjugate(compose(_e_vector(), _e_functional())
-                              .scale(-((Q + Q ** -1) ** -1)))
-            qp = identity((B, B)) - q
-            return done(qp.scale(QB ** -1) - q.scale(QB))
-        if name in ("Rhat+", "Rhat-", "Rhat+^-1", "Rhat-^-1"):
-            pick = {"Rhat+": ("M", "K"), "Rhat-": ("M", "K^-1"),
-                    "Rhat+^-1": ("M^-1", "K^-1"), "Rhat-^-1": ("M^-1", "K")}
-            a, b = pick[name]
-            mid = tensor_product(self.get(a), self.get(b))
-            return _conjugate_by_x(mid, self.get("X"), self.get("X^-1"))
-        if name in ("Rhat+!pert", "Rhat-!pert"):
-            a, b = ("M", "K") if name.startswith("Rhat+") else ("M", "K^-1")
-            mid = tensor_product(self.get(a), self.get(b))
-            return _conjugate_by_x(mid, self.get("X!pert"), self.get("X!pert^-1"))
-        if name == "Pminus":
-            mid = tensor_product(self.get("P'"), self.get("Q")) + \
-                tensor_product(self.get("P"), self.get("Q'"))
-            return _conjugate_by_x(mid, self.get("X"), self.get("X^-1"))
-        if name == "Pi9":
-            mid = tensor_product(self.get("P'"), self.get("Q'"))
-            return _conjugate_by_x(mid, self.get("X"), self.get("X^-1"))
-        if name == "Pi1":
-            mid = tensor_product(self.get("P"), self.get("Q"))
-            return _conjugate_by_x(mid, self.get("X"), self.get("X^-1"))
-        if name in ("Ryb+", "Ryb-"):
-            tau_bold = permutation((U, B, U, B), (3, 4, 1, 2))
-            return compose(tau_bold, self.get("Rhat" + name[3]))
-        if name == "S:first":
-            return done(_m_generic().scale(Q_HALF ** -1))
-        if name == "S:second":
-            return done(_m_inv_generic().scale(Q_HALF))
-        if name == "S^-1:first":
-            return done(_m_inv_generic().scale(Q_HALF))
-        if name == "S^-1:second":
-            return done(_m_generic().scale(Q_HALF ** -1))
-        if name.startswith("tauSbarInvTau:"):
-            variant = name.split(":")[1]
-            inv = _m_inv_generic().scale(Q_HALF) if variant == "first" \
-                else _m_generic().scale(Q_HALF ** -1)
-            return done(tau_conjugate(inv))
-        if name.startswith("T:") or name.startswith("Tfull:"):
-            stem, variant = name.split(":")
-            s = self.get("S:" + variant)
-            amb = (U, U, B)
-            x = self.get("X" if stem == "T" else "Xfull")
-            return compose(place(x, (2, 3), amb), place(s, (1, 2), amb))
-        if name.startswith("T':"):
-            variant = name.split(":")[1]
-            ts = self.get("tauSbarInvTau:" + variant)
-            amb = (B, U, B)
-            step1 = place(self.get("X^-1"), (1, 2), amb)
-            return compose(place(ts, (2, 3), step1.out_sig), step1)
-        if name == "What":
-            if reg.kind is RegimeKind.UNIT_CIRCLE:
-                return self.get("Rhat-").scale((Q ** -1).specialize(reg))
-            if reg.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
-                return self.get("Rhat-")
-            raise MissingParameterError(
-                "the translation commutation matrix needs |q|=1 or real q")
-        if name == "PauliBasis":
-            return pauli_basis()
-        if name == "PauliBasis^-1":
-            return pauli_basis_inverse()
-        raise UnknownNameError(name)
-
-
-def _m_generic() -> TMap:
-    p = compose(_e_vector(), _e_functional()).scale(-((Q + Q ** -1) ** -1))
-    return (identity((U, U)) - p).scale(Q) - p.scale(Q ** -1)
-
-
-def _m_inv_generic() -> TMap:
-    p = compose(_e_vector(), _e_functional()).scale(-((Q + Q ** -1) ** -1))
-    return (identity((U, U)) - p).scale(Q ** -1) - p.scale(Q)
+        recipe = _DERIVED.get(name)
+        if recipe is None:
+            raise UnknownNameError(name)
+        return recipe(self.get, self.regime)
 
 
 _SOURCES: dict[tuple, OperatorSource] = {}
@@ -314,11 +311,6 @@ def operator_source(regime: Regime, flip_atoms: tuple[int, ...] = ()) -> Operato
         src = OperatorSource(regime, flip_atoms)
         _SOURCES[key] = src
     return src
-
-
-def build(name: str, regime: Regime) -> NamedOperator:
-    """Build a named operator, specialized to the regime."""
-    return NamedOperator(name, regime, operator_source(regime).get(name))
 
 
 # --------------------------------------------------------------------------
@@ -369,9 +361,14 @@ def vector_components(op: TMap, regime: Regime = GENERIC) -> TMap:
     return compose(left, compose(op, right))
 
 
-def classical_limit(op: TMap) -> TMap:
+def classical_value(s: Scalar) -> Scalar:
     """Exact substitution q = qb = t = 1 (epsilon untouched)."""
-    return op.map_entries(lambda s: s.subst_half(GR_ONE, GR_ONE, GR_ONE))
+    return s.subst_half(GR_ONE, GR_ONE, GR_ONE)
+
+
+def classical_limit(op: TMap) -> TMap:
+    """classical_value of every entry; entries that vanish are dropped."""
+    return op.map_entries(classical_value)
 
 
 # --------------------------------------------------------------------------
@@ -424,16 +421,18 @@ def _evaluate_side(factors: tuple[Factor, ...], ambient: tuple[Leg, ...],
 
 
 def run_matrix_identity(chk: MatrixIdentity, source: OperatorSource) -> CheckReport:
-    def body():
-        lhs = _evaluate_side(chk.lhs, chk.ambient, source)
-        rhs = _evaluate_side(chk.rhs, chk.ambient, source)
-        if chk.expect == "zero":
-            return *_expect_equal(lhs, rhs), None
-        resid = lhs - rhs
-        return (not resid.is_zero_map()), _residual_str(resid), "nonzero as expected"
+    def sides():
+        return (_evaluate_side(chk.lhs, chk.ambient, source),
+                _evaluate_side(chk.rhs, chk.ambient, source))
 
-    mode = "expect-zero" if chk.expect == "zero" else "expect-nonzero"
-    return _timed(chk.check_id, source.regime, mode, body)
+    def difference():
+        lhs, rhs = sides()
+        return lhs - rhs
+
+    if chk.expect == "zero":
+        return _check_equal(chk.check_id, source.regime, sides)
+    return _check_nonzero(chk.check_id, source.regime, difference,
+                          "nonzero as expected")
 
 
 def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
@@ -487,10 +486,7 @@ def _moves_catalog() -> list[MatrixIdentity]:
             "moves/M.Xi.Xi", (B, U, U),
             (Factor("M", (1, 2)), Factor("X^-1", (2, 3)), Factor("X^-1", (1, 2))),
             (Factor("X^-1", (2, 3)), Factor("X^-1", (1, 2)), Factor("M", (2, 3)))),
-        MatrixIdentity(
-            "moves/X.X.M", (U, U, B),
-            (Factor("X", (1, 2)), Factor("X", (2, 3)), Factor("M", (1, 2))),
-            (Factor("M", (2, 3)), Factor("X", (1, 2)), Factor("X", (2, 3)))),
+        _x_x_m("moves/X.X.M", "X"),
     ]
     for sign, k in (("+", "K"), ("-", "K^-1")):
         out += [
@@ -510,24 +506,29 @@ def _moves_catalog() -> list[MatrixIdentity]:
     return out
 
 
-_MOVE_PERTURBED = MatrixIdentity(
-    "moves/X.X.M!perturbed-x", (U, U, B),
-    (Factor("X!pert", (1, 2)), Factor("X!pert", (2, 3)), Factor("M", (1, 2))),
-    (Factor("M", (2, 3)), Factor("X!pert", (1, 2)), Factor("X!pert", (2, 3))),
-    expect="nonzero")
+def _x_x_m(check_id: str, x: str, expect: str = "zero") -> MatrixIdentity:
+    return MatrixIdentity(
+        check_id, (U, U, B),
+        (Factor(x, (1, 2)), Factor(x, (2, 3)), Factor("M", (1, 2))),
+        (Factor("M", (2, 3)), Factor(x, (1, 2)), Factor(x, (2, 3))), expect)
+
+
+_MOVE_PERTURBED = _x_x_m("moves/X.X.M!perturbed-x", "X!pert", "nonzero")
+
+
+def _braid_relation(check_id: str, name: str, expect: str = "zero") -> MatrixIdentity:
+    b12, b23 = (1, 2, 3, 4), (3, 4, 5, 6)
+    return MatrixIdentity(
+        check_id, (U, B, U, B, U, B),
+        (Factor(name, b12), Factor(name, b23), Factor(name, b12)),
+        (Factor(name, b23), Factor(name, b12), Factor(name, b23)), expect)
 
 
 def _braid_catalog(regime: Regime) -> list[MatrixIdentity]:
     amb = (U, B, U, B, U, B)
-    b12, b23 = (1, 2, 3, 4), (3, 4, 5, 6)
-    out = []
-    for name in ("Rhat+", "Rhat-", "Rhat+^-1", "Rhat-^-1"):
-        out.append(MatrixIdentity(
-            f"braid/{name}", amb,
-            (Factor(name, b12), Factor(name, b23), Factor(name, b12)),
-            (Factor(name, b23), Factor(name, b12), Factor(name, b23))))
-    b13 = (1, 2, 5, 6)
-    yb = []
+    b12, b23, b13 = (1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6)
+    out = [_braid_relation(f"braid/{name}", name)
+           for name in ("Rhat+", "Rhat-", "Rhat+^-1", "Rhat-^-1")]
     if regime.kind is RegimeKind.UNIT_CIRCLE:
         yb = ["Ryb+"]
     elif regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
@@ -542,13 +543,7 @@ def _braid_catalog(regime: Regime) -> list[MatrixIdentity]:
     return out
 
 
-_BRAID_PERTURBED = MatrixIdentity(
-    "braid/Rhat+!perturbed-x", (U, B, U, B, U, B),
-    (Factor("Rhat+!pert", (1, 2, 3, 4)), Factor("Rhat+!pert", (3, 4, 5, 6)),
-     Factor("Rhat+!pert", (1, 2, 3, 4))),
-    (Factor("Rhat+!pert", (3, 4, 5, 6)), Factor("Rhat+!pert", (1, 2, 3, 4)),
-     Factor("Rhat+!pert", (3, 4, 5, 6))),
-    expect="nonzero")
+_BRAID_PERTURBED = _braid_relation("braid/Rhat+!perturbed-x", "Rhat+!pert", "nonzero")
 
 
 def suite_moves(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
@@ -585,32 +580,24 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
         "Rhat+": (Q * QB, qi * qbi, -(Q * qbi), -(qi * QB)),
         "Rhat-": (Q * qbi, qi * QB, -(Q * QB), -(qi * qbi)),
     }
-    for name, coeffs in generic.items():
-        def body(name=name, coeffs=coeffs):
-            return *_expect_equal(src.get(name),
-                                  _spectral_combination(src, coeffs)), None
-        reports.append(_timed(f"spectral/decomp-{name[-1]}", regime,
-                              "expect-zero", body))
-
-    displayed = None
+    tables = {"decomp": generic}
     if regime.kind is RegimeKind.UNIT_CIRCLE:
-        displayed = {"Rhat+": (ONE, ONE, -(Q ** 2), -(Q ** -2)),
-                     "Rhat-": (Q ** 2, Q ** -2, -ONE, -ONE)}
+        tables["display"] = {"Rhat+": (ONE, ONE, -(Q ** 2), -(Q ** -2)),
+                             "Rhat-": (Q ** 2, Q ** -2, -ONE, -ONE)}
     elif regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
-        displayed = {"Rhat+": (Q ** 2, Q ** -2, -ONE, -ONE),
-                     "Rhat-": (ONE, ONE, -(Q ** 2), -(Q ** -2))}
-    if displayed:
-        for name, coeffs in displayed.items():
-            def body(name=name, coeffs=coeffs):
-                return *_expect_equal(src.get(name),
-                                      _spectral_combination(src, coeffs)), None
-            reports.append(_timed(f"spectral/display-{name[-1]}", regime,
-                                  "expect-zero", body))
+        tables["display"] = {"Rhat+": (Q ** 2, Q ** -2, -ONE, -ONE),
+                             "Rhat-": (ONE, ONE, -(Q ** 2), -(Q ** -2))}
+    for kind, table in tables.items():
+        for name, coeffs in table.items():
+            reports.append(_check_equal(
+                f"spectral/{kind}-{name[-1]}", regime,
+                lambda name=name, coeffs=coeffs: (
+                    src.get(name), _spectral_combination(src, coeffs))))
 
     def idem():
         pm = src.get("Pminus")
-        return *_expect_equal(compose(pm, pm), pm), None
-    reports.append(_timed("spectral/pminus-idempotent", regime, "expect-zero", idem))
+        return compose(pm, pm), pm
+    reports.append(_check_equal("spectral/pminus-idempotent", regime, idem))
 
     def traces():
         want = {"Pminus": 6, "Pi9": 9, "Pi1": 1}
@@ -634,9 +621,10 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
             w = src.get("What")
             combo = src.get("Pi9").scale(q1) + src.get("Pi1").scale(q1 ** -3) \
                 - src.get("Pminus").scale(q1 ** -1)
-            return *_expect_equal(w, combo), \
-                "eigenvalues q, q^-3, -q^-1 with multiplicities 9, 1, 6"
-        reports.append(_timed("spectral/w-spectral-sum", regime, "expect-zero", wsum))
+            return w, combo
+        reports.append(_check_equal(
+            "spectral/w-spectral-sum", regime, wsum,
+            "eigenvalues q, q^-3, -q^-1 with multiplicities 9, 1, 6"))
 
         def won():
             q1 = Q.specialize(regime)
@@ -644,8 +632,8 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
             w = src.get("What")
             r1 = compose(pm, w) + pm.scale(q1 ** -1)
             r2 = compose(w, pm) + pm.scale(q1 ** -1)
-            z = r1.is_zero_map() and r2.is_zero_map()
-            return z, None if z else _residual_str(r1 if not r1.is_zero_map() else r2), None
+            residual = _residual_str(r1) or _residual_str(r2)
+            return residual is None, residual, None
         reports.append(_timed("spectral/w-on-pminus", regime, "expect-zero", won))
     src.reports["spectral"] = list(reports)
     return reports
@@ -663,12 +651,9 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
     q1 = Q.specialize(regime)
 
     if regime.kind is RegimeKind.UNIT_CIRCLE:
-        def zero_case():
-            resid = compose(pm, w + ident.scale(q1 ** -1))
-            z = resid.is_zero_map()
-            return z, None if z else _residual_str(resid), "sigma = 1/q annihilates"
-        reports.append(_timed("compat/braiding-scalar-zero", regime,
-                              "expect-zero", zero_case))
+        reports.append(_check_zero(
+            "compat/braiding-scalar-zero", regime,
+            lambda: compose(pm, w + ident.scale(q1 ** -1)), "sigma = 1/q annihilates"))
 
         def one_case():
             resid = compose(pm, w + ident)
@@ -689,12 +674,11 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
                               "expect-nonzero", one_case))
     else:
         for label, sigma in (("one", ONE), ("q", Q), ("qinv", Q ** -1)):
-            def nz(sigma=sigma):
-                resid = compose(pm, w + ident.scale(sigma.specialize(regime)))
-                return (not resid.is_zero_map()), _residual_str(resid), \
-                    "no constant braiding scalar works for real q"
-            reports.append(_timed(f"compat/sigma-{label}-nonzero", regime,
-                                  "expect-nonzero", nz))
+            reports.append(_check_nonzero(
+                f"compat/sigma-{label}-nonzero", regime,
+                lambda sigma=sigma: compose(
+                    pm, w + ident.scale(sigma.specialize(regime))),
+                "no constant braiding scalar works for real q"))
 
         def divis():
             resid = compose(pm, w + ident)
@@ -710,12 +694,9 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
         reports.append(_timed("compat/sigma-one-divisibility", regime,
                               "expect-zero", divis))
 
-    def classical():
-        resid = classical_limit(compose(pm, w + ident))
-        z = resid.is_zero_map()
-        return z, None if z else _residual_str(resid), "q = t = 1 limit"
-    reports.append(_timed("compat/classical-limit-zero", regime,
-                          "expect-zero", classical))
+    reports.append(_check_zero(
+        "compat/classical-limit-zero", regime,
+        lambda: classical_limit(compose(pm, w + ident)), "q = t = 1 limit"))
     return reports
 
 
@@ -813,11 +794,9 @@ def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[
 
     def nonsolution():
         z_a2, z_ab, z_b2, e23 = _sse_scan_matrices(src)
-        resid = z_a2 + z_ab + z_b2 - e23  # a = b = 1
-        return (not resid.is_zero_map()), _residual_str(resid), \
-            "a = b = 1 violates the shuttle condition"
-    reports.append(_timed("crossed/sse-nonsolution", regime,
-                          "expect-nonzero", nonsolution))
+        return z_a2 + z_ab + z_b2 - e23  # a = b = 1
+    reports.append(_check_nonzero("crossed/sse-nonsolution", regime, nonsolution,
+                                  "a = b = 1 violates the shuttle condition"))
 
     for variant in ("first", "second"):
         def star_involution(variant=variant):

@@ -164,9 +164,6 @@ class NCPoly:
             out[w2] = c2 if s is None else s + c2
         return NCPoly(alph, {w: c for w, c in out.items() if not c.is_zero()})
 
-    def leading_word(self) -> Word:
-        return max(self.terms, key=_word_key)
-
     def equals(self, other: "NCPoly") -> bool:
         return (self - other).is_zero()
 

@@ -8,7 +8,7 @@ from qmink.algebras import (OracleUnverifiedError,
                             PAIR_NAMES, SpanMismatchError, braided_delta_check,
                             build_braided_square, build_crossed,
                             certified_prerequisites, crossed_reduce,
-                            crossed_star_check, derived_relations, full_system,
+                            derived_relations, full_system,
                             minkowski_length, minkowski_length_poly,
                             minkowski_system, mz_presentation_check,
                             pbw_obstruction_generic, suite_classical,
@@ -258,7 +258,26 @@ def test_u_words_are_left_free():
 
 @pytest.mark.parametrize("variant", ["first", "second"])
 def test_crossed_star_check(variant):
-    assert crossed_star_check(UNIT_CIRCLE, variant).status == "pass"
+    reports = {r.check_id: r for r in intertwiners.suite_crossed(UNIT_CIRCLE)}
+    rep = reports[f"crossed/star-involution:{variant}"]
+    assert rep.status == "pass" and rep.residual is None
+
+
+def test_classical_systems_store_no_zero_coefficient():
+    # NCPoly.is_zero is "no terms", so a stored zero coefficient would make
+    # a zero polynomial look nonzero
+    systems = {
+        "minkowski": algebras._classical_system(UNIT_CIRCLE),
+        "crossed": algebras._classical_crossed_system(),
+        "braided": build_braided_square(UNIT_CIRCLE, sigma=ONE,
+                                        classical=True).system,
+    }
+    for label, sys in systems.items():
+        zeros = [lhs for lhs, rhs in sys.rules.items()
+                 if any(c.is_zero() for c in rhs.terms.values())]
+        assert zeros == [], label
+    ell = algebras._classical_poly(minkowski_length_poly(UNIT_CIRCLE))
+    assert not any(c.is_zero() for c in ell.terms.values())
 
 
 # ---------------------------------------------------------------------------

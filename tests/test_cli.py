@@ -126,6 +126,29 @@ def test_verify_reports_expected_nonzero_semantics(capsys):
     assert "[expected-nonzero]" in text
 
 
+def test_tracer_traces_every_suite():
+    # perfbench/tracer.py names the suites it wraps on its own; a suite
+    # missing there would run untraced without any error
+    import importlib.util
+    from pathlib import Path
+    from qmink.cli import SUITE_ORDER
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SUITE_NAMES == SUITE_ORDER
+
+
+def test_obstruction_command_prints_the_shared_criteria(capsys):
+    from qmink.algebras import obstruction_criteria, pbw_obstruction_generic
+    assert main(["obstruction"]) == 0
+    printed = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+               if line.startswith(("  PASS", "  FAIL"))]
+    criteria = obstruction_criteria(*pbw_obstruction_generic()[:2])
+    assert printed == [["PASS", label] for label in criteria]
+    assert all(criteria.values())
+
+
 def test_verify_orders_output_by_check_id(capsys):
     main(["verify", "--regime", "unit-circle", "--suite", "moves"])
     lines = [l.split()[1] for l in capsys.readouterr().out.splitlines()

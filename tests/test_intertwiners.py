@@ -7,7 +7,7 @@ from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, REAL_Q,
                          T, UNIT_CIRCLE, ZERO, GaussianRational, integer, rat,
                          MissingParameterError)
 from qmink.intertwiners import (Factor, MatrixIdentity,
-                                OperatorSource, UnknownNameError, build,
+                                OperatorSource, UnknownNameError,
                                 classical_limit, identity_catalog,
                                 numeric_residual, numeric_suite,
                                 operator_source, pauli_basis,
@@ -27,7 +27,7 @@ GR_ONE = GaussianRational.of(1)
 # ---------------------------------------------------------------------------
 
 def test_metric_vector_components():
-    e = build("E", GENERIC).value
+    e = operator_source(GENERIC).get("E")
     col = [e.entries[k][0] for k in range(4)]
     assert col[0].is_zero() and col[3].is_zero()
     assert col[1] == ONE and col[2] == -Q
@@ -100,9 +100,18 @@ def test_classical_tau_conjugation_fixes_the_flip():
 
 def test_unknown_name_and_regime_gate():
     with pytest.raises(UnknownNameError):
-        build("nope", GENERIC)
+        operator_source(GENERIC).get("nope")
     with pytest.raises(MissingParameterError):
-        build("What", GENERIC)
+        operator_source(GENERIC).get("What")
+
+
+@pytest.mark.parametrize("name", ["PauliBasis", "PauliBasis^-1",
+                                  "S^-1:first", "S^-1:second"])
+def test_unrequested_operator_names_are_gone(name):
+    # the Pauli base change is reached through pauli_basis() and
+    # vector_components; S^-1 was never requested by any check
+    with pytest.raises(UnknownNameError):
+        OperatorSource(UNIT_CIRCLE).get(name)
 
 
 def test_crossing_direction_is_forced_by_types():
