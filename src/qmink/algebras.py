@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .coeff import (GENERIC, ONE, Q, QB, REAL_Q, Regime, RegimeKind,
                     Scalar, T, UNIT_CIRCLE, ZERO, integer,
                     rat)
-from .intertwiners import (CheckReport, _timed, classical_limit, classical_value,
-                           operator_source, suite_moves, suite_spectral,
-                           vector_components)
+from .intertwiners import (CheckReport, _check_empty, _check_span, _timed,
+                           classical_limit, classical_value, operator_source,
+                           suite_moves, suite_spectral, vector_components)
 from .rewrite import (Alphabet, Generator, NCPoly, RewriteRule, RewriteSystem,
                       orient)
 from .tensor import (B, TMap, U, annihilator_basis, bar_conjugate, compose,
@@ -27,8 +27,7 @@ __all__ = [
     "SpanMismatchError", "OracleUnverifiedError", "MinkowskiAlgebra",
     "x_alphabet", "minkowski_system", "pbw_obstruction_generic",
     "obstruction_criteria",
-    "minkowski_length", "mz_presentation_check", "CrossedProduct",
-    "build_crossed", "crossed_reduce",
+    "minkowski_length", "mz_presentation_check", "build_crossed",
     "BraidedSquare", "build_braided_square", "certified_prerequisites",
     "braided_delta_check",
     "suite_pbw", "suite_delta", "suite_length", "suite_classical",
@@ -280,14 +279,13 @@ def minkowski_length(regime: Regime):
             resid = sys.normal_form(ell * gpoly - gpoly * ell)
             if not resid.is_zero():
                 bad.append(f"[l, {name}] -> {resid}")
-        return not bad, "; ".join(bad) or None, None
-    reports.append(_timed("length/centrality", regime, "expect-zero", central))
+        return bad
+    reports.append(_check_empty("length/centrality", regime, central))
 
     def star_fixed():
         resid = sys.normal_form(ell.star(regime) - ell)
-        z = resid.is_zero()
-        return z, None if z else str(resid), None
-    reports.append(_timed("length/star-fixed", regime, "expect-zero", star_fixed))
+        return [] if resid.is_zero() else [str(resid)]
+    reports.append(_check_empty("length/star-fixed", regime, star_fixed))
 
     comparison = None
     if regime.kind is RegimeKind.UNIT_CIRCLE:
@@ -324,7 +322,7 @@ def mz_presentation_check() -> CheckReport:
     """The one-parameter z = q/t presentation spans the same relations."""
     regime = UNIT_CIRCLE
 
-    def body():
+    def rows():
         alph = x_alphabet(regime)
         z = Q * T ** -1
         zbar = z.star(regime)
@@ -335,11 +333,10 @@ def mz_presentation_check() -> CheckReport:
         normal = _rel_words(alph, regime, [(ONE, "beta gamma"),
                                            (-ONE, "gamma beta")])
         mz = [r1, r2, r3, r1.star(regime), r2.star(regime), normal]
-        table = table_relations(regime)
-        ok = span_equal(_relation_rows(mz), _relation_rows(table))
-        return ok, None if ok else "spans differ", \
-            "three z-relations plus their stars and gamma* gamma = gamma gamma*"
-    return _timed("length/mz-presentation", regime, "expect-zero", body)
+        return _relation_rows(mz), _relation_rows(table_relations(regime))
+    return _check_span(
+        "length/mz-presentation", regime, rows, "spans differ",
+        "three z-relations plus their stars and gamma* gamma = gamma gamma*")
 
 
 # --------------------------------------------------------------------------
@@ -360,16 +357,6 @@ def _crossed_generators(regime: Regime, primes: bool, hs: bool) -> list[Generato
     return gens
 
 
-@dataclass
-class CrossedProduct:
-    """Mixed algebra: free symmetry generators, x-generators, cross rules."""
-
-    regime: Regime
-    variant: str
-    alphabet: Alphabet
-    system: RewriteSystem
-
-
 def _matrix_rule(alph: Alphabet, lhs: tuple[str, str], row: dict,
                  word) -> RewriteRule:
     """lhs -> the sum over the row's entries v at column col of v word(col)."""
@@ -379,10 +366,10 @@ def _matrix_rule(alph: Alphabet, lhs: tuple[str, str], row: dict,
     return RewriteRule(tuple(alph.index(n) for n in lhs), rhs)
 
 
-def _cross_rules_for(alph: Alphabet, regime: Regime, variant: str) -> list[RewriteRule]:
+def _cross_rules(alph: Alphabet, regime: Regime) -> list[RewriteRule]:
     src = operator_source(regime)
-    tmat = src.get(f"T:{variant}")
-    tpmat = src.get(f"T':{variant}")
+    tmat = src.get("T:first")
+    tpmat = src.get("T':first")
     rules = []
     for code in range(4):
         for cc in (0, 1):
@@ -458,7 +445,7 @@ def full_system(regime: Regime) -> tuple[Alphabet, RewriteSystem]:
     primes = regime.kind is RegimeKind.UNIT_CIRCLE
     hs = regime.kind is not RegimeKind.GENERIC
     alph = Alphabet(_crossed_generators(regime, primes=primes, hs=hs))
-    rules = _mapped_x_rules(alph, regime) + _cross_rules_for(alph, regime, "first")
+    rules = _mapped_x_rules(alph, regime) + _cross_rules(alph, regime)
     if hs:
         rules += _w_rules(alph, operator_source(regime).get("What"))
     if primes:
@@ -470,16 +457,11 @@ def full_system(regime: Regime) -> tuple[Alphabet, RewriteSystem]:
     return alph, RewriteSystem(alph, rules, regime)
 
 
-def build_crossed(regime: Regime, variant: str = "first") -> CrossedProduct:
+def build_crossed(regime: Regime) -> RewriteSystem:
+    """The x-algebra crossed with the free u, ub letters, which move left."""
     alph = Alphabet(_crossed_generators(regime, primes=False, hs=False))
-    rules = _mapped_x_rules(alph, regime) + _cross_rules_for(alph, regime, variant)
-    return CrossedProduct(regime, variant, alph,
-                          RewriteSystem(alph, rules, regime))
-
-
-def crossed_reduce(cp: CrossedProduct, names, coeff: Scalar = ONE) -> NCPoly:
-    """Normal form of a word over {x, u, ub}: symmetry letters move left."""
-    return cp.system.normal_form(NCPoly.word(cp.alphabet, names, coeff))
+    return RewriteSystem(alph, _mapped_x_rules(alph, regime)
+                         + _cross_rules(alph, regime), regime)
 
 
 # --------------------------------------------------------------------------
@@ -569,41 +551,35 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
         "reduce the remaining primed/unprimed blocks to normal form",
     ]
 
+    zero = NCPoly.zero(alph)
+
+    def word(*names):
+        return NCPoly.word(alph, names)
+
+    def combination(row: dict, polys: list[NCPoly]) -> NCPoly:
+        """The sum over the row's entries v at column col of v polys[col]."""
+        return sum((polys[col].scale(v) for col, v in row.items()), zero)
+
+    def hh(j: int, k: int, tail: list[NCPoly]) -> NCPoly:
+        """The sum over a, b of h[j,a] h[k,b] tail[a,b]."""
+        return sum((word(f"h[{j},{a}]", f"h[{k},{b}]") * tail[(a << 2) | b]
+                    for a in range(4) for b in range(4)), zero)
+
+    # coproduct x_j -> x_j + h[j,a] x'_a
+    delta = [sum((word(f"h[{j},{a}]", PAIR_NAMES[a] + "'") for a in range(4)),
+                 word(PAIR_NAMES[j])) for j in range(4)]
+    primed = [word(PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'")
+              for a in range(4) for b in range(4)]
+    # certified exchange: each product's h h x' x' block is replaced by
+    # h h times the antisymmetrizer applied to the primed pair
+    blocks = [delta[j] * delta[k] - hh(j, k, primed)
+              for j in range(4) for k in range(4)]
+    pm_primed = [combination(row, primed) for row in pm.rows]
     residuals: dict[tuple[int, int], NCPoly] = {}
     for m in range(4):
         for n in range(4):
-            total = NCPoly.zero(alph)
-            correction = NCPoly.zero(alph)
-            row = (m << 2) | n
-            for col, c in pm.rows[row].items():
-                j, k = col >> 2, col & 3
-                xj, xk = PAIR_NAMES[j], PAIR_NAMES[k]
-                term = NCPoly.word(alph, (xj, xk), c)
-                for a in range(4):
-                    for b in range(4):
-                        term = term + NCPoly.word(
-                            alph, (f"h[{j},{a}]", PAIR_NAMES[a] + "'",
-                                   f"h[{k},{b}]", PAIR_NAMES[b] + "'"), c)
-                for cc in range(4):
-                    term = term + NCPoly.word(
-                        alph, (xj, f"h[{k},{cc}]", PAIR_NAMES[cc] + "'"), c)
-                    term = term + NCPoly.word(
-                        alph, (f"h[{j},{cc}]", PAIR_NAMES[cc] + "'", xk), c)
-                total = total + term
-                # certified exchange: subtract P.hh, add hh.P
-                for a in range(4):
-                    for b in range(4):
-                        correction = correction - NCPoly.word(
-                            alph, (f"h[{j},{a}]", f"h[{k},{b}]",
-                                   PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'"), c)
-            for prow, pm_row in enumerate(pm.rows):
-                jp, kp = prow >> 2, prow & 3
-                for col, c2 in pm_row.items():
-                    a, b = col >> 2, col & 3
-                    correction = correction + NCPoly.word(
-                        alph, (f"h[{m},{jp}]", f"h[{n},{kp}]",
-                               PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'"), c2)
-            residuals[(m, n)] = sys.normal_form(sys.normal_form(total) + correction)
+            residuals[(m, n)] = sys.normal_form(
+                combination(pm.rows[(m << 2) | n], blocks) + hh(m, n, pm_primed))
     return residuals, steps, sq
 
 
@@ -656,19 +632,12 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
                           classical))
 
     def braid_consistency():
-        sq = build_braided_square(regime)
-        xs = {sq.alphabet.index(n) for n in PAIR_NAMES}
-        xs |= {sq.alphabet.index(n + "'") for n in PAIR_NAMES}
-        sub_rules = [RewriteRule(lhs, rhs) for lhs, rhs in sq.system.rules.items()
-                     if set(lhs) <= xs and all(set(w) <= xs for w in rhs.terms)]
-        # rebuild over the x/x' alphabet only
-        alph2 = Alphabet(_crossed_generators(regime, primes=True, hs=False)[8:])
-        remap = {sq.alphabet.index(g.name): alph2.index(g.name) for g in alph2.gens}
-        rules2 = [RewriteRule(tuple(remap[k] for k in r.lhs),
-                              NCPoly(alph2, {tuple(remap[k] for k in w): c
-                                             for w, c in r.rhs.terms.items()}))
-                  for r in sub_rules]
-        obstructions = RewriteSystem(alph2, rules2, regime).check_confluence()
+        # the braided square's rules among x and x' letters only
+        alph = Alphabet(_crossed_generators(regime, primes=True, hs=False)[8:])
+        rules = (_mapped_x_rules(alph, regime) + _mapped_x_rules(alph, regime, "'")
+                 + _commuting_rules(alph, _PRIMED, PAIR_NAMES,
+                                    (Q ** -1).specialize(regime)))
+        obstructions = RewriteSystem(alph, rules, regime).check_confluence()
         return not obstructions, f"{len(obstructions)} overlaps fail" \
             if obstructions else None, "x/x' rule set is locally confluent"
     reports.append(_timed("delta/braiding-consistency", regime, "expect-zero",
@@ -692,11 +661,10 @@ def suite_length(regime: Regime) -> list[CheckReport]:
             # compare modulo the classical (commutative) relations
             csys = _classical_system(regime)
             resid = csys.normal_form(cl - want)
-            z = resid.is_zero()
-            return z, None if z else str(resid), \
-                "q = t = 1 length is -2 (alpha delta - beta gamma)"
-        reports.append(_timed("length/classical-quadratic-form", regime,
-                              "expect-zero", classical))
+            return [] if resid.is_zero() else [str(resid)]
+        reports.append(_check_empty(
+            "length/classical-quadratic-form", regime, classical,
+            "q = t = 1 length is -2 (alpha delta - beta gamma)"))
     return reports
 
 
@@ -709,9 +677,9 @@ def _classical_system(regime: Regime) -> RewriteSystem:
 
 def _classical_crossed_system() -> RewriteSystem:
     """The unit-circle crossed product's rules at q = t = 1."""
-    cp = build_crossed(UNIT_CIRCLE, "first")
+    cp = build_crossed(UNIT_CIRCLE)
     return RewriteSystem(cp.alphabet, [RewriteRule(lhs, _classical_poly(rhs))
-                                       for lhs, rhs in cp.system.rules.items()],
+                                       for lhs, rhs in cp.rules.items()],
                          UNIT_CIRCLE)
 
 
@@ -727,16 +695,14 @@ def suite_pbw(regime: Regime) -> list[CheckReport]:
     reports.append(_timed("pbw/relation-integrity", regime, "expect-zero",
                           integrity))
 
-    def annihilator_span():
+    def annihilator_rows():
         # the antisymmetrizer's own row space spans the same functionals
         # as the block-by-block route through the inverse crossing
         src = operator_source(regime)
-        direct = [f.entries[0] for f in annihilator_basis(src.get("Pminus"))]
-        blocks = [f.entries[0] for f in _block_functionals(regime)]
-        ok = len(direct) == 6 and span_equal(direct, blocks)
-        return ok, None if ok else "spans differ", None
-    reports.append(_timed("pbw/antisymmetrizer-annihilator-span", regime,
-                          "expect-zero", annihilator_span))
+        return ([f.entries[0] for f in annihilator_basis(src.get("Pminus"))],
+                [f.entries[0] for f in _block_functionals(regime)])
+    reports.append(_check_span("pbw/antisymmetrizer-annihilator-span", regime,
+                               annihilator_rows, "spans differ", rank=6))
 
     if regime.kind is RegimeKind.GENERIC:
         def obstruction():
@@ -790,15 +756,14 @@ def suite_pbw(regime: Regime) -> list[CheckReport]:
             return ok, None if ok else "star of a relation does not reduce to zero", None
         reports.append(_timed("pbw/star-closed", regime, "expect-zero", star_closed))
 
-        def rhat_equiv():
-            src = operator_source(regime)
-            name = "Rhat+" if regime.kind is RegimeKind.UNIT_CIRCLE else "Rhat-"
-            fixed = identity((U, B, U, B)) - src.get(name)
-            ok = span_equal(fixed.entries, src.get("Pminus").entries)
-            return ok, None if ok else "row spans differ", \
-                f"x x relations match the fixed-point condition of {name}"
-        reports.append(_timed("pbw/rhat-fixedpoint-span", regime, "expect-zero",
-                              rhat_equiv))
+        src = operator_source(regime)
+        name = "Rhat+" if regime.kind is RegimeKind.UNIT_CIRCLE else "Rhat-"
+        reports.append(_check_span(
+            "pbw/rhat-fixedpoint-span", regime,
+            lambda: ((identity((U, B, U, B)) - src.get(name)).entries,
+                     src.get("Pminus").entries),
+            "row spans differ",
+            f"x x relations match the fixed-point condition of {name}"))
     return reports
 
 
@@ -830,28 +795,27 @@ def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
         vec = vector_components(classical_limit(src.get("Pminus")))
         if not vec.equals(anti_bold):
             bad.append("Pminus(vector)")
-        return not bad, ", ".join(bad) or None, \
-            "deformed maps collapse to flips and classical antisymmetrizers"
-    reports.append(_timed("classical/operators", regime, "expect-zero", operators))
+        return bad
+    reports.append(_check_empty(
+        "classical/operators", regime, operators,
+        "deformed maps collapse to flips and classical antisymmetrizers", ", "))
 
     def commutative():
         csys = _classical_system(UNIT_CIRCLE)
-        bad = [f"[{a},{b}]" for a in PAIR_NAMES for b in PAIR_NAMES
-               if not _commutes(csys, a, b)]
-        return not bad, ", ".join(bad) or None, "x-algebra commutes at q = t = 1"
-    reports.append(_timed("classical/minkowski-commutative", regime,
-                          "expect-zero", commutative))
+        return [f"[{a},{b}]" for a in PAIR_NAMES for b in PAIR_NAMES
+                if not _commutes(csys, a, b)]
+    reports.append(_check_empty("classical/minkowski-commutative", regime,
+                                commutative, "x-algebra commutes at q = t = 1", ", "))
 
     def crossed_classical():
         sysc = _classical_crossed_system()
-        bad = [f"[{xname},{uname}]" for xname in PAIR_NAMES
-               for uname in ("u[1,1]", "u[1,2]", "u[2,1]", "u[2,2]",
-                             "ub[1,1]", "ub[2,2]")
-               if not _commutes(sysc, xname, uname)]
-        return not bad, ", ".join(bad[:4]) or None, \
-            "cross relations become plain commutation at q = t = 1"
-    reports.append(_timed("classical/crossed-commutative", regime,
-                          "expect-zero", crossed_classical))
+        return [f"[{xname},{uname}]" for xname in PAIR_NAMES
+                for uname in ("u[1,1]", "u[1,2]", "u[2,1]", "u[2,2]",
+                              "ub[1,1]", "ub[2,2]")
+                if not _commutes(sysc, xname, uname)][:4]
+    reports.append(_check_empty(
+        "classical/crossed-commutative", regime, crossed_classical,
+        "cross relations become plain commutation at q = t = 1", ", "))
 
     def braided_classical():
         sys = build_braided_square(UNIT_CIRCLE, sigma=ONE, classical=True).system
@@ -860,10 +824,10 @@ def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
             bad += [f"[{a}',{b}]" for b in PAIR_NAMES if not _commutes(sys, a + "'", b)]
             if not _commutes(sys, a, "h[1,2]"):
                 bad.append(f"[{a},h]")
-        return not bad, ", ".join(bad[:4]) or None, \
-            "braided square collapses to the plain square at q = t = 1"
-    reports.append(_timed("classical/braided-commutative", regime,
-                          "expect-zero", braided_classical))
+        return bad[:4]
+    reports.append(_check_empty(
+        "classical/braided-commutative", regime, braided_classical,
+        "braided square collapses to the plain square at q = t = 1", ", "))
 
     def corner_survives():
         # recorded, not resolved: with a corner term the crossing does not

@@ -75,6 +75,10 @@ MAX_EXPONENT = 64
 MAX_DEPTH = 64
 MAX_DIGITS = 1000
 
+# Budget of qmink eval.  A sample point costs about 7 ms of float
+# evaluation, so the largest run takes about 70 s.
+MAX_SAMPLES = 10_000
+
 _SCALAR_ATOMS = {"q": coeff.Q, "qb": coeff.QB, "t": coeff.T, "i": coeff.I}
 _HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
 
@@ -442,8 +446,13 @@ def _cmd_verify(args) -> int:
     elapsed = time.perf_counter() - t0
     payload = _report_json(regime, reports)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        try:
+            with open(args.json, "w") as fh:
+                json.dump(payload, fh, indent=2)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -532,9 +541,9 @@ def _cmd_length(args) -> int:
 
 def _cmd_eval(args) -> int:
     regime = regime_from_label(args.regime)
-    if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}",
-              file=sys.stderr)
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        print(f"error: --samples must be between 1 and {MAX_SAMPLES}, "
+              f"got {args.samples}", file=sys.stderr)
         return 2
     if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"error: --tol must be finite and positive, got {args.tol:g}",

@@ -20,7 +20,7 @@ from . import coeff
 from .coeff import (GENERIC, ONE, Q, Q_HALF, QB, QB_HALF, Regime, RegimeKind,
                     Scalar, T, T_HALF, ZERO, GaussianRational, integer,
                     MissingParameterError)
-from .tensor import (B, Leg, TMap, U, compose, identity, invert,
+from .tensor import (B, Leg, TMap, U, bar_conjugate, compose, identity, invert,
                      permutation, place, placement, span_equal, tau_conjugate,
                      tensor_product)
 
@@ -105,8 +105,8 @@ def _timed(check_id: str, regime: Regime, mode: str, fn) -> CheckReport:
                        mode, residual, ms, detail)
 
 
-# The three map verdicts.  Each takes a thunk that builds the maps, so the
-# report's elapsed time covers building them.
+# The verdict helpers.  Each takes a thunk that builds what it judges, so
+# the report's elapsed time covers building it.
 
 def _check_equal(check_id: str, regime: Regime, sides,
                  detail: str | None = None) -> CheckReport:
@@ -127,6 +127,28 @@ def _check_zero(check_id: str, regime: Regime, resid,
 def _check_nonzero(check_id: str, regime: Regime, resid,
                    detail: str | None = None) -> CheckReport:
     return _check_zero(check_id, regime, resid, detail, "expect-nonzero")
+
+
+def _check_empty(check_id: str, regime: Regime, failures,
+                 detail: str | None = None, sep: str = "; ") -> CheckReport:
+    """Expect-zero check that failures() lists nothing; its residual joins
+    the list with sep."""
+    def body():
+        bad = failures()
+        return not bad, sep.join(bad) or None, detail
+    return _timed(check_id, regime, "expect-zero", body)
+
+
+def _check_span(check_id: str, regime: Regime, rows, residual: str,
+                detail: str | None = None, rank: int | None = None) -> CheckReport:
+    """Expect-zero check that the two row lists rows() gives span the same
+    space (and, when rank is given, that the first holds rank rows); a
+    failure reports the fixed residual text."""
+    def body():
+        a, b = rows()
+        ok = (rank is None or len(a) == rank) and span_equal(a, b)
+        return ok, None if ok else residual, detail
+    return _timed(check_id, regime, "expect-zero", body)
 
 
 # --------------------------------------------------------------------------
@@ -612,8 +634,9 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
         for a, b in (("Pi9", "Pi1"), ("Pi9", "Pminus"), ("Pi1", "Pminus")):
             if not compose(src.get(a), src.get(b)).is_zero_map():
                 bad.append(f"{a}{b} != 0")
-        return not bad, "; ".join(bad) or None, "ranks 9 + 1 + 6"
-    reports.append(_timed("spectral/projector-ranks", regime, "expect-zero", traces))
+        return bad
+    reports.append(_check_empty("spectral/projector-ranks", regime, traces,
+                                "ranks 9 + 1 + 6"))
 
     if regime.kind is RegimeKind.UNIT_CIRCLE:
         def wsum():
@@ -785,12 +808,11 @@ def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[
                 if any(not v.is_zero() for v in row):
                     rows.append(row)
         qq = (Q + Q ** -1).specialize(regime)
-        expected = [[ONE, -qq, ONE, ZERO], [ZERO, ONE, ZERO, -ONE]]
-        ok = span_equal(rows, expected)
-        return ok, None if ok else "constraint span differs", \
-            "constraints reduce to a*b = 1 and a^2 + b^2 = q + 1/q, " \
-            "so a^2 is q or 1/q: exactly the two admissible normalizations"
-    reports.append(_timed("crossed/normalization-scan", regime, "expect-zero", scan))
+        return rows, [[ONE, -qq, ONE, ZERO], [ZERO, ONE, ZERO, -ONE]]
+    reports.append(_check_span(
+        "crossed/normalization-scan", regime, scan, "constraint span differs",
+        "constraints reduce to a*b = 1 and a^2 + b^2 = q + 1/q, "
+        "so a^2 is q or 1/q: exactly the two admissible normalizations"))
 
     def nonsolution():
         z_a2, z_ab, z_b2, e23 = _sse_scan_matrices(src)
@@ -798,33 +820,19 @@ def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[
     reports.append(_check_nonzero("crossed/sse-nonsolution", regime, nonsolution,
                                   "a = b = 1 violates the shuttle condition"))
 
+    # bar(T') on the reversed legs undoes T: R bar(T') R T = id, where R
+    # reverses the three legs
     for variant in ("first", "second"):
         def star_involution(variant=variant):
             tmat = src.get(f"T:{variant}")
-            tpmat = src.get(f"T':{variant}")
-            n = 8
-            acc = [[ZERO] * n for _ in range(n)]
-            for rp in range(n):
-                L, Kk, A = (rp >> 2) & 1, (rp >> 1) & 1, rp & 1
-                for cp, v in tpmat.rows[rp].items():
-                    sv = v.star(src.regime)
-                    E, Mm, N = (cp >> 2) & 1, (cp >> 1) & 1, cp & 1
-                    trow = (N << 2) | (Mm << 1) | E
-                    for ccol, tv in tmat.rows[trow].items():
-                        col = (A << 2) | (Kk << 1) | L
-                        acc[ccol][col] = acc[ccol][col] + sv * tv
-            bad = None
-            for i in range(n):
-                for j in range(n):
-                    want = ONE if i == j else ZERO
-                    if acc[i][j] != want:
-                        bad = f"entry[{i}][{j}] = {acc[i][j]}"
-                        break
-                if bad:
-                    break
-            return bad is None, bad, "double star-flip returns every generator pair"
-        reports.append(_timed(f"crossed/star-involution:{variant}", regime,
-                              "expect-zero", star_involution))
+            rev = permutation(tmat.out_sig, (3, 2, 1))
+            back = bar_conjugate(src.get(f"T':{variant}"), regime)
+            lhs = compose(permutation(back.out_sig, (3, 2, 1)),
+                          compose(back, compose(rev, tmat)))
+            return lhs, identity(tmat.in_sig)
+        reports.append(_check_equal(f"crossed/star-involution:{variant}", regime,
+                                    star_involution,
+                                    "double star-flip returns every generator pair"))
     return reports
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import GENERIC, ONE, Regime, Scalar, ZERO
+from .tensor import row_echelon
 
 __all__ = [
     "Generator", "Alphabet", "NCPoly", "RewriteRule", "RewriteSystem",
@@ -102,10 +103,6 @@ class NCPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, names) -> Scalar:
-        w = tuple(self.alphabet.index(n) if isinstance(n, str) else n for n in names)
-        return self.terms.get(w, ZERO)
 
     def support(self) -> list[Word]:
         return sorted(self.terms, key=_word_key)
@@ -234,12 +231,6 @@ class RewriteSystem:
 
     # -- reduction ----------------------------------------------------------
 
-    def first_reducible(self, w: Word) -> int | None:
-        for i in range(len(w) - 1):
-            if (w[i], w[i + 1]) in self.rules:
-                return i
-        return None
-
     def apply_rule_at(self, w: Word, pos: int, coeff: Scalar = ONE) -> NCPoly:
         """One rewrite step at a stated position (for scripted reductions)."""
         rhs = self.rules[(w[pos], w[pos + 1])]
@@ -283,9 +274,6 @@ class RewriteSystem:
                 if not c3.is_zero():
                     stack.append((pre + w2 + post, c3))
         return NCPoly(p.alphabet, out)
-
-    def is_normal_word(self, w: Word) -> bool:
-        return self.first_reducible(w) is None
 
     # -- confluence ----------------------------------------------------------
 
@@ -334,55 +322,22 @@ def orient(relations: list[NCPoly], alphabet: Alphabet,
            regime: Regime = GENERIC) -> RewriteSystem:
     """Orient quadratic relations into rules along the alphabet order.
 
-    Performs exact Gauss-Jordan elimination on the relation set first, so
-    leading words (degree-lex maxima) come out pairwise distinct; each
-    reduced relation with leading word u gives the rule u -> smaller part.
+    The relations' reduced row echelon form, with the words as columns in
+    decreasing degree-lex order, puts each row's leading word (its degree-lex
+    maximum) at its pivot, and no other row contains it; the row with
+    leading word u gives the rule u -> -(rest of the row).
     """
-    basis: list[dict[Word, Scalar]] = []
-
-    def reduce_row(row: dict[Word, Scalar]) -> dict[Word, Scalar]:
-        changed = True
-        while changed and row:
-            changed = False
-            for b in basis:
-                lead = max(b, key=_word_key)
-                c = row.get(lead)
-                if c is not None and not c.is_zero():
-                    for w, v in b.items():
-                        s = row.get(w, ZERO) - c * v
-                        if s.is_zero():
-                            row.pop(w, None)
-                        else:
-                            row[w] = s
-                    changed = True
-        return row
-
-    for rel in relations:
-        row = reduce_row({w: c for w, c in rel.terms.items() if not c.is_zero()})
-        if not row:
-            continue
-        lead = max(row, key=_word_key)
-        inv = row[lead].inverse()
-        row = {w: c * inv for w, c in row.items()}
-        for b in basis:
-            c = b.get(lead)
-            if c is not None and not c.is_zero():
-                for w, v in row.items():
-                    s = b.get(w, ZERO) - c * v
-                    if s.is_zero():
-                        b.pop(w, None)
-                    else:
-                        b[w] = s
-        basis.append(row)
-
+    words = sorted({w for rel in relations for w in rel.terms},
+                   key=_word_key, reverse=True)
+    rows, pivots = row_echelon([[rel.terms.get(w, ZERO) for w in words]
+                                for rel in relations])
     rules = []
-    for row in basis:
-        if not row:
-            continue
-        lead = max(row, key=_word_key)
+    for row, p in zip(rows, pivots):
+        lead = words[p]
         if len(lead) != 2:
             raise NotOrientableError(
                 f"leading word {lead} of an eliminated relation is not quadratic")
-        rhs = NCPoly(alphabet, {w: -c for w, c in row.items() if w != lead})
+        rhs = NCPoly(alphabet, {w: -c for w, c in zip(words[p + 1:], row[p + 1:])
+                                if not c.is_zero()})
         rules.append(RewriteRule(lead, rhs))
     return RewriteSystem(alphabet, rules, regime)

@@ -234,13 +234,6 @@ class TMap:
                 out[i, j] = v.eval(q, t, regime, qbar)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "in_sig": [l.value for l in self.in_sig],
-            "out_sig": [l.value for l in self.out_sig],
-            "entries": [[str(v) for v in row] for row in self.entries],
-        }
-
     def __repr__(self) -> str:
         return f"TMap {sig_str(self.in_sig)} -> {sig_str(self.out_sig)}"
 

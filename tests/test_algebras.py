@@ -7,7 +7,7 @@ from qmink import algebras, intertwiners
 from qmink.algebras import (OracleUnverifiedError,
                             PAIR_NAMES, SpanMismatchError, braided_delta_check,
                             build_braided_square, build_crossed,
-                            certified_prerequisites, crossed_reduce,
+                            certified_prerequisites,
                             derived_relations, full_system,
                             minkowski_length, minkowski_length_poly,
                             minkowski_system, mz_presentation_check,
@@ -18,7 +18,7 @@ from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q,
                          T, UNIT_CIRCLE, integer, rat)
 from qmink.intertwiners import CheckReport, operator_source, suite_moves
 from qmink.rewrite import NCPoly
-from qmink.tensor import compose, identity, U, B
+from qmink.tensor import TMap, compose, identity, U, B
 
 ALL_REGIMES = (GENERIC, UNIT_CIRCLE, REAL_Q, CASE2_PLUS, CASE2_MINUS)
 
@@ -206,10 +206,10 @@ def test_length_suite_and_mz():
 # ---------------------------------------------------------------------------
 
 def test_crossed_reduce_single_rule_matches_matrix_entries():
-    cp = build_crossed(UNIT_CIRCLE, "first")
+    cp = build_crossed(UNIT_CIRCLE)
     tmat = operator_source(UNIT_CIRCLE).get("T:first")
     # x^{1 2bar} u^2_1 = beta u[2,1]: A=1, B=2, C=2, D=1
-    got = crossed_reduce(cp, ("beta", "u[2,1]"))
+    got = cp.normal_form(NCPoly.word(cp.alphabet, ("beta", "u[2,1]")))
     want = NCPoly.zero(cp.alphabet)
     row = (0 << 2) | (1 << 1) | 1     # (A-1, B-1, C-1)
     for col in range(8):
@@ -223,37 +223,37 @@ def test_crossed_reduce_single_rule_matches_matrix_entries():
 
 
 def test_crossed_reduce_sorts_mixed_words():
-    cp = build_crossed(UNIT_CIRCLE, "first")
-    out = crossed_reduce(cp, ("delta", "alpha", "u[1,1]"))
+    cp = build_crossed(UNIT_CIRCLE)
+    out = cp.normal_form(NCPoly.word(cp.alphabet, ("delta", "alpha", "u[1,1]")))
     idx_u = {cp.alphabet.index(f"u[{a},{b}]") for a in (1, 2) for b in (1, 2)}
     idx_ub = {cp.alphabet.index(f"ub[{a},{b}]") for a in (1, 2) for b in (1, 2)}
     for word in out.terms:
         kinds = ["u" if k in idx_u | idx_ub else "x" for k in word]
         assert kinds == sorted(kinds), "u-letters must all precede x-letters"
         xs = [k for k in word if k not in idx_u | idx_ub]
-        assert cp.system.is_normal_word(tuple(xs))
+        assert not any(pair in cp.rules for pair in zip(xs, xs[1:]))
 
 
 def test_crossed_reduce_classical_commutation():
     from qmink.coeff import GaussianRational
     one = GaussianRational.of(1)
-    cp = build_crossed(UNIT_CIRCLE, "first")
+    cp = build_crossed(UNIT_CIRCLE)
     from qmink.rewrite import RewriteRule, RewriteSystem
     cl_rules = [
         RewriteRule(lhs, NCPoly(cp.alphabet,
                                 {w: c.subst_half(one, one, one)
                                  for w, c in rhs.terms.items()
                                  if not c.subst_half(one, one, one).is_zero()}))
-        for lhs, rhs in cp.system.rules.items()]
+        for lhs, rhs in cp.rules.items()]
     cl = RewriteSystem(cp.alphabet, cl_rules, UNIT_CIRCLE)
     got = cl.normal_form(NCPoly.word(cp.alphabet, ("alpha", "u[1,2]")))
     assert got.equals(NCPoly.word(cp.alphabet, ("u[1,2]", "alpha")))
 
 
 def test_u_words_are_left_free():
-    cp = build_crossed(UNIT_CIRCLE, "first")
+    cp = build_crossed(UNIT_CIRCLE)
     p = NCPoly.word(cp.alphabet, ("u[2,1]", "u[1,2]"))
-    assert cp.system.normal_form(p).equals(p)
+    assert cp.normal_form(p).equals(p)
 
 
 @pytest.mark.parametrize("variant", ["first", "second"])
@@ -261,6 +261,26 @@ def test_crossed_star_check(variant):
     reports = {r.check_id: r for r in intertwiners.suite_crossed(UNIT_CIRCLE)}
     rep = reports[f"crossed/star-involution:{variant}"]
     assert rep.status == "pass" and rep.residual is None
+
+
+@pytest.mark.parametrize("variant", ["first", "second"])
+def test_crossed_star_check_catches_a_scaled_t_prime(variant):
+    class ScaledSource(intertwiners.OperatorSource):
+        def _build(self, name):
+            m = super()._build(name)
+            if name != f"T':{variant}":
+                return m
+            entries = [list(row) for row in m.entries]
+            i = next(i for i, row in enumerate(m.rows) if row)
+            j = next(iter(m.rows[i]))
+            entries[i][j] = entries[i][j] * integer(2)
+            return TMap(m.in_sig, m.out_sig, entries)
+
+    reports = {r.check_id: r for r in intertwiners.suite_crossed(
+        UNIT_CIRCLE, ScaledSource(UNIT_CIRCLE))}
+    other = "second" if variant == "first" else "first"
+    assert reports[f"crossed/star-involution:{variant}"].status == "fail"
+    assert reports[f"crossed/star-involution:{other}"].status == "pass"
 
 
 def test_classical_systems_store_no_zero_coefficient():

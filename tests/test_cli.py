@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,18 @@ def test_verify_unit_circle_exit_code_and_json(tmp_path, capsys):
     assert payload["summary"]["failed"] == 0
     assert all(set(c) >= {"check_id", "regime", "status", "mode", "elapsed_ms"}
                for c in payload["checks"])
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_verify_json_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "no-such-dir" / "report.json" if where == "missing-dir" \
+        else tmp_path
+    code = main(["verify", "--regime", "generic", "--suite", "moves",
+                 "--json", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_verify_reports_expected_nonzero_semantics(capsys):
@@ -267,6 +280,22 @@ def test_eval_rejects_vacuous_or_meaningless_options(capsys, extra, needle):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and needle in captured.err
     assert "samples," not in captured.out  # nothing was checked or reported
+
+
+def test_eval_samples_budget_refuses_before_sampling(monkeypatch, capsys):
+    from qmink import cli, intertwiners
+
+    def fake_suite(regime, q, t, qb):
+        raise AssertionError("sampled despite the budget")
+    monkeypatch.setattr(intertwiners, "numeric_suite", fake_suite)
+    t0 = time.perf_counter()
+    for n in (cli.MAX_SAMPLES + 1, 10 ** 20):
+        assert main(["eval", "--regime", "unit-circle", "--samples", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --samples must be between 1 and "
+                                f"{cli.MAX_SAMPLES}, got {n}\n")
+        assert captured.out == ""
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_eval_uses_the_given_t(monkeypatch, capsys):

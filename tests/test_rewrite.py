@@ -7,6 +7,7 @@ from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q,
 from qmink.rewrite import (Alphabet, Generator, NCPoly, NotOrientableError,
                            RewriteRule, RewriteSystem, UnknownGeneratorError,
                            orient)
+from qmink.tensor import row_echelon, span_equal
 
 UC_ALPH = x_alphabet(UNIT_CIRCLE)
 UC = minkowski_system(UNIT_CIRCLE).system
@@ -64,6 +65,34 @@ def test_oriented_generic_commutator_rule_coefficients():
     want = (w(alph, "alpha", "delta", coeff=c_ad)
             + w(alph, "beta", "gamma", coeff=c_bg))
     assert rhs.equals(want)
+
+
+_QUAD_WORDS = [(i, j) for i in range(4) for j in range(4)]
+_SMALL_SCALARS = [integer(1), integer(-1), integer(2), Q, T, Q * T ** -1]
+relation_sets = st.lists(
+    st.dictionaries(st.sampled_from(_QUAD_WORDS), st.sampled_from(_SMALL_SCALARS),
+                    min_size=1, max_size=4),
+    min_size=1, max_size=6)
+
+
+def _word_rows(polys):
+    return [[p.terms.get(w, ZERO) for w in _QUAD_WORDS] for p in polys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_sets)
+def test_orient_gives_one_reduced_rule_per_independent_relation(sets):
+    rels = [NCPoly(UC_ALPH, terms) for terms in sets]
+    sys = orient(rels, UC_ALPH, UNIT_CIRCLE)
+    # one rule per dimension of the relation span; the leading words are
+    # distinct, since RewriteSystem rejects a repeated left side
+    assert len(sys.rules) == len(row_echelon(_word_rows(rels))[0])
+    for lhs, rhs in sys.rules.items():
+        for word in rhs.terms:
+            assert (len(word), word) < (len(lhs), lhs)
+            assert word not in sys.rules  # reduced: no right side holds a lead
+    oriented = [NCPoly(UC_ALPH, {lhs: ONE}) - rhs for lhs, rhs in sys.rules.items()]
+    assert span_equal(_word_rows(oriented), _word_rows(rels))
 
 
 def test_rule_validation_rejects_non_decreasing_rhs():
@@ -202,4 +231,4 @@ def test_normal_form_is_idempotent(p):
     nf = UC.normal_form(p)
     assert UC.normal_form(nf).equals(nf)
     for word in nf.terms:
-        assert UC.is_normal_word(word)
+        assert not any(pair in UC.rules for pair in zip(word, word[1:]))

@@ -222,13 +222,6 @@ def test_tensor_product_matches_kronecker():
     assert tp.in_sig == (U, U, B, B)
 
 
-def test_json_debug_serialization():
-    d = SRC.get("X").to_json_dict()
-    assert d["in_sig"] == ["u", "b"]
-    assert d["out_sig"] == ["b", "u"]
-    assert len(d["entries"]) == 4 and len(d["entries"][0]) == 4
-
-
 # ---------------------------------------------------------------------------
 # randomized structure properties
 # ---------------------------------------------------------------------------
