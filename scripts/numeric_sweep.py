@@ -7,18 +7,45 @@ check.  A regression in the exact engine shows up here as a residual far
 above machine precision.
 
 Usage: python scripts/numeric_sweep.py [n_phases]
+
+n_phases (default 12) is an integer from 2 to MAX_PHASES: with 1 the only
+phase is pi/2, which is excluded, and the bound keeps the sweep inside the
+sample budget of ``qmink eval`` at two samples per phase.  Anything else
+exits 2 with a usage message.
 """
 
 import cmath
 import math
 import sys
 
+from qmink.cli import MAX_SAMPLES
 from qmink.coeff import UNIT_CIRCLE
 from qmink.intertwiners import numeric_suite
 
+T_VALUES = (0.5, 2.0)
+MAX_PHASES = MAX_SAMPLES // len(T_VALUES)
+
+
+def _phase_count(args: list[str]) -> int | None:
+    """The number of phases the arguments ask for, None when unusable."""
+    if not args:
+        return 12
+    if len(args) == 1:
+        try:
+            n = int(args[0])
+        except ValueError:
+            return None
+        if 2 <= n <= MAX_PHASES:
+            return n
+    return None
+
 
 def main() -> int:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 12
+    n = _phase_count(sys.argv[1:])
+    if n is None:
+        print(f"usage: numeric_sweep.py [n_phases]; n_phases is an integer "
+              f"from 2 to {MAX_PHASES}", file=sys.stderr)
+        return 2
     worst: dict[str, float] = {}
     samples = 0
     for k in range(1, n + 1):
@@ -26,7 +53,7 @@ def main() -> int:
         if abs(theta - cmath.pi / 2) < 0.05:
             continue
         q = cmath.exp(1j * theta)
-        for t in (0.5, 2.0):
+        for t in T_VALUES:
             samples += 1
             for cid, r in numeric_suite(UNIT_CIRCLE, q, t).items():
                 prev = worst.get(cid, 0.0)

@@ -80,19 +80,28 @@ MAX_DIGITS = 1000
 MAX_SAMPLES = 10_000
 
 _SCALAR_ATOMS = {"q": coeff.Q, "qb": coeff.QB, "t": coeff.T, "i": coeff.I}
+# (regime label, atom name) -> the atom specialized to the regime; Scalars
+# are immutable, so one instance serves every query
+_REGIME_ATOMS = {(regime.label, name): atom.specialize(regime)
+                 for regime in coeff.ALL_REGIMES
+                 for name, atom in _SCALAR_ATOMS.items()}
 _HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
 
 
-# One token at a position: ASCII whitespace (the ASCII characters that
-# str.isspace accepts), a run of ASCII digits, a name of ASCII letters,
-# digits and '_' with trailing primes, or a punctuation character.
-# Anything else, any non-ASCII digit or letter included, is refused.
+# One token after optional ASCII whitespace (the ASCII characters that
+# str.isspace accepts): a run of ASCII digits, a name of ASCII letters,
+# digits and '_' with trailing primes, or a punctuation character.  Any
+# other character, any non-ASCII digit or letter included, and the end of
+# the text match as ``bad``, which ends the scan.
 _TOKEN = re.compile(r"""
-    (?P<space>[\t-\r\x1c-\x20]+)
-  | (?P<num>[0-9]+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<punct>[-+*/^()\[\],'])
-""", re.VERBOSE)
+    [\t-\r\x1c-\x20]*
+    (?:
+        (?P<num>[0-9]+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
+      | (?P<punct>[-+*/^()\[\],'])
+      | (?P<bad>.|\Z)
+    )
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Tokens:
@@ -100,28 +109,34 @@ class _Tokens:
         self.text = text
         self.toks: list[tuple[str, str, int]] = []
         self._scan()
+        self.eof = ("eof", "", len(text))
         self.k = 0
         self.depth = 0      # factors entered and not yet left
         self.magnitude = 1  # largest power product among finished factors
 
     def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            m = _TOKEN.match(text, i)
-            if m is None:
-                raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+        append = self.toks.append
+        for m in _TOKEN.finditer(self.text):
             kind = m.lastgroup
-            if kind == "num" and m.end() - i > MAX_DIGITS:
-                raise ExprSyntaxError(
-                    f"number too long: {m.end() - i} digits, budget {MAX_DIGITS}", i)
-            if kind != "space":
-                value = m.group()
-                self.toks.append((value if kind == "punct" else kind, value, i))
-            i = m.end()
+            value = m[kind]
+            i = m.end() - len(value)
+            if kind == "punct":
+                append((value, value, i))
+            elif kind == "bad":
+                if value:
+                    raise ExprSyntaxError(f"unexpected character {value!r}", i)
+                return
+            else:
+                if kind == "num" and len(value) > MAX_DIGITS:
+                    raise ExprSyntaxError(
+                        f"number too long: {len(value)} digits, budget {MAX_DIGITS}", i)
+                append((kind, value, i))
 
     def peek(self):
-        return self.toks[self.k] if self.k < len(self.toks) else ("eof", "", len(self.text))
+        try:
+            return self.toks[self.k]
+        except IndexError:
+            return self.eof
 
     def next(self):
         tok = self.peek()
@@ -204,10 +219,11 @@ def _parse_powers(toks: _Tokens, ctx: ParseContext) -> NCPoly:
     applied to the innermost operand: the chain's exponents times the
     largest such product inside the primary.
     """
-    if toks.peek()[0] == "-":
+    kind, value, _ = toks.peek()
+    if kind == "-":
         toks.next()
         return -_parse_factor(toks, ctx)
-    base_name = toks.peek()[1] if toks.peek()[0] == "name" else None
+    base_name = value if kind == "name" else None
     out = _parse_primary(toks, ctx)
     while toks.peek()[0] == "^":
         _, _, pos = toks.next()
@@ -295,7 +311,9 @@ def _poly_pow(p: NCPoly, k: int, pos: int) -> NCPoly:
 def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
     kind, value, pos = toks.next()
     if kind == "num":
-        return _scalar_poly(ctx, coeff.integer(int(value)))
+        # specialize is the identity on constants
+        n = int(value)
+        return NCPoly(ctx.alphabet, {(): coeff.integer(n)} if n else {})
     if kind == "(":
         inner = _parse_sum(toks, ctx)
         toks.expect(")")
@@ -313,7 +331,7 @@ def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
             toks.expect(")")
             return inner.star(ctx.regime)
         if value in _SCALAR_ATOMS:
-            return _scalar_poly(ctx, _SCALAR_ATOMS[value])
+            return NCPoly(ctx.alphabet, {(): _REGIME_ATOMS[ctx.regime.label, value]})
         stem = value.rstrip("'")
         if stem in _INDEX_RANGE and toks.peek()[0] == "[":
             toks.next()
@@ -351,7 +369,7 @@ def _generator_index(toks: _Tokens, stem: str) -> int:
 
 def _generator(ctx: ParseContext, name: str, pos: int) -> NCPoly:
     try:
-        return NCPoly.word(ctx.alphabet, (name,))
+        return NCPoly(ctx.alphabet, {(ctx.alphabet.index(name),): ONE})
     except UnknownGeneratorError:
         raise UnknownSymbolError(
             f"unknown symbol {name!r} in this regime (at position {pos})") from None

@@ -47,6 +47,18 @@ multi-term denominator only comes from ``Scalar.__init__``, after its
 ``exact_divide(num, den)`` attempt failed; divisibility does not change
 under the monomial shift, the rescaling or a sign, so the general path's
 attempts would fail again and rebuild the same num/den.
+
+``_long_divide`` keeps one remainder dict and subtracts f * x^s * d from it
+term by term, with no intermediate ``LaurentPoly``.  The leading term of
+the remainder cancels exactly (f is chosen so), so it is removed without
+the arithmetic; every other term takes the same products, negations and
+sums that ``rem - d.shifted(s).scale(f)`` would run.  Deglex order is
+preserved by the shift, so the rest of f * x^s * d lies below the removed
+term and each step strictly lowers the remainder's leading term.  The
+leading terms, and so the quotient's terms and their order, are chosen as
+before; the quotient is unique anyway.  ``integer(n)``
+stores n over the shared constant 1 without a ``Fraction`` round trip, the
+num/den that ``Scalar.from_poly`` builds for it.
 """
 
 from __future__ import annotations
@@ -445,20 +457,35 @@ def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """
     mp = p.min_exps()
     md = d.min_exps()
-    p2 = p.shifted(tuple(-e for e in mp))
-    d2 = d.shifted(tuple(-e for e in md))
-    lead_m, lead_c = d2.leading()
-    lead_inv = lead_c.inverse()
-    rem = p2
+    rem = p.shifted(tuple(-e for e in mp)).terms
+    d2 = d.shifted(tuple(-e for e in md)).terms
+    lead_m = max(d2, key=_deglex_key)
+    la, lb, lc = lead_m
+    lead_inv = d2[lead_m].inverse()
+    tail = [(m, c) for m, c in d2.items() if m != lead_m]
     quot: dict[Mono, GaussianRational] = {}
-    while not rem.is_zero:
-        m, c = rem.leading()
-        s = (m[0] - lead_m[0], m[1] - lead_m[1], m[2] - lead_m[2])
-        if any(e < 0 for e in s):
+    while rem:
+        m = max(rem, key=_deglex_key)
+        sa, sb, sc = m[0] - la, m[1] - lb, m[2] - lc
+        if sa < 0 or sb < 0 or sc < 0:
             return None
-        f = c * lead_inv
-        quot[s] = f
-        rem = rem - d2.shifted(s).scale(f)
+        f = rem.pop(m) * lead_inv
+        quot[(sa, sb, sc)] = f
+        # rem -= f * x^s * d2: the leading terms cancel exactly (popped
+        # above); the others, all below m, take the products, negations
+        # and sums that rem - d2.shifted(s).scale(f) would compute
+        for (a, b, e), dc in tail:
+            k = (a + sa, b + sb, e + sc)
+            v = -(dc * f)
+            old = rem.get(k)
+            if old is None:
+                rem[k] = v
+            else:
+                v = old + v
+                if v.is_zero:
+                    del rem[k]
+                else:
+                    rem[k] = v
     # restore the monomial factor stripped from p and d
     delta = (mp[0] - md[0], mp[1] - md[1], mp[2] - md[2])
     out = LaurentPoly(quot)
@@ -829,7 +856,13 @@ T = Scalar.from_poly(LaurentPoly.monomial((0, 0, 2)))
 
 
 def integer(n: int) -> Scalar:
-    return Scalar.from_poly(LaurentPoly.const(GaussianRational.of(n)))
+    """The Scalar n, stored as Scalar.from_poly would store it."""
+    if not n:
+        return ZERO
+    out = object.__new__(Scalar)
+    out.num = LaurentPoly({_MONO_ONE: GaussianRational(n, 0)})
+    out.den = _POLY_ONE
+    return out
 
 
 def rat(n: int, d: int = 1) -> Scalar:

@@ -78,7 +78,7 @@ def _word_key(w: Word):
 
 
 class NCPoly:
-    """Finite map word -> Scalar over a fixed alphabet."""
+    """Finite map word -> nonzero Scalar over a fixed alphabet."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -128,22 +128,21 @@ class NCPoly:
         return self + (-other)
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                if s is None:
-                    if not c.is_zero():
-                        out[w] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[w]
-                    else:
-                        out[w] = s
-        return NCPoly(self.alphabet, out)
+        """The product; a one-term factor takes a one-pass path.
+
+        With one factor a single term, the words of the product are distinct
+        (a common prefix or suffix on distinct words), and a product of two
+        stored, hence nonzero, coefficients is nonzero: the general loop
+        would build exactly this dict, in this order.
+        """
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            (w1, c1), = a.items()
+            return NCPoly(self.alphabet, {w1 + w2: c1 * c2 for w2, c2 in b.items()})
+        if len(b) == 1:
+            (w2, c2), = b.items()
+            return NCPoly(self.alphabet, {w1 + w2: c1 * c2 for w1, c1 in a.items()})
+        return _mul_general(self, other)
 
     def scale(self, c: Scalar) -> "NCPoly":
         if c.is_zero():
@@ -190,6 +189,30 @@ class NCPoly:
         return "".join(parts)
 
 
+def _mul_general(a: NCPoly, b: NCPoly) -> NCPoly:
+    """a*b by the full double loop, merging and cancelling like terms.
+
+    ``NCPoly.__mul__`` uses it when both factors have two or more terms;
+    the tests use it as the reference for the one-term paths.
+    """
+    out: dict[Word, Scalar] = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = w1 + w2
+            c = c1 * c2
+            s = out.get(w)
+            if s is None:
+                if not c.is_zero():
+                    out[w] = c
+            else:
+                s = s + c
+                if s.is_zero():
+                    del out[w]
+                else:
+                    out[w] = s
+    return NCPoly(a.alphabet, out)
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     """Oriented quadratic rule lhs -> rhs with rhs strictly smaller."""
@@ -227,7 +250,9 @@ class RewriteSystem:
         for r in rules:
             if r.lhs in self.rules:
                 raise NotOrientableError(f"duplicate rule left side {r.lhs}")
-            self.rules[r.lhs] = r.rhs
+            # normal_form relies on right sides without zero coefficients
+            self.rules[r.lhs] = NCPoly(alphabet, {w: c for w, c in r.rhs.terms.items()
+                                                  if not c.is_zero()})
 
     # -- reduction ----------------------------------------------------------
 
@@ -245,14 +270,23 @@ class RewriteSystem:
 
         Termination is structural: each step replaces a word by strictly
         smaller words in degree-lex order.
+
+        A word rewritten at ``pos`` keeps its prefix ``w[:pos]``, in which
+        no left side occurs, so each new word is scanned from ``pos - 1``
+        (the first pair that may have changed) and the leftmost left side
+        is still the one found.  Words are pushed and popped in the same
+        order as by a scan from the start, so the coefficients are summed
+        in the same order.  Stored coefficients and rule right sides
+        (filtered in ``__init__``) are nonzero, so their products are
+        nonzero in the field and are pushed without a zero test.
         """
         out: dict[Word, Scalar] = {}
-        stack = [(w, c) for w, c in p.terms.items() if not c.is_zero()]
+        stack = [(w, c, 0) for w, c in p.terms.items() if not c.is_zero()]
         rules = self.rules
         while stack:
-            w, c = stack.pop()
+            w, c, start = stack.pop()
             pos = None
-            for i in range(len(w) - 1):
+            for i in range(start, len(w) - 1):
                 if (w[i], w[i + 1]) in rules:
                     pos = i
                     break
@@ -269,10 +303,9 @@ class RewriteSystem:
                 continue
             rhs = rules[(w[pos], w[pos + 1])]
             pre, post = w[:pos], w[pos + 2:]
+            start = pos - 1 if pos else 0
             for w2, c2 in rhs.terms.items():
-                c3 = c * c2
-                if not c3.is_zero():
-                    stack.append((pre + w2 + post, c3))
+                stack.append((pre + w2 + post, c * c2, start))
         return NCPoly(p.alphabet, out)
 
     # -- confluence ----------------------------------------------------------

@@ -8,7 +8,8 @@ from qmink.algebras import minkowski_system, table_relations, x_alphabet
 from qmink.cli import (ExprSyntaxError, NoncommutativeDivisionError,
                        ParseContext, UnknownSymbolError, main, nf_system,
                        parse_expr, run_suites)
-from qmink.coeff import ONE, Q, T, UNIT_CIRCLE
+from qmink.coeff import (ALL_REGIMES, ONE, Q, T, UNIT_CIRCLE, ZERO,
+                         GaussianRational, LaurentPoly, Scalar)
 from qmink.rewrite import NCPoly
 
 UC_ALPH = x_alphabet(UNIT_CIRCLE)
@@ -434,6 +435,52 @@ def test_nf_number_literal_budget(capsys):
     assert main(["nf", "--regime", "unit-circle", "--expr", "9" * 5000]) == 2
     assert capsys.readouterr().err.startswith("error: number too long: 5000 digits")
     assert main(["nf", "--regime", "unit-circle", "--expr", "9" * 1000]) == 0
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("", "unexpected token ''", 0),
+    ("   ", "unexpected token ''", 3),
+    ("alpha +  ", "unexpected token ''", 9),
+    ("alpha \u00b2", "unexpected character '\u00b2'", 6),
+    ("  " + "9" * 1001, "number too long: 1001 digits, budget 1000", 2),
+])
+def test_tokenizer_edge_errors(text, message, pos):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, CTX)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_tokenizer_trailing_whitespace():
+    from qmink.cli import _Tokens
+    toks = _Tokens("alpha  \t\n")
+    assert toks.toks == [("name", "alpha", 0)]
+    assert toks.next() == ("name", "alpha", 0)
+    assert toks.peek() == toks.next() == ("eof", "", 9)
+    assert parse_expr(" alpha*beta  ", CTX).equals(w("alpha", "beta"))
+
+
+def _stored(s: Scalar) -> tuple:
+    return ([(m, repr(c)) for m, c in s.num.terms.items()],
+            [(m, repr(c)) for m, c in s.den.terms.items()])
+
+
+def test_atoms_are_specialized_once_per_regime():
+    from qmink.cli import _SCALAR_ATOMS
+    for regime in ALL_REGIMES:
+        ctx = ParseContext(nf_system(regime)[0], regime)
+        for name, atom in _SCALAR_ATOMS.items():
+            got = parse_expr(name, ctx).terms[()]
+            assert _stored(got) == _stored(atom.specialize(regime))
+            assert parse_expr(name, ctx).terms[()] is got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 40))
+def test_literal_is_stored_as_from_poly(n):
+    got = parse_expr(str(n), CTX).terms.get((), ZERO)
+    want = Scalar.from_poly(LaurentPoly.const(GaussianRational.of(n)))
+    assert _stored(got) == _stored(want)
 
 
 def _reference_scan(text):

@@ -561,3 +561,56 @@ def test_product_by_one_returns_the_other_factor():
         assert a * ONE is a and ONE * a is a
         assert str(a * -ONE) == str(-a) and (-ONE * a).den is a.den
     assert str(_UNREDUCED * -ONE) == str(_ref_scalar_mul(_UNREDUCED, -ONE))
+
+
+# ---------------------------------------------------------------------------
+# in-place long division: the quotient of the LaurentPoly-building loop
+# ---------------------------------------------------------------------------
+
+def _ref_long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
+    """_long_divide as it was before the in-place remainder: each step
+    builds the shifted, scaled divisor and subtracts it."""
+    mp, md = p.min_exps(), d.min_exps()
+    d2 = d.shifted(tuple(-e for e in md))
+    lead_m, lead_c = d2.leading()
+    lead_inv = lead_c.inverse()
+    rem = p.shifted(tuple(-e for e in mp))
+    quot = {}
+    while not rem.is_zero:
+        m, c = rem.leading()
+        s = (m[0] - lead_m[0], m[1] - lead_m[1], m[2] - lead_m[2])
+        if any(e < 0 for e in s):
+            return None
+        f = c * lead_inv
+        quot[s] = f
+        rem = rem - d2.shifted(s).scale(f)
+    delta = (mp[0] - md[0], mp[1] - md[1], mp[2] - md[2])
+    out = LaurentPoly(quot)
+    return out.shifted(delta) if delta != (0, 0, 0) else out
+
+
+def _stored_terms(p: LaurentPoly | None):
+    return None if p is None else [(m, repr(c)) for m, c in p.terms.items()]
+
+
+frac_polys = st.dictionaries(wide_monos, nonunit_coeffs, min_size=1, max_size=4).map(_poly)
+
+
+@settings(max_examples=120, deadline=None)
+@given(frac_polys, frac_polys, st.one_of(st.none(), one_term))
+def test_in_place_long_division_matches_the_reference(a, d, perturb):
+    p = a * d if perturb is None else a * d + perturb
+    assume(not p.is_zero)
+    got, want = _long_divide(p, d), _ref_long_divide(p, d)
+    assert _stored_terms(got) == _stored_terms(want)
+    if perturb is None:
+        assert got == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30))
+def test_integer_is_stored_as_from_poly(n):
+    got = integer(n)
+    want = Scalar.from_poly(LaurentPoly.const(GaussianRational.of(n)))
+    assert _stored_terms(got.num) == _stored_terms(want.num)
+    assert _stored_terms(got.den) == _stored_terms(want.den)

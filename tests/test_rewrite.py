@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink.algebras import minkowski_system, x_alphabet
-from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q,
-                         T, UNIT_CIRCLE, ZERO, integer)
+from qmink.cli import nf_system
+from qmink.coeff import (ALL_REGIMES, CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q,
+                         QB, REAL_Q, T, UNIT_CIRCLE, ZERO, GaussianRational,
+                         LaurentPoly, Scalar, integer)
 from qmink.rewrite import (Alphabet, Generator, NCPoly, NotOrientableError,
                            RewriteRule, RewriteSystem, UnknownGeneratorError,
-                           orient)
+                           _mul_general, orient)
 from qmink.tensor import row_echelon, span_equal
 
 UC_ALPH = x_alphabet(UNIT_CIRCLE)
@@ -232,3 +234,86 @@ def test_normal_form_is_idempotent(p):
     assert UC.normal_form(nf).equals(nf)
     for word in nf.terms:
         assert not any(pair in UC.rules for pair in zip(word, word[1:]))
+
+
+# ---------------------------------------------------------------------------
+# fast paths: the same terms, in the same order, as the reference loops
+# ---------------------------------------------------------------------------
+
+_monos = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+_gauss = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+                   st.fractions(-3, 3, max_denominator=4))
+_laurent = st.dictionaries(_monos, _gauss, max_size=3).map(
+    lambda d: LaurentPoly({m: c for m, c in d.items() if not c.is_zero}))
+# multi-term denominators included, as in the generic regime
+_scalars = st.builds(Scalar, _laurent, _laurent.filter(lambda p: not p.is_zero)
+                     ).filter(lambda s: not s.is_zero())
+
+
+def _stored(p: NCPoly) -> list:
+    """Words and stored num/den terms, in storage order, part types included."""
+    return [(w, [(m, repr(c)) for m, c in s.num.terms.items()],
+             [(m, repr(c)) for m, c in s.den.terms.items()])
+            for w, s in p.terms.items()]
+
+
+def _ncpolys(alph, max_len, min_size=0, max_size=4):
+    words = st.lists(st.integers(0, len(alph) - 1), max_size=max_len).map(tuple)
+    return st.dictionaries(words, _scalars, min_size=min_size, max_size=max_size
+                           ).map(lambda terms: NCPoly(alph, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ncpolys(UC_ALPH, 3, 1, 1), _ncpolys(UC_ALPH, 3))
+def test_one_term_products_match_the_general_loop(t, p):
+    assert _stored(t * p) == _stored(_mul_general(t, p))
+    assert _stored(p * t) == _stored(_mul_general(p, t))
+
+
+def _full_scan_normal_form(system: RewriteSystem, p: NCPoly) -> NCPoly:
+    """normal_form as it was before the resumed scan: every popped word is
+    scanned from its start, and zero products are tested for."""
+    out = {}
+    stack = [(w, c) for w, c in p.terms.items() if not c.is_zero()]
+    rules = system.rules
+    while stack:
+        w, c = stack.pop()
+        pos = next((i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rules), None)
+        if pos is None:
+            s = out.get(w)
+            if s is None:
+                out[w] = c
+            else:
+                s = s + c
+                if s.is_zero():
+                    del out[w]
+                else:
+                    out[w] = s
+            continue
+        for w2, c2 in rules[(w[pos], w[pos + 1])].terms.items():
+            c3 = c * c2
+            if not c3.is_zero():
+                stack.append((w[:pos] + w2 + w[pos + 2:], c3))
+    return NCPoly(p.alphabet, out)
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_resumed_scan_matches_the_full_scan(regime, data):
+    alph, system = nf_system(regime)
+    p = data.draw(_ncpolys(alph, 5, max_size=3))
+    got, want = system.normal_form(p), _full_scan_normal_form(system, p)
+    assert _stored(got) == _stored(want)
+    assert str(got) == str(want)
+
+
+def test_rule_right_sides_hold_no_zero_coefficients():
+    alph = UC_ALPH
+    a, b, c = (alph.index(n) for n in ("alpha", "beta", "gamma"))
+    rule = RewriteRule((b, a), NCPoly(alph, {(a, b): Q, (c,): ZERO}))
+    system = RewriteSystem(alph, [rule], UNIT_CIRCLE)
+    assert list(system.rules[(b, a)].terms) == [(a, b)]
+    for regime in ALL_REGIMES:
+        for rhs in nf_system(regime)[1].rules.values():
+            assert not any(v.is_zero() for v in rhs.terms.values())
