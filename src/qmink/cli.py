@@ -69,7 +69,17 @@ class ParseContext:
 # MAX_DEPTH bounds the nesting of factors (parentheses, brackets, star(),
 # unary minus), which the parser follows by recursion.  MAX_DIGITS keeps a
 # number literal inside what int() converts (4300 digits by default).
+#
+# MAX_SCALAR_TERMS bounds the Laurent terms a scalar coefficient could
+# reach, counted apart for numerators and denominators from the largest
+# counts among the operands' coefficients (``_scalar_size``): a product
+# multiplies them, a sum adds n1*d2 + n2*d1 over d1*d2, and p^k with n
+# terms has at most C(n+k-1, k).  Both the cost of a product and the size
+# of its result grow with these counts, which no other budget sees:
+# (q+qb+t+1)^32*(q+qb+t+2)^32 has one term and one word, yet its scalar
+# product takes 6545^2 term products.
 MAX_TERMS = 1024
+MAX_SCALAR_TERMS = 16_384
 MAX_WORD_LENGTH = 12
 MAX_EXPONENT = 64
 MAX_DEPTH = 64
@@ -80,12 +90,17 @@ MAX_DIGITS = 1000
 MAX_SAMPLES = 10_000
 
 _SCALAR_ATOMS = {"q": coeff.Q, "qb": coeff.QB, "t": coeff.T, "i": coeff.I}
+_HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
 # (regime label, atom name) -> the atom specialized to the regime; Scalars
-# are immutable, so one instance serves every query
+# are immutable, so one instance serves every query.  A half power
+# q^(k/2) is taken of the specialized q^(1/2): a monomial Scalar has one
+# stored form, so that is what specializing the power would store.
 _REGIME_ATOMS = {(regime.label, name): atom.specialize(regime)
                  for regime in coeff.ALL_REGIMES
                  for name, atom in _SCALAR_ATOMS.items()}
-_HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
+_REGIME_HALF_ATOMS = {(regime.label, name): atom.specialize(regime)
+                      for regime in coeff.ALL_REGIMES
+                      for name, atom in _HALF_ATOMS.items()}
 
 
 # One token after optional ASCII whitespace (the ASCII characters that
@@ -150,10 +165,6 @@ class _Tokens:
         return tok
 
 
-def _scalar_poly(ctx: ParseContext, s: Scalar) -> NCPoly:
-    return NCPoly.scalar(ctx.alphabet, s.specialize(ctx.regime))
-
-
 def _as_scalar(p: NCPoly, pos: int) -> Scalar:
     if any(w for w in p.terms):
         raise NoncommutativeDivisionError(
@@ -180,8 +191,9 @@ def _parse_sum(toks: _Tokens, ctx: ParseContext) -> NCPoly:
     if negate:
         out = -out
     while toks.peek()[0] in "+-":
-        op = toks.next()[0]
+        op, _, pos = toks.next()
         rhs = _parse_term(toks, ctx)
+        _check_sum(out, rhs, pos)
         out = out + rhs if op == "+" else out - rhs
     return out
 
@@ -194,7 +206,10 @@ def _parse_term(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         if op == "*":
             out = _product(out, rhs, pos)
         else:
-            out = out.scale(_as_scalar(rhs, pos).inverse())
+            inv = _as_scalar(rhs, pos).inverse()
+            n, d = _scalar_size(out)
+            _check_scalar_terms(n * len(inv.num.terms), d * len(inv.den.terms), pos)
+            out = out.scale(inv)
     return out
 
 
@@ -239,7 +254,8 @@ def _parse_powers(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         if kind_e == "half":
             if base_name not in _HALF_ATOMS:
                 raise ExprSyntaxError("half powers only apply to q, qb, t", pos)
-            out = _scalar_poly(ctx, _HALF_ATOMS[base_name] ** val)
+            out = NCPoly.scalar(
+                ctx.alphabet, _REGIME_HALF_ATOMS[ctx.regime.label, base_name] ** val)
         else:
             out = _poly_pow(out, val, pos)
         base_name = None
@@ -292,16 +308,54 @@ def _check_budget(terms: int, length: int, pos: int) -> None:
             f"budget {MAX_WORD_LENGTH}", pos)
 
 
+def _scalar_size(p: NCPoly) -> tuple[int, int]:
+    """The most Laurent terms of a numerator, and of a denominator, among
+    p's coefficients (1 and 1 for the zero polynomial)."""
+    n = d = 1
+    for c in p.terms.values():
+        k = len(c.num.terms)
+        if k > n:
+            n = k
+        k = len(c.den.terms)
+        if k > d:
+            d = k
+    return n, d
+
+
+def _check_scalar_terms(num: int, den: int, pos: int) -> None:
+    if num > MAX_SCALAR_TERMS or den > MAX_SCALAR_TERMS:
+        raise ExprSyntaxError(
+            f"expression too large: coefficients of up to {max(num, den)} "
+            f"Laurent terms, budget {MAX_SCALAR_TERMS}", pos)
+
+
+def _check_sum(a: NCPoly, b: NCPoly, pos: int) -> None:
+    """Refuse a + b when a coefficient of it could exceed the scalar budget."""
+    na, da = _scalar_size(a)
+    nb, db = _scalar_size(b)
+    _check_scalar_terms(na * db + nb * da, da * db, pos)
+
+
 def _product(a: NCPoly, b: NCPoly, pos: int) -> NCPoly:
-    """a * b, refused when it could have more terms than the budget."""
+    """a * b, refused when its term count or a coefficient could exceed
+    the budgets."""
     _check_budget(len(a.terms) * len(b.terms), 0, pos)
+    na, da = _scalar_size(a)
+    nb, db = _scalar_size(b)
+    _check_scalar_terms(na * nb, da * db, pos)
     return a * b
 
 
 def _poly_pow(p: NCPoly, k: int, pos: int) -> NCPoly:
     if k < 0:
-        return NCPoly.scalar(p.alphabet, _as_scalar(p, pos).inverse() ** (-k))
+        s = _as_scalar(p, pos)
+        k = -k
+        _check_scalar_terms(math.comb(len(s.den.terms) + k - 1, k),
+                            math.comb(len(s.num.terms) + k - 1, k), pos)
+        return NCPoly.scalar(p.alphabet, s.inverse() ** k)
     _check_budget(len(p.terms) ** k, _word_length(p) * k, pos)
+    n, d = _scalar_size(p)
+    _check_scalar_terms(math.comb(n + k - 1, k), math.comb(d + k - 1, k), pos)
     out = NCPoly.scalar(p.alphabet, ONE)
     for _ in range(k):
         out = out * p
@@ -323,7 +377,9 @@ def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         toks.expect(",")
         right = _parse_sum(toks, ctx)
         toks.expect("]")
-        return _product(left, right, pos) - _product(right, left, pos)
+        ab, ba = _product(left, right, pos), _product(right, left, pos)
+        _check_sum(ab, ba, pos)
+        return ab - ba
     if kind == "name":
         if value == "star":
             toks.expect("(")

@@ -13,12 +13,15 @@ factor and makes the denominator monic.  That keeps representations small
 without a multivariate gcd engine, and zero testing stays exact because
 the numerator of a zero value is the zero polynomial.
 
-Gaussian coefficients keep each integral real or imaginary part as a
-plain ``int`` and fall back to ``fractions.Fraction`` only for a part
-that is truly fractional, so the common all-integer case never pays for
-``Fraction`` arithmetic.  Results are normalised back to ``int`` whenever
-their denominator is 1; the stored type is never visible in equality,
-hashing or printing.
+A Gaussian coefficient (a + b*i)/d is stored as the three ints a, b, d,
+with d >= 1, gcd(a, b, d) = 1 and zero as (0, 0, 1): one triple per
+value.  Its arithmetic is int arithmetic and ``math.gcd``, and a result
+whose d is 1 skips the gcd, so neither the all-integer case nor the
+rationals of the nf queries ((1/2), (q - 1/q), a monic rescaling) pay
+for ``fractions.Fraction``.  ``Fraction`` is only taken by the
+constructor and given out by the ``re``/``im`` views, which return an
+``int`` for an integral part and a reduced ``Fraction`` otherwise;
+hashing and printing go through them.
 
 Most products in a run have a one-term factor, and most scalars a one-term
 (monic monomial) denominator, so three shapes take a fast path:
@@ -39,10 +42,13 @@ coefficient is ever stored, and a constructed ``Scalar`` has a monic
 denominator.
 
 Before either path, ``Scalar * Scalar`` with a factor that is exactly +1
-or -1 (numerator the one constant term +-1, denominator 1) returns the
-other factor, or its negation.  That is the num/den the product would
-build anyway.  A one-term denominator is already stripped of the common
-monomial, so ``_over_monomials`` would keep num and den as they are.  A
+or -1 returns the other factor, or its negation: the numerator is the one
+constant term with triple (+-1, 0, 1) and the denominator the one
+constant term, which a monic denominator makes 1.  The test reads the
+triple in place, so a factor that is not +-1 costs a length test or two.
+That is the num/den the product would build anyway.  A one-term
+denominator is already stripped of the common monomial, so
+``_over_monomials`` would keep num and den as they are.  A
 multi-term denominator only comes from ``Scalar.__init__``, after its
 ``exact_divide(num, den)`` attempt failed; divisibility does not change
 under the monomial shift, the rescaling or a sign, so the general path's
@@ -65,6 +71,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from math import gcd, lcm
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -92,38 +99,64 @@ class MissingParameterError(ValueError):
 # Gaussian rationals
 # --------------------------------------------------------------------------
 
-def _part(x: Fraction):
-    """A Fraction part in stored form: its int value when integral."""
+def _part(n: int, d: int):
+    """The part n/d: an int when integral, else a reduced Fraction."""
+    if d == 1:
+        return n
+    x = Fraction(n, d)
     return x.numerator if x.denominator == 1 else x
 
 
 class GaussianRational:
-    """Exact complex rational re + im*i.
+    """Exact complex rational (a + b*i)/d, stored as three ints.
 
-    Each part is stored as an ``int`` when it is integral and as a reduced
-    ``Fraction`` only when it is not; the constructor normalises, so a
-    ``Fraction`` with denominator 1 never survives.  Almost every product
-    in the engine has integral parts, and for those ``+``, ``-`` and ``*``
-    run on plain ``int`` arithmetic without touching ``Fraction``; the
-    constructor's ``type(...) is int`` test is the whole fast path.
-    Equality, hashing and printing do not depend on the stored type,
-    because ``3 == Fraction(3)`` and both hash and print alike.
+    Invariants: d >= 1, gcd(a, b, d) = 1, and zero is (0, 0, 1).  So a
+    value has exactly one stored triple, and ``==`` compares triples.  The
+    arithmetic uses int operations and ``math.gcd`` only; a result whose d
+    is 1 (every product and sum of integral coefficients) skips the gcd.
+    Every d built is a product of positive ints (d1*d2, a^2 + b^2, the lcm
+    of two Fraction denominators), so no sign is ever moved out of it.
+
+    ``re`` and ``im`` are read-only views: an ``int`` when the part is
+    integral, else a reduced ``Fraction``.  ``str``, ``repr`` and ``hash``
+    go through them, so they print and hash as the parts' values do.
+    ``to_complex`` divides a and b by d: int true division is correctly
+    rounded, so each float is that of the reduced part.  The constructor
+    takes int or Fraction parts.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: int | Fraction, im: int | Fraction):
-        self.re = re if type(re) is int else _part(re)
-        self.im = im if type(im) is int else _part(im)
+        if type(re) is int and type(im) is int:
+            self.a = re
+            self.b = im
+            self.d = 1
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        rd, imd = re.denominator, im.denominator
+        d = lcm(rd, imd)
+        self.a = re.numerator * (d // rd)
+        self.b = im.numerator * (d // imd)
+        self.d = d
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
+    @property
+    def re(self) -> int | Fraction:
+        return _part(self.a, self.d)
+
+    @property
+    def im(self) -> int | Fraction:
+        return _part(self.b, self.d)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not GaussianRational:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
@@ -132,28 +165,51 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d != e:
+            return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
+        if d != 1:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        out = _new(GaussianRational)
+        out.a = self.a + other.a
+        out.b = self.b + other.b
+        out.d = 1
+        return out
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        out = _new(GaussianRational)
+        out.a = -self.a
+        out.b = -self.b
+        out.d = self.d
+        return out
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if d != 1:
+            return _reduced(a * c - b * e, a * e + b * c, d)
+        out = _new(GaussianRational)
+        out.a = a * c - b * e
+        out.b = a * e + b * c
+        out.d = 1
+        return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        out = _new(GaussianRational)
+        out.a = self.a
+        out.b = -self.b
+        out.d = self.d
+        return out
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 1:
-            return GaussianRational(self.re, -self.im)  # a unit: 1/z = conj(z)
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(Fraction(self.re) / n, Fraction(-self.im) / n)
+        return _reduced(d * a, -d * b, n)  # d/(a + b*i) = d*(a - b*i)/n
 
     def power(self, k: int) -> "GaussianRational":
         base = self if k >= 0 else self.inverse()
@@ -164,27 +220,46 @@ class GaussianRational:
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             ims = "i"
-        elif self.im == -1:
+        elif im == -1:
             ims = "-i"
         else:
-            ims = f"{self.im}*i"
-        if not self.re:
+            ims = f"{im}*i"
+        if not re:
             return ims
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if im > 0 else "-"
         mag = ims.lstrip("-")
-        return f"{self.re} {sign} {mag}"
+        return f"{re} {sign} {mag}"
+
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d >= 1, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = _new(GaussianRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
 
 
 GR_ZERO = GaussianRational.of(0)
@@ -272,7 +347,7 @@ class LaurentPoly:
         stored).  The terms come out in self's order, as in the loop.
         """
         (m0, c0), = term.items()
-        if c0.re == 1 and c0.im == 0:
+        if c0.a == 1 and not c0.b and c0.d == 1:
             return self if m0 == _MONO_ONE else self.shifted(m0)
         a, b, e = m0
         return LaurentPoly({(m[0] + a, m[1] + b, m[2] + e): c * c0
@@ -392,10 +467,10 @@ def _mono_str(m: Mono) -> str:
 
 
 def _coeff_mono_str(c: GaussianRational, ms: str, first: bool) -> str:
-    neg = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
+    neg = (not c.b and c.a < 0) or (not c.a and c.b < 0)  # d > 0
     mag = -c if neg else c
     if ms:
-        if mag.re == 1 and mag.im == 0:
+        if mag.a == 1 and not mag.b and mag.d == 1:
             body = ms
         else:
             cs = str(mag)
@@ -591,7 +666,7 @@ class Scalar:
             den = den.shifted(shift)
         # make the denominator monic
         _, lc = den.leading()
-        if not (lc.re == 1 and lc.im == 0):
+        if lc.a != 1 or lc.b or lc.d != 1:
             inv = lc.inverse()
             num = num.scale(inv)
             den = den.scale(inv)
@@ -664,14 +739,19 @@ class Scalar:
             return ZERO
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        # a factor of exactly +-1 gives the other factor or its negation,
-        # the num/den either path below would build (module docstring)
-        sign = _unit_sign(n2, d2)
-        if sign:
-            return self if sign > 0 else -self
-        sign = _unit_sign(n1, d1)
-        if sign:
-            return other if sign > 0 else -other
+        # a factor of exactly +-1 (the one constant term (+-1 + 0i)/1 over
+        # the denominator 1) gives the other factor or its negation, the
+        # num/den either path below would build (module docstring)
+        t = n2.terms
+        if len(t) == 1 and _MONO_ONE in t and len(d2.terms) == 1 and _MONO_ONE in d2.terms:
+            c = t[_MONO_ONE]
+            if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
+                return self if c.a == 1 else -self
+        t = n1.terms
+        if len(t) == 1 and _MONO_ONE in t and len(d1.terms) == 1 and _MONO_ONE in d1.terms:
+            c = t[_MONO_ONE]
+            if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
+                return other if c.a == 1 else -other
         if len(d1.terms) == 1 and len(d2.terms) == 1:
             return _over_monomials(n1 * n2, d1, d2)
         # cross-cancel before multiplying to slow denominator growth
@@ -800,19 +880,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def _unit_sign(num: LaurentPoly, den: LaurentPoly) -> int:
-    """1 or -1 when num/den is exactly that constant, else 0.
-
-    A stored denominator is monic, so a one-term denominator at the zero
-    monomial is 1.
-    """
-    if len(num.terms) == 1 and len(den.terms) == 1 and _MONO_ONE in den.terms:
-        c = num.terms.get(_MONO_ONE)
-        if c is not None and c.im == 0 and (c.re == 1 or c.re == -1):
-            return c.re
-    return 0
 
 
 def _over_monomials(num: LaurentPoly, d1: LaurentPoly, d2: LaurentPoly) -> Scalar:

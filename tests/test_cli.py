@@ -54,6 +54,17 @@ def test_parse_half_powers_and_negative_exponents():
     assert parse_expr("alpha^2", CTX).equals(w("alpha", "alpha"))
 
 
+def test_half_powers_of_the_specialized_atoms_store_what_specializing_would():
+    from qmink.cli import _HALF_ATOMS, _REGIME_HALF_ATOMS
+    for regime in ALL_REGIMES:
+        for name, atom in _HALF_ATOMS.items():
+            base = _REGIME_HALF_ATOMS[regime.label, name]
+            for k in range(-64, 65):
+                got, want = base ** k, (atom ** k).specialize(regime)
+                assert list(got.num.terms.items()) == list(want.num.terms.items())
+                assert list(got.den.terms.items()) == list(want.den.terms.items())
+
+
 def test_parse_bracketed_generators():
     assert parse_expr("x[1,1]", CTX).equals(w("alpha"))
     assert parse_expr("x[2,2]", CTX).equals(w("delta"))
@@ -376,6 +387,41 @@ def test_nf_input_budget_leaves_room_for_ordinary_queries():
     parse_expr("(q*alpha*beta + t*gamma)^2*(i*alpha - delta*u[1,2])*h[0,3]^2", ctx)
     with pytest.raises(ExprSyntaxError, match="too large"):
         parse_expr("(alpha+beta+gamma+delta)^6", ctx)
+
+
+@pytest.mark.parametrize("expr", [
+    # one term and one word each, but 6545^2 and 47905^2 term products
+    "(q+qb+t+1)^32*(q+qb+t+2)^32",
+    "(q+qb+t+1)^64*(q+qb+t+2)^64",
+    # the same blow-up through a sum, a quotient, a negative power, a bracket
+    "1/(q+qb+t+1)^32 + 1/(q+qb+t+2)^32",
+    "1/(q+qb+t+1)^20/(q+qb+t+2)^20",
+    "(q+qb+t+1)^-45",
+    "[alpha/(q+qb+t+1)^20, beta/(q+qb+t+2)^20]",
+])
+def test_nf_scalar_term_budget_refuses_coefficient_blowup(capsys, expr):
+    # the powers within the budget take about a second; the refused
+    # product or sum of the first one alone took 100 s
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", "generic", "--expr", expr]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression too large") and "Traceback" not in err
+
+
+def test_nf_scalar_term_budget_edge():
+    from qmink.cli import MAX_SCALAR_TERMS
+    alph, _ = nf_system(ALL_REGIMES[0])
+    ctx = ParseContext(alph, ALL_REGIMES[0])
+    # C(13,3) * C(8,3) = 286 * 56 = 16016 and 286 * 84 = 24024 term products
+    assert 286 * 56 <= MAX_SCALAR_TERMS < 286 * 84
+    p = parse_expr("(q+qb+t+1)^10*(q+qb+t+2)^5", ctx)
+    assert len(p.terms[()].num.terms) == 816  # C(18,3): degree <= 15 in q, qb, t
+    with pytest.raises(ExprSyntaxError, match="too large"):
+        parse_expr("(q+qb+t+1)^10*(q+qb+t+2)^6", ctx)
+    # C(n+k-1, k) overcounts one atom's powers, and still admits these
+    for expr in ("((q+1)^8)^8", "(q+1)^64", "q^64*q^64", "(q-1/q)^64"):
+        parse_expr(expr, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -226,70 +227,151 @@ def test_exact_divide_reverses_multiplication(p, d):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian coefficient storage: int when integral, Fraction otherwise
+# Gaussian coefficients: the (a + b*i)/d triple agrees with the Fraction-pair
+# storage it replaced, kept here as the reference
 # ---------------------------------------------------------------------------
 
-# mixed integral and fractional parts, integral ones also given as Fraction
+def _part(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
+
+
+class _FractionPair:
+    """The earlier GaussianRational: re and im as int, or Fraction when not
+    integral, with Fraction arithmetic.  Its printing, hashing and floats
+    are what the triple storage must reproduce."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re if type(re) is int else _part(Fraction(re))
+        self.im = im if type(im) is int else _part(Fraction(im))
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __add__(self, other):
+        return _FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _FractionPair(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return _FractionPair(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _FractionPair(a * c - b * d, a * d + b * c)
+
+    def conj(self):
+        return _FractionPair(self.re, -self.im)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 1:
+            return _FractionPair(self.re, -self.im)
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return _FractionPair(Fraction(self.re) / n, Fraction(-self.im) / n)
+
+    def power(self, k):
+        base = self if k >= 0 else self.inverse()
+        out = _FractionPair(1, 0)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    @property
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def to_complex(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        if not self.im:
+            return str(self.re)
+        if self.im == 1:
+            ims = "i"
+        elif self.im == -1:
+            ims = "-i"
+        else:
+            ims = f"{self.im}*i"
+        if not self.re:
+            return ims
+        sign = "+" if self.im > 0 else "-"
+        mag = ims.lstrip("-")
+        return f"{self.re} {sign} {mag}"
+
+
+# integral and fractional parts, integral ones also given as Fraction, small
+# and large, so that sums and products reduce by every kind of gcd
 parts = st.one_of(st.integers(-40, 40),
                   st.integers(-40, 40).map(Fraction),
-                  st.fractions(min_value=-20, max_value=20, max_denominator=12))
-
-
-def _ref_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _ref_inverse(x):
-    n = x[0] * x[0] + x[1] * x[1]
-    return (Fraction(x[0]) / n, Fraction(-x[1]) / n)
+                  st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                  st.integers(-10 ** 30, 10 ** 30),
+                  st.fractions(max_denominator=10 ** 9).filter(lambda x: abs(x) < 10 ** 30))
 
 
 def _assert_stored(g, ref):
-    """g equals the Fraction pair ref exactly, stored in normal form."""
-    for part, want in ((g.re, Fraction(ref[0])), (g.im, Fraction(ref[1]))):
-        assert part == want
-        if want.denominator == 1:
-            assert type(part) is int, (part, want)
-        else:
-            assert type(part) is Fraction, (part, want)
+    """g holds the reference value ref in normal form, and every view of it
+    (parts and their types, str, repr, hash, floats) is the reference's."""
+    assert type(g) is GaussianRational
+    assert g.d >= 1 and math.gcd(g.a, g.b, g.d) == 1
+    assert (g.a, g.b, g.d) != (0, 0, 1) or (ref.re == 0 and ref.im == 0)
+    for part, want in ((g.re, ref.re), (g.im, ref.im)):
+        assert part == want and type(part) is type(want), (part, want)
+    assert str(g) == str(ref) and repr(g) == repr(ref) and hash(g) == hash(ref)
+    assert g.is_zero == ref.is_zero
+    got, want = g.to_complex(), ref.to_complex()
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(parts, parts, parts, parts, st.integers(-3, 3))
 def test_gaussian_storage_matches_fraction_reference(a, b, c, d, k):
     x, y = GaussianRational(a, b), GaussianRational(c, d)
-    xr, yr = (Fraction(a), Fraction(b)), (Fraction(c), Fraction(d))
+    xr, yr = _FractionPair(a, b), _FractionPair(c, d)
     _assert_stored(x, xr)
-    _assert_stored(x + y, (xr[0] + yr[0], xr[1] + yr[1]))
-    _assert_stored(x - y, (xr[0] - yr[0], xr[1] - yr[1]))
-    _assert_stored(-x, (-xr[0], -xr[1]))
-    _assert_stored(x * y, _ref_mul(xr, yr))
-    _assert_stored(x.conj(), (xr[0], -xr[1]))
+    _assert_stored(x + y, xr + yr)
+    _assert_stored(x - y, xr - yr)
+    _assert_stored(-x, -xr)
+    _assert_stored(x * y, xr * yr)
+    _assert_stored(x.conj(), xr.conj())
     assert x == GaussianRational.of(Fraction(a), Fraction(b))
-    assert hash(x) == hash((xr[0], xr[1]))
+    assert (x == y) == (xr == yr) and (x + y == y + x)
+    assert (x - x).is_zero and (x - x) == GaussianRational(0, 0)
     if x.is_zero:
         with pytest.raises(ZeroDivisionError):
             x.inverse()
         return
-    _assert_stored(x.inverse(), _ref_inverse(xr))
-    want = (Fraction(1), Fraction(0))
-    base = xr if k >= 0 else _ref_inverse(xr)
-    for _ in range(abs(k)):
-        want = _ref_mul(want, base)
-    _assert_stored(x.power(k), want)
+    _assert_stored(x.inverse(), xr.inverse())
+    assert x * x.inverse() == GaussianRational(1, 0)
+    _assert_stored(x.power(k), xr.power(k))
 
 
 def test_gaussian_printing_ignores_storage():
     assert str(GaussianRational(Fraction(4, 2), Fraction(-1))) == "2 - i"
     assert str(GaussianRational.of(Fraction(1, 2), 3)) == "1/2 + 3*i"
     assert GaussianRational(Fraction(6, 3), 0) == GaussianRational(2, 0)
+    # (1 + 2i)/2: the real part's view reduces apart from the shared d
+    g = GaussianRational(Fraction(1, 2), 1)
+    assert (g.a, g.b, g.d) == (1, 2, 2) and g.im == 1 and type(g.im) is int
 
 
 def test_unit_inverse_is_the_conjugate():
     for re, im in ((1, 0), (-1, 0), (0, 1), (0, -1),
                    (Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13))):
         z = GaussianRational(re, im)
-        _assert_stored(z.inverse(), _ref_inverse((Fraction(re), Fraction(im))))
+        _assert_stored(z.inverse(), _FractionPair(re, im).inverse())
+        assert z.inverse() == z.conj()
         assert z * z.inverse() == GaussianRational(1, 0)
 
 
@@ -381,6 +463,22 @@ def test_one_term_product_examples():
     assert str(p * scaled) == "-3/2*q + 3/2*q^-1*t - 3/2*q^-1"
     _same_terms(p * scaled, _mul_general(p, scaled))
     assert ONE.num * p is p  # the unit monomial changes nothing
+
+
+def test_unit_tests_on_the_triple_read_d():
+    """(1 + 0i)/2 and (-1 + 0i)/3 are not +-1: the one-term product, the
+    monic test of ``Scalar.__init__`` and the +-1 test of ``Scalar.__mul__``
+    each look at d as well as a and b."""
+    p = (Q ** 2 - T + ONE).num
+    for c in (GaussianRational(Fraction(1, 2), 0), GaussianRational(Fraction(-1, 3), 0)):
+        term = LaurentPoly.monomial((1, 0, 0), c)
+        _same_terms(p * term, _mul_general(p, term))
+        s = Scalar(p, LaurentPoly.const(c))
+        _assert_clean(s)
+        assert s.den == ONE.num and s.num == p.scale(c.inverse())
+        k = Scalar.from_poly(LaurentPoly.const(c))
+        for got in (Q * k, k * Q):
+            assert got.num.terms == {(2, 0, 0): c} and got.den == ONE.num
 
 
 def _ref_scalar_mul(a: Scalar, b: Scalar) -> Scalar:
