@@ -6,7 +6,8 @@ Usage: python scripts/compare_reports.py A B
 A and B are two report files, or two directories of ``*.json`` reports
 (such as two outputs of ``scripts/run_all.py``), compared file by file.
 Prints each difference and exits 1 if there is any, 0 if there is none,
-and 2 if an argument cannot be read.
+and 2 if an argument cannot be read, if one argument is a directory and
+the other is not, or if a directory holds no report.
 """
 
 import json
@@ -55,11 +56,21 @@ def _load(path: Path):
 
 
 def compare_paths(a: Path, b: Path) -> list[str]:
-    """Differences between two report files or two report directories."""
-    if not (a.is_dir() and b.is_dir()):
+    """Differences between two report files or two report directories.
+
+    Raises ValueError, naming the argument, when only one of them is a
+    directory or when a directory holds no ``*.json`` report: there would
+    be nothing to compare.
+    """
+    if a.is_dir() != b.is_dir():
+        directory, other = (a, b) if a.is_dir() else (b, a)
+        raise ValueError(f"{other} is not a directory, but {directory} is")
+    if not a.is_dir():
         return diff_reports(_load(a), _load(b))
-    names_a = {p.name for p in a.glob("*.json")}
-    names_b = {p.name for p in b.glob("*.json")}
+    names_a, names_b = ({p.name for p in path.glob("*.json")} for path in (a, b))
+    for path, names in ((a, names_a), (b, names_b)):
+        if not names:
+            raise ValueError(f"{path} holds no *.json report")
     out = [f"{n}: only in A" for n in sorted(names_a - names_b)]
     out += [f"{n}: only in B" for n in sorted(names_b - names_a)]
     for name in sorted(names_a & names_b):

@@ -208,7 +208,8 @@ def _parse_term(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         else:
             inv = _as_scalar(rhs, pos).inverse()
             n, d = _scalar_size(out)
-            _check_scalar_terms(n * len(inv.num.terms), d * len(inv.den.terms), pos)
+            ni, di = inv.term_counts()
+            _check_scalar_terms(n * ni, d * di, pos)
             out = out.scale(inv)
     return out
 
@@ -313,12 +314,11 @@ def _scalar_size(p: NCPoly) -> tuple[int, int]:
     p's coefficients (1 and 1 for the zero polynomial)."""
     n = d = 1
     for c in p.terms.values():
-        k = len(c.num.terms)
-        if k > n:
-            n = k
-        k = len(c.den.terms)
-        if k > d:
-            d = k
+        kn, kd = c.term_counts()
+        if kn > n:
+            n = kn
+        if kd > d:
+            d = kd
     return n, d
 
 
@@ -346,16 +346,27 @@ def _product(a: NCPoly, b: NCPoly, pos: int) -> NCPoly:
     return a * b
 
 
+def _check_power_terms(c: Scalar, k: int, pos: int) -> None:
+    """Refuse c^k, k >= 1, when a coefficient of it could exceed the scalar
+    budget.  A part of f terms gives at most C(f+k-1, k) terms, and at most
+    the product over atoms of (k*span + 1): every term of its k-th power
+    has its exponents in k*[min, max]."""
+    n, d = (min(math.comb(f + k - 1, k), math.prod(k * e + 1 for e in spans))
+            for f, spans in zip(c.term_counts(), c.exp_spans()))
+    _check_scalar_terms(n, d, pos)
+
+
 def _poly_pow(p: NCPoly, k: int, pos: int) -> NCPoly:
     if k < 0:
-        s = _as_scalar(p, pos)
-        k = -k
-        _check_scalar_terms(math.comb(len(s.den.terms) + k - 1, k),
-                            math.comb(len(s.num.terms) + k - 1, k), pos)
-        return NCPoly.scalar(p.alphabet, s.inverse() ** k)
+        s = _as_scalar(p, pos).inverse()
+        _check_power_terms(s, -k, pos)
+        return NCPoly.scalar(p.alphabet, s ** -k)
     _check_budget(len(p.terms) ** k, _word_length(p) * k, pos)
-    n, d = _scalar_size(p)
-    _check_scalar_terms(math.comb(n + k - 1, k), math.comb(d + k - 1, k), pos)
+    if len(p.terms) == 1:  # one word and one coefficient c: the power is c^k
+        _check_power_terms(next(iter(p.terms.values())), k, pos)
+    else:
+        n, d = _scalar_size(p)
+        _check_scalar_terms(math.comb(n + k - 1, k), math.comb(d + k - 1, k), pos)
     out = NCPoly.scalar(p.alphabet, ONE)
     for _ in range(k):
         out = out * p

@@ -8,10 +8,10 @@ circle, qb := q for real q, and qb := q, t := q in the epsilon = +-1
 case).
 
 Fractions are never reduced to a canonical gcd form: equality is decided
-by cross multiplication, and construction only strips a common monomial
-factor and makes the denominator monic.  That keeps representations small
-without a multivariate gcd engine, and zero testing stays exact because
-the numerator of a zero value is the zero polynomial.
+by cross multiplication, and construction only tries one exact division,
+moves monomials out of the denominator and makes it monic.  That keeps
+representations small without a multivariate gcd engine, and zero testing
+stays exact because the numerator of a zero value is the zero polynomial.
 
 A Gaussian coefficient (a + b*i)/d is stored as the three ints a, b, d,
 with d >= 1, gcd(a, b, d) = 1 and zero as (0, 0, 1): one triple per
@@ -23,36 +23,38 @@ constructor and given out by the ``re``/``im`` views, which return an
 ``int`` for an integral part and a reduced ``Fraction`` otherwise;
 hashing and printing go through them.
 
-Most products in a run have a one-term factor, and most scalars a one-term
-(monic monomial) denominator, so three shapes take a fast path:
+A ``Scalar`` is stored in Laurent form n/d: ``n`` may hold negative
+exponents, and ``d`` is the shared ``_POLY_ONE`` when the denominator is a
+monomial (``n`` then holds its inverse), otherwise a monic polynomial with
+minimum exponent 0 in every atom.  No zero coefficient is ever stored.  A
+product of two scalars over ``_POLY_ONE`` is then ``n1 * n2`` and a sum
+``n1 + n2``, with no monomial to strip.  The other paths try their exact
+divisions on the stored pairs: divisibility does not change under a
+monomial shift, and ``_long_divide`` shifts both sides to minimum exponent
+0 first, so each quotient has the terms, in order, it has for the views.
 
-- ``LaurentPoly * LaurentPoly`` with a one-term side translates and scales
-  the other side in one pass (``_mul_general`` is the full loop);
-- ``Scalar * Scalar`` with one-term denominators on both sides, whose
-  product denominator is the monomial x^(m1+m2), only strips the common
-  monomial (``_over_monomials``), as the constructor would;
-- ``Scalar + Scalar`` with one-term denominators shifts the second
-  numerator by x^(m1-m2) over the first denominator, the quotient the
-  general path would find by ``exact_divide``.
+``num`` and ``den`` are read-only views, n*x^m and d*x^m with
+m_a = max(0, -min_a(n)): the pair with no common monomial and a monic
+denominator.  A shift keeps the term order, so printing, the operator
+digest and ``eval`` (which evaluates the views) see that pair.  The
+structure maps (``star``, ``specialize``, ``flip_half``,
+``subst_qbar_minus_q``) act on the stored pair: each maps a term c*x^e to
+chi(e)*c'*x^f(e) for a linear f and a multiplicative chi (the sign of a
+half atom's parity, a power of i).  The views are the stored pair times
+x^m, so the stored pair maps to the image of the views divided by
+chi(m)*x^f(m) in both parts, a factor that construction removes.
+``subst_half`` maps the views, whose exponents are not negative, so an
+atom set to 0 zeroes the terms that hold it instead of dividing by zero.
 
-Each builds the same monomial -> coefficient maps, in the same term order,
-as the general path, so the stored form, every printed value and every
-float evaluation are unchanged.  That rests on two invariants: no zero
-coefficient is ever stored, and a constructed ``Scalar`` has a monic
-denominator.
-
-Before either path, ``Scalar * Scalar`` with a factor that is exactly +1
-or -1 returns the other factor, or its negation: the numerator is the one
-constant term with triple (+-1, 0, 1) and the denominator the one
-constant term, which a monic denominator makes 1.  The test reads the
-triple in place, so a factor that is not +-1 costs a length test or two.
-That is the num/den the product would build anyway.  A one-term
-denominator is already stripped of the common monomial, so
-``_over_monomials`` would keep num and den as they are.  A
+``Scalar * Scalar`` with a factor that is exactly +1 or -1 returns the
+other factor, or its negation: the numerator is the one constant term
+with triple (+-1, 0, 1) over the denominator ``_POLY_ONE``.  The test
+reads the triple in place, so a factor that is not +-1 costs a length
+test or two.  That is the pair the product would build anyway: a
 multi-term denominator only comes from ``Scalar.__init__``, after its
 ``exact_divide(num, den)`` attempt failed; divisibility does not change
-under the monomial shift, the rescaling or a sign, so the general path's
-attempts would fail again and rebuild the same num/den.
+under the monomial shift, the rescaling or a sign, so the product's
+attempts would fail again and rebuild the same pair.
 
 ``_long_divide`` keeps one remainder dict and subtracts f * x^s * d from it
 term by term, with no intermediate ``LaurentPoly``.  The leading term of
@@ -638,16 +640,16 @@ def regime_from_label(label: str) -> Regime:
 # --------------------------------------------------------------------------
 
 class Scalar:
-    """Element of the rational-function field, stored as num/den, den monic."""
+    """Element of the rational-function field in Laurent form n/d, with
+    read-only views ``num``/``den`` (module docstring)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("n", "d")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.const(GR_ONE)
+            self.n, self.d = num, _POLY_ONE
             return
         # cheap cancellation: not a gcd, just an exact-division attempt,
         # which catches the common case of a denominator factor surviving
@@ -655,125 +657,136 @@ class Scalar:
         if len(den.terms) > 1:
             quot = exact_divide(num, den)
             if quot is not None:
-                num = quot
-                den = LaurentPoly.const(GR_ONE)
-        # strip the common monomial factor of the pair
-        na, nb, nc = num.min_exps()
-        da, db, dc = den.min_exps()
-        shift = (-min(na, da), -min(nb, db), -min(nc, dc))
-        if shift != _MONO_ONE:
+                num, den = quot, _POLY_ONE
+        # move the denominator's monomial into the numerator, make it monic
+        md = den.min_exps()
+        if md != _MONO_ONE:
+            shift = (-md[0], -md[1], -md[2])
             num = num.shifted(shift)
             den = den.shifted(shift)
-        # make the denominator monic
         _, lc = den.leading()
         if lc.a != 1 or lc.b or lc.d != 1:
             inv = lc.inverse()
             num = num.scale(inv)
             den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.n = num
+        self.d = den if len(den.terms) > 1 else _POLY_ONE
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "Scalar":
-        return Scalar(p, LaurentPoly.const(GR_ONE))
+        return _scalar(p, _POLY_ONE)
+
+    # -- the stored pair ---------------------------------------------------
+
+    def _views(self) -> tuple[LaurentPoly, LaurentPoly]:
+        """n*x^m and d*x^m with m_a = max(0, -min_a(n))."""
+        n, d = self.n, self.d
+        if not n.terms:
+            return n, d
+        a, b, c = n.min_exps()
+        if a >= 0 and b >= 0 and c >= 0:
+            return n, d
+        m = (-a if a < 0 else 0, -b if b < 0 else 0, -c if c < 0 else 0)
+        return n.shifted(m), d.shifted(m)
+
+    num = property(lambda self: self._views()[0])
+    den = property(lambda self: self._views()[1])
+
+    def term_counts(self) -> tuple[int, int]:
+        """Laurent terms of the numerator and of the denominator."""
+        return len(self.n.terms), len(self.d.terms)
+
+    def exp_spans(self) -> tuple[Mono, Mono]:
+        """Exponent spans per atom of a nonzero numerator and denominator."""
+        return _exp_spans(self.n.terms), _exp_spans(self.d.terms)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.n.terms
 
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self.n == self.d
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return (self.num * other.den) == (other.num * self.den)
+        if self.d is other.d or self.d == other.d:
+            return self.n == other.n
+        return (self.n * other.d) == (other.n * self.d)
 
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.num.is_zero:
+        n1, n2 = self.n, other.n
+        if not n1.terms:
             return other
-        if other.num.is_zero:
+        if not n2.terms:
             return self
-        d1, d2 = self.den, other.den
-        if len(d1.terms) == 1 and len(d2.terms) == 1:
-            # monic monomials: d2 divides d1 with quotient x^(m1-m2), so the
-            # general path below would keep d1 and shift other's numerator
-            (m1,), (m2,) = d1.terms, d2.terms
-            n2 = other.num
-            if m1 != m2:
-                n2 = n2.shifted((m1[0] - m2[0], m1[1] - m2[1], m1[2] - m2[2]))
-            num = self.num + n2
-            return _over_monomials(num, d1, _POLY_ONE) if num.terms else ZERO
-        if self.den is other.den or self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
+        d1, d2 = self.d, other.d
+        if d1 is d2 or d1 == d2:
+            if d1 is _POLY_ONE:  # a sum that cancels is stored as ZERO is
+                return _scalar(n1 + n2, _POLY_ONE)
+            return Scalar(n1 + n2, d1)
         # when one denominator divides the other, keep the larger one
-        quot = exact_divide(self.den, other.den)
+        quot = exact_divide(d1, d2)
         if quot is not None:
-            return Scalar(self.num + other.num * quot, self.den)
-        quot = exact_divide(other.den, self.den)
+            return Scalar(n1 + n2 * quot, d1)
+        quot = exact_divide(d2, d1)
         if quot is not None:
-            return Scalar(self.num * quot + other.num, other.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+            return Scalar(n1 * quot + n2, d2)
+        return Scalar(n1 * d2 + n2 * d1, d1 * d2)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        out = object.__new__(Scalar)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _scalar(-self.n, self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if self.num.is_zero or other.num.is_zero:
+        n1, n2 = self.n, other.n
+        if not n1.terms or not n2.terms:
             return ZERO
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        d1, d2 = self.d, other.d
         # a factor of exactly +-1 (the one constant term (+-1 + 0i)/1 over
-        # the denominator 1) gives the other factor or its negation, the
-        # num/den either path below would build (module docstring)
+        # the denominator 1) gives the other factor or its negation
         t = n2.terms
-        if len(t) == 1 and _MONO_ONE in t and len(d2.terms) == 1 and _MONO_ONE in d2.terms:
+        if d2 is _POLY_ONE and len(t) == 1 and _MONO_ONE in t:
             c = t[_MONO_ONE]
             if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
                 return self if c.a == 1 else -self
-        t = n1.terms
-        if len(t) == 1 and _MONO_ONE in t and len(d1.terms) == 1 and _MONO_ONE in d1.terms:
-            c = t[_MONO_ONE]
-            if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
-                return other if c.a == 1 else -other
-        if len(d1.terms) == 1 and len(d2.terms) == 1:
-            return _over_monomials(n1 * n2, d1, d2)
+        if d1 is _POLY_ONE:
+            t = n1.terms
+            if len(t) == 1 and _MONO_ONE in t:
+                c = t[_MONO_ONE]
+                if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
+                    return other if c.a == 1 else -other
+            if d2 is _POLY_ONE:
+                return _scalar(n1 * n2, _POLY_ONE)
         # cross-cancel before multiplying to slow denominator growth
-        if len(d2.terms) > 1:
+        if d2 is not _POLY_ONE:
             quot = exact_divide(n1, d2)
             if quot is not None:
                 n1, d2 = quot, _POLY_ONE
-        if len(d1.terms) > 1:
+        if d1 is not _POLY_ONE:
             quot = exact_divide(n2, d1)
             if quot is not None:
                 n2, d1 = quot, _POLY_ONE
         return Scalar(n1 * n2, d1 * d2)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if other.num.is_zero:
+        if not other.n.terms:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.num * other.den, self.den * other.num)
+        return Scalar(self.n * other.d, self.d * other.n)
 
     def inverse(self) -> "Scalar":
-        if self.num.is_zero:
+        if not self.n.terms:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.den, self.num)
+        return Scalar(self.d, self.n)
 
     def __pow__(self, k: int) -> "Scalar":
         if k == 0:
@@ -792,49 +805,36 @@ class Scalar:
         def fn(m, c):
             return (m[1], m[0], m[2]), c.conj()
 
-        out = object.__new__(Scalar)
-        out.num = self.num.map_monos(fn)
-        out.den = self.den.map_monos(fn)
+        num, den = self.n.map_monos(fn), self.d.map_monos(fn)
         if regime.kind is RegimeKind.GENERIC:
-            return Scalar(out.num, out.den)
-        return out.specialize(regime)
+            return Scalar(num, den)
+        return _map_pair(num, den, lambda m, c: (regime.subst_mono(m), c))
 
     def specialize(self, regime: Regime) -> "Scalar":
         if regime.kind is RegimeKind.GENERIC:
             return self
-
-        def fn(m, c):
-            return regime.subst_mono(m), c
-
-        return Scalar(self.num.map_monos(fn), self.den.map_monos(fn))
+        return _map_pair(self.n, self.d, lambda m, c: (regime.subst_mono(m), c))
 
     def flip_half(self, atom: int) -> "Scalar":
         """Field automorphism sending one half-power atom to its negative."""
-
-        def fn(m, c):
-            return m, (-c if m[atom] % 2 else c)
-
-        return Scalar(self.num.map_monos(fn), self.den.map_monos(fn))
+        return _map_pair(self.n, self.d, lambda m, c: (m, (-c if m[atom] % 2 else c)))
 
     def subst_qbar_minus_q(self) -> "Scalar":
         """Variable substitution qb := -q (via qb^(1/2) := i*q^(1/2))."""
-
-        def fn(m, c):
-            return (m[0] + m[1], 0, m[2]), c * GR_I.power(m[1])
-
-        return Scalar(self.num.map_monos(fn), self.den.map_monos(fn))
+        return _map_pair(self.n, self.d,
+                         lambda m, c: ((m[0] + m[1], 0, m[2]), c * GR_I.power(m[1])))
 
     def subst_half(self, qh: GaussianRational | None = None,
                    qbh: GaussianRational | None = None,
                    th: GaussianRational | None = None) -> "Scalar":
-        return Scalar(self.num.subst_half(qh, qbh, th),
-                      self.den.subst_half(qh, qbh, th))
+        num, den = self._views()
+        return Scalar(num.subst_half(qh, qbh, th), den.subst_half(qh, qbh, th))
 
     # -- numerics ----------------------------------------------------------
 
     def eval(self, q: complex, t: float, regime: Regime = GENERIC,
              qbar: complex | None = None) -> complex:
-        """Double precision value at a sample point.
+        """Double precision value at a sample point, from the views.
 
         One fixed branch per evaluation: the principal square roots of q,
         qbar and t give the three atoms.  qbar defaults to conj(q).
@@ -854,27 +854,29 @@ class Scalar:
         qh = cmath.sqrt(q)
         qbh = cmath.sqrt(qb)
         th = math.sqrt(t)
-        dv = self.den.eval(qh, qbh, th)
+        num, den = self._views()
+        dv = den.eval(qh, qbh, th)
         if dv == 0:
             raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.eval(qh, qbh, th) / dv
+        return num.eval(qh, qbh, th) / dv
 
     # -- divisibility ------------------------------------------------------
 
     def numerator_divisible_by(self, factor: "Scalar") -> bool:
         """True when factor's numerator divides this numerator exactly."""
-        return exact_divide(self.num, factor.num) is not None
+        return exact_divide(self.n, factor.n) is not None
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        ns = str(self.num)
-        if self.den == LaurentPoly.const(GR_ONE):
+        num, den = self._views()
+        ns = str(num)
+        if den == _POLY_ONE:
             return ns
-        ds = str(self.den)
-        if len(self.num.terms) > 1:
+        ds = str(den)
+        if len(num.terms) > 1:
             ns = f"({ns})"
-        if len(self.den.terms) > 1 or "*" in ds or "^" in ds:
+        if len(den.terms) > 1 or "*" in ds or "^" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -882,29 +884,16 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _over_monomials(num: LaurentPoly, d1: LaurentPoly, d2: LaurentPoly) -> Scalar:
-    """The normalised Scalar num/(d1*d2) for one-term denominators d1, d2.
-
-    A normalised one-term denominator is monic, so d1*d2 is the monomial
-    x^(m1+m2).  ``Scalar.__init__`` would try no exact division on it and
-    rescale nothing; it would only strip the common monomial of num and
-    den, which is all that is done here.  A denominator equal to d1 or d2
-    is shared, not rebuilt.
-    """
-    (m1,), (m2,) = d1.terms, d2.terms
-    na, nb, nc = num.min_exps()
-    da, db, dc = m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2]
-    sa, sb, sc = min(na, da), min(nb, db), min(nc, dc)
-    if sa or sb or sc:
-        num = num.shifted((-sa, -sb, -sc))
-        da -= sa
-        db -= sb
-        dc -= sc
-    m = (da, db, dc)
-    out = object.__new__(Scalar)
-    out.num = num
-    out.den = d1 if m == m1 else d2 if m == m2 else LaurentPoly({m: GR_ONE})
+def _scalar(n: LaurentPoly, d: LaurentPoly) -> Scalar:
+    """The Scalar with stored pair n, d, which must already be normalised."""
+    out = _new(Scalar)
+    out.n = n
+    out.d = d
     return out
+
+
+def _map_pair(num: LaurentPoly, den: LaurentPoly, fn) -> Scalar:
+    return Scalar(num.map_monos(fn), den.map_monos(fn))
 
 
 # --------------------------------------------------------------------------
@@ -926,10 +915,7 @@ def integer(n: int) -> Scalar:
     """The Scalar n, stored as Scalar.from_poly would store it."""
     if not n:
         return ZERO
-    out = object.__new__(Scalar)
-    out.num = LaurentPoly({_MONO_ONE: GaussianRational(n, 0)})
-    out.den = _POLY_ONE
-    return out
+    return _scalar(LaurentPoly({_MONO_ONE: GaussianRational(n, 0)}), _POLY_ONE)
 
 
 def rat(n: int, d: int = 1) -> Scalar:

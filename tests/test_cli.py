@@ -393,6 +393,10 @@ def test_nf_input_budget_leaves_room_for_ordinary_queries():
     # one term and one word each, but 6545^2 and 47905^2 term products
     "(q+qb+t+1)^32*(q+qb+t+2)^32",
     "(q+qb+t+1)^64*(q+qb+t+2)^64",
+    # one coefficient raised to a power: C(67, 64) = 47905 terms, and the
+    # nested form's C(172, 8) and 129^3 (spans 16 in q, qb, t) both exceed it
+    "(q+qb+t+1)^64",
+    "((q+qb+t+1)^8)^8",
     # the same blow-up through a sum, a quotient, a negative power, a bracket
     "1/(q+qb+t+1)^32 + 1/(q+qb+t+2)^32",
     "1/(q+qb+t+1)^20/(q+qb+t+2)^20",
@@ -422,6 +426,22 @@ def test_nf_scalar_term_budget_edge():
     # C(n+k-1, k) overcounts one atom's powers, and still admits these
     for expr in ("((q+1)^8)^8", "(q+1)^64", "q^64*q^64", "(q-1/q)^64"):
         parse_expr(expr, ctx)
+
+
+@pytest.mark.parametrize("nested, flat", [
+    ("((q*q+q+1)^8)^8", "(q*q+q+1)^64"),
+    ("((q*q+q+1)^-8)^8", "(q*q+q+1)^-64"),
+    ("((q*q+q+1)^8)^-8", "(q*q+q+1)^-64"),
+])
+def test_nf_nested_power_of_one_coefficient_is_bounded_by_its_spans(capsys, nested, flat):
+    # C(17+8-1, 8) = 735471 terms for c^8 with c = (q*q+q+1)^8 of 17 terms,
+    # but every term of c^8 has its q^(1/2) exponent in 8*[0, 32]: at most
+    # 257 terms, within the budget; the flat power counts C(66, 64) = 2145
+    outs = []
+    for expr in (nested, flat):
+        assert main(["nf", "--regime", "generic", "--expr", expr]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from qmink.coeff import (CASE2_PLUS, GENERIC, REAL_Q, UNIT_CIRCLE, DomainError,
                          ONE, Q, QB, Q_HALF, QB_HALF, Regime, RegimeKind,
                          Scalar, T, T_HALF, ZERO, exact_divide, gauss, integer,
                          rat, regime_from_label, I)
-from qmink.coeff import _long_divide, _mul_general
+from qmink.coeff import _POLY_ONE, _long_divide, _mul_general
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -567,7 +567,7 @@ def test_scalar_product_over_monomials_examples():
     assert str(a * b) == "(q^2 - 1)/(qb^3)"
     assert str(Q * Q ** -1) == "1"
     inv_q = Q ** -1
-    assert (T_HALF * inv_q).den is inv_q.den  # an unchanged denominator is shared
+    assert (T_HALF * inv_q).d is inv_q.d  # an unchanged stored denominator is shared
     total = a + Q / T ** 2
     assert str(total) == "(q^2*t + q^2 - t)/(q*t^2)"
     assert str(total - Q / T ** 2 - a) == "0"
@@ -657,7 +657,7 @@ def test_product_by_a_constant_matches_the_general_path(a, c):
 def test_product_by_one_returns_the_other_factor():
     for a in (_UNREDUCED, Q / T, rat(2, 3), I):
         assert a * ONE is a and ONE * a is a
-        assert str(a * -ONE) == str(-a) and (-ONE * a).den is a.den
+        assert str(a * -ONE) == str(-a) and (-ONE * a).d is a.d
     assert str(_UNREDUCED * -ONE) == str(_ref_scalar_mul(_UNREDUCED, -ONE))
 
 
@@ -712,3 +712,140 @@ def test_integer_is_stored_as_from_poly(n):
     want = Scalar.from_poly(LaurentPoly.const(GaussianRational.of(n)))
     assert _stored_terms(got.num) == _stored_terms(want.num)
     assert _stored_terms(got.den) == _stored_terms(want.den)
+
+
+# ---------------------------------------------------------------------------
+# Laurent form: the stored pair n/d and the views num/den
+# ---------------------------------------------------------------------------
+
+_GR_ONE = GaussianRational(1, 0)
+
+
+def _normalised(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """num/den as a Scalar stored it before the Laurent form: one exact
+    division attempt, the common monomial stripped, the denominator monic."""
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero:
+        return LaurentPoly.zero(), LaurentPoly.const(_GR_ONE)
+    if len(den.terms) > 1:
+        quot = exact_divide(num, den)
+        if quot is not None:
+            num, den = quot, LaurentPoly.const(_GR_ONE)
+    mn, md = num.min_exps(), den.min_exps()
+    shift = tuple(-min(a, b) for a, b in zip(mn, md))
+    if shift != (0, 0, 0):
+        num, den = num.shifted(shift), den.shifted(shift)
+    _, lc = den.leading()
+    if lc != _GR_ONE:
+        num, den = num.scale(lc.inverse()), den.scale(lc.inverse())
+    return num, den
+
+
+def _ref_pair_mul(a, b):
+    """The product of two normalised pairs through the general path."""
+    (n1, d1), (n2, d2) = a, b
+    if n1.is_zero or n2.is_zero:
+        return _normalised(LaurentPoly.zero(), ONE.num)
+    if len(d2.terms) > 1 and (quot := exact_divide(n1, d2)) is not None:
+        n1, d2 = quot, LaurentPoly.const(_GR_ONE)
+    if len(d1.terms) > 1 and (quot := exact_divide(n2, d1)) is not None:
+        n2, d1 = quot, LaurentPoly.const(_GR_ONE)
+    return _normalised(_mul_general(n1, n2), _mul_general(d1, d2))
+
+
+def _ref_pair_add(a, b):
+    """The sum of two normalised pairs through the general path."""
+    (n1, d1), (n2, d2) = a, b
+    if n1.is_zero:
+        return b
+    if n2.is_zero:
+        return a
+    if d1 == d2:
+        return _normalised(n1 + n2, d1)
+    if (quot := exact_divide(d1, d2)) is not None:
+        return _normalised(n1 + _mul_general(n2, quot), d1)
+    if (quot := exact_divide(d2, d1)) is not None:
+        return _normalised(_mul_general(n1, quot) + n2, d2)
+    return _normalised(_mul_general(n1, d2) + _mul_general(n2, d1), _mul_general(d1, d2))
+
+
+def _ref_pair_map(pair, fn):
+    return _normalised(pair[0].map_monos(fn), pair[1].map_monos(fn))
+
+
+def _ref_pair_specialize(pair, regime):
+    if regime.kind is RegimeKind.GENERIC:
+        return pair
+    return _ref_pair_map(pair, lambda m, c: (regime.subst_mono(m), c))
+
+
+def _ref_pair_star(pair, regime):
+    num, den = (p.map_monos(lambda m, c: ((m[1], m[0], m[2]), c.conj())) for p in pair)
+    if regime.kind is RegimeKind.GENERIC:
+        return _normalised(num, den)
+    return _ref_pair_specialize((num, den), regime)
+
+
+def _assert_laurent_form(s: Scalar):
+    """The stored invariants, and views that the seed normaliser keeps as they are."""
+    _assert_clean_poly(s.n)
+    monomial_den = len(s.den.terms) == 1
+    assert (s.d is _POLY_ONE) == monomial_den
+    if not monomial_den:
+        assert s.d.leading()[1] == _GR_ONE
+        assert s.d.min_exps() == (0, 0, 0)
+    assert s.term_counts() == (len(s.num.terms), len(s.den.terms))
+    num, den = _normalised(s.num, s.den)
+    _same_terms(s.num, num)
+    _same_terms(s.den, den)
+
+
+def _same_pair(s: Scalar, pair):
+    _same_terms(s.num, pair[0])
+    _same_terms(s.den, pair[1])
+    _assert_laurent_form(s)
+
+
+laurent_dens = st.one_of(one_term, many_terms, wide_nonzero)
+laurent_scalars = st.tuples(any_poly, laurent_dens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_scalars, laurent_scalars, regimes, st.sampled_from([0, 1, 2]))
+def test_views_are_the_seed_normalised_pair(pa, pb, r, atom):
+    a, b = Scalar(*pa), Scalar(*pb)
+    ra, rb = _normalised(*pa), _normalised(*pb)
+    _same_pair(a, ra)
+    _same_pair(b, rb)
+    _same_pair(a * b, _ref_pair_mul(ra, rb))
+    _same_pair(b * a, _ref_pair_mul(rb, ra))
+    _same_pair(a + b, _ref_pair_add(ra, rb))
+    _same_pair(a - a, _normalised(LaurentPoly.zero(), ONE.num))
+    if not a.is_zero():
+        _same_pair(a.inverse(), _normalised(ra[1], ra[0]))
+    _same_pair(a.flip_half(atom),
+               _ref_pair_map(ra, lambda m, c: (m, -c if m[atom] % 2 else c)))
+    _same_pair(a.subst_qbar_minus_q(), _ref_pair_map(
+        ra, lambda m, c: ((m[0] + m[1], 0, m[2]), c * GaussianRational(0, 1).power(m[1]))))
+    for op, ref in ((Scalar.specialize, _ref_pair_specialize), (Scalar.star, _ref_pair_star)):
+        try:
+            want = ref(ra, r)
+        except ZeroDivisionError:  # the denominator vanishes under the substitution
+            with pytest.raises(ZeroDivisionError):
+                op(a, r)
+            continue
+        _same_pair(op(a, r), want)
+
+
+def test_views_of_fixed_values():
+    s = (Q ** 2 - ONE) / (Q * T)
+    assert s.d is _POLY_ONE and str(s.n) == "q*t^-1 - q^-1*t^-1"
+    assert str(s) == "(q^2 - 1)/(q*t)"
+    assert s.n.terms == {(2, 0, -2): GaussianRational(1, 0),
+                         (-2, 0, -2): GaussianRational(-1, 0)}
+    r = (Q + ONE) / (Q * T * (Q + T))
+    assert r.d.min_exps() == (0, 0, 0) and len(r.d.terms) == 2
+    assert str(r) == "(q + 1)/(q^2*t + q*t^2)"
+    for x in (ZERO, ONE, integer(5), Q_HALF, s, r, -r, r * s, r + s):
+        _assert_laurent_form(x)

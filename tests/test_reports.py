@@ -65,3 +65,14 @@ def test_compare_reports_directories(tmp_path, capsys):
     assert compare_reports.main([str(tmp_path / "x"), str(tmp_path / "y")]) == 1
     assert "real-q.json: only in B" in capsys.readouterr().out
     assert compare_reports.main([str(tmp_path / "x"), str(tmp_path / "missing")]) == 2
+    assert "missing is not a directory" in capsys.readouterr().err
+    report = tmp_path / "x" / "generic.json"
+    assert compare_reports.main([str(report), str(tmp_path / "y")]) == 2
+    assert f"{report} is not a directory, but {tmp_path / 'y'} is" in capsys.readouterr().err
+    # two directories with no report compare nothing: an error, not a pass
+    for name in ("empty", "empty2"):
+        (tmp_path / name).mkdir()
+    assert compare_reports.main([str(tmp_path / "x"), str(tmp_path / "empty")]) == 2
+    assert f"{tmp_path / 'empty'} holds no *.json report" in capsys.readouterr().err
+    assert compare_reports.main([str(tmp_path / "empty"), str(tmp_path / "empty2")]) == 2
+    assert f"{tmp_path / 'empty'} holds no *.json report" in capsys.readouterr().err
