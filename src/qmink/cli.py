@@ -744,6 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse (Python 3.11) reads --expr=-- as []
+            print(f"error: argument --{name}: expected one argument", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

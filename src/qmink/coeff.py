@@ -13,15 +13,17 @@ moves monomials out of the denominator and makes it monic.  That keeps
 representations small without a multivariate gcd engine, and zero testing
 stays exact because the numerator of a zero value is the zero polynomial.
 
-A Gaussian coefficient (a + b*i)/d is stored as the three ints a, b, d,
-with d >= 1, gcd(a, b, d) = 1 and zero as (0, 0, 1): one triple per
-value.  Its arithmetic is int arithmetic and ``math.gcd``, and a result
-whose d is 1 skips the gcd, so neither the all-integer case nor the
-rationals of the nf queries ((1/2), (q - 1/q), a monic rescaling) pay
-for ``fractions.Fraction``.  ``Fraction`` is only taken by the
-constructor and given out by the ``re``/``im`` views, which return an
-``int`` for an integral part and a reduced ``Fraction`` otherwise;
-hashing and printing go through them.
+A coefficient that is a rational integer is stored as an ``int``, so the
+loops of the polynomial arithmetic run native ints; any other
+(a + b*i)/d is a ``GaussianRational`` of three ints with d >= 1,
+gcd(a, b, d) = 1 and b != 0 or d != 1.  Each value has one stored form,
+and zero (the int 0) is never stored.  A result with a ``GaussianRational``
+side goes through ``_stored``, which gives back an ``int`` for b = 0,
+d = 1.  The triple's arithmetic is int arithmetic and ``math.gcd``;
+``Fraction`` only enters through its constructor and ``re``/``im`` views.
+``terms``, ``leading()`` and a ``map_monos`` callback see
+``GaussianRational`` values; an int n prints as the triple (n, 0, 1) and
+evaluates as ``complex(n / 1, 0.0)``, the triple's expression.
 
 A ``Scalar`` is stored in Laurent form n/d: ``n`` may hold negative
 exponents, and ``d`` is the shared ``_POLY_ONE`` when the denominator is a
@@ -47,9 +49,9 @@ chi(m)*x^f(m) in both parts, a factor that construction removes.
 atom set to 0 zeroes the terms that hold it instead of dividing by zero.
 
 ``Scalar * Scalar`` with a factor that is exactly +1 or -1 returns the
-other factor, or its negation: the numerator is the one constant term
-with triple (+-1, 0, 1) over the denominator ``_POLY_ONE``.  The test
-reads the triple in place, so a factor that is not +-1 costs a length
+other factor, or its negation: the numerator is the one constant term,
+the int +-1, over the denominator ``_POLY_ONE``.  The test reads the
+stored coefficient in place, so a factor that is not +-1 costs a length
 test or two.  That is the pair the product would build anyway: a
 multi-term denominator only comes from ``Scalar.__init__``, after its
 ``exact_divide(num, den)`` attempt failed; divisibility does not change
@@ -77,6 +79,7 @@ from math import gcd, lcm
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 
 __all__ = [
     "DomainError", "MissingParameterError",
@@ -124,7 +127,8 @@ class GaussianRational:
     go through them, so they print and hash as the parts' values do.
     ``to_complex`` divides a and b by d: int true division is correctly
     rounded, so each float is that of the reduced part.  The constructor
-    takes int or Fraction parts.
+    takes int or Fraction parts.  ``+``, ``-`` and ``*`` also take an
+    ``int`` on either side, with the result of ``GaussianRational(k, 0)``.
     """
 
     __slots__ = ("a", "b", "d")
@@ -166,7 +170,9 @@ class GaussianRational:
     def __repr__(self) -> str:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
+    def __add__(self, other: "GaussianRational | int") -> "GaussianRational":
+        if other.__class__ is int:
+            return _reduced(self.a + other * self.d, self.b, self.d)
         d, e = self.d, other.d
         if d != e:
             return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
@@ -178,8 +184,13 @@ class GaussianRational:
         out.d = 1
         return out
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+    __radd__ = __add__
+
+    def __sub__(self, other: "GaussianRational | int") -> "GaussianRational":
         return self + (-other)
+
+    def __rsub__(self, other: int) -> "GaussianRational":
+        return -self + other
 
     def __neg__(self) -> "GaussianRational":
         out = _new(GaussianRational)
@@ -188,7 +199,9 @@ class GaussianRational:
         out.d = self.d
         return out
 
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+    def __mul__(self, other: "GaussianRational | int") -> "GaussianRational":
+        if other.__class__ is int:
+            return _reduced(self.a * other, self.b * other, self.d)
         a, b, c, e = self.a, self.b, other.a, other.b
         d = self.d * other.d
         if d != 1:
@@ -198,6 +211,9 @@ class GaussianRational:
         out.b = a * e + b * c
         out.d = 1
         return out
+
+    def __rmul__(self, other: int) -> "GaussianRational":
+        return self * other  # through __mul__, so a tracer wrapping it counts it
 
     def conj(self) -> "GaussianRational":
         out = _new(GaussianRational)
@@ -264,9 +280,20 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return out
 
 
-GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
+
+
+def _stored(c: GaussianRational | int) -> GaussianRational | int:
+    """The stored form of a coefficient: a rational integer as an int."""
+    if c.__class__ is GaussianRational and not c.b and c.d == 1:
+        return c.a
+    return c
+
+
+def _gr(c: GaussianRational | int) -> GaussianRational:
+    """A stored coefficient as a GaussianRational."""
+    return GaussianRational(c, 0) if c.__class__ is int else c
 
 
 # --------------------------------------------------------------------------
@@ -285,63 +312,70 @@ def _deglex_key(m: Mono):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: finite map monomial -> nonzero GaussianRational."""
+    """Sparse Laurent polynomial: finite map monomial -> nonzero Gaussian
+    rational, stored as an ``int`` when integral (module docstring)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Mono, GaussianRational]):
-        self.terms = terms
+    def __init__(self, terms: dict[Mono, GaussianRational | int]):
+        self._terms = {m: _stored(c) for m, c in terms.items()}
+
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType({m: _gr(c) for m, c in self._terms.items()})
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly({})
+        return _lp({})
 
     @staticmethod
-    def const(c: GaussianRational) -> "LaurentPoly":
-        return LaurentPoly({_MONO_ONE: c} if not c.is_zero else {})
+    def const(c: GaussianRational | int) -> "LaurentPoly":
+        return LaurentPoly.monomial(_MONO_ONE, c)
 
     @staticmethod
-    def monomial(m: Mono, c: GaussianRational = GR_ONE) -> "LaurentPoly":
-        return LaurentPoly({m: c} if not c.is_zero else {})
+    def monomial(m: Mono, c: GaussianRational | int = GR_ONE) -> "LaurentPoly":
+        c = _stored(c)
+        return _lp({m: c} if c else {})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and self._terms == other._terms
 
     __hash__ = None  # representation is not canonical enough for hashing
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             s = out.get(m)
             if s is None:
                 out[m] = c
             else:
                 s = s + c
-                if s.is_zero:
-                    del out[m]
-                else:
+                s = s if s.__class__ is int else _stored(s)
+                if s:
                     out[m] = s
-        return LaurentPoly(out)
+                else:
+                    del out[m]
+        return _lp(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _lp({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if len(self.terms) == 1:
-            return other._times_term(self.terms)
-        if len(other.terms) == 1:
-            return self._times_term(other.terms)
+        if len(self._terms) == 1:
+            return other._times_term(self._terms)
+        if len(other._terms) == 1:
+            return self._times_term(other._terms)
         return _mul_general(self, other)
 
-    def _times_term(self, term: dict[Mono, GaussianRational]) -> "LaurentPoly":
-        """self times the one-term polynomial ``term``.
+    def _times_term(self, term: dict[Mono, GaussianRational | int]) -> "LaurentPoly":
+        """self times the one-term polynomial with stored terms ``term``.
 
         The product of the general loop, built in one pass: translating by
         a monomial is injective, so no two products share a monomial, and
@@ -349,36 +383,45 @@ class LaurentPoly:
         stored).  The terms come out in self's order, as in the loop.
         """
         (m0, c0), = term.items()
-        if c0.a == 1 and not c0.b and c0.d == 1:
+        if c0.__class__ is int and c0 == 1:
             return self if m0 == _MONO_ONE else self.shifted(m0)
         a, b, e = m0
-        return LaurentPoly({(m[0] + a, m[1] + b, m[2] + e): c * c0
-                            for m, c in self.terms.items()})
+        out = {}
+        for m, c in self._terms.items():
+            c = c * c0
+            out[(m[0] + a, m[1] + b, m[2] + e)] = c if c.__class__ is int else _stored(c)
+        return _lp(out)
 
-    def scale(self, c: GaussianRational) -> "LaurentPoly":
-        if c.is_zero:
-            return LaurentPoly({})
-        return LaurentPoly({m: v * c for m, v in self.terms.items()})
+    def scale(self, c: GaussianRational | int) -> "LaurentPoly":
+        c = _stored(c)
+        return self._times_term({_MONO_ONE: c}) if c else _lp({})
 
     def map_monos(self, fn) -> "LaurentPoly":
-        """Apply a monomial substitution; colliding images are merged."""
-        out: dict[Mono, GaussianRational] = {}
-        for m, c in self.terms.items():
+        """Apply a monomial substitution; colliding images are merged.
+        ``fn(m, c)`` gets each coefficient as a ``GaussianRational``."""
+        return self._map_monos(lambda m, c: fn(m, _gr(c)))
+
+    def _map_monos(self, fn) -> "LaurentPoly":
+        """``map_monos`` with ``fn`` given the stored coefficients."""
+        out: dict[Mono, GaussianRational | int] = {}
+        for m, c in self._terms.items():
             m2, c2 = fn(m, c)
+            c2 = c2 if c2.__class__ is int else _stored(c2)
             s = out.get(m2)
             if s is None:
-                if not c2.is_zero:
+                if c2:
                     out[m2] = c2
             else:
                 s = s + c2
-                if s.is_zero:
-                    del out[m2]
-                else:
+                s = s if s.__class__ is int else _stored(s)
+                if s:
                     out[m2] = s
-        return LaurentPoly(out)
+                else:
+                    del out[m2]
+        return _lp(out)
 
     def min_exps(self) -> Mono:
-        it = iter(self.terms)
+        it = iter(self._terms)
         a, b, c = next(it)
         for x, y, z in it:  # comparisons, not min() calls: this is hot
             if x < a:
@@ -391,17 +434,18 @@ class LaurentPoly:
 
     def shifted(self, delta: Mono) -> "LaurentPoly":
         da, db, dc = delta
-        return LaurentPoly({(m[0] + da, m[1] + db, m[2] + dc): v
-                            for m, v in self.terms.items()})
+        return _lp({(m[0] + da, m[1] + db, m[2] + dc): v
+                    for m, v in self._terms.items()})
 
     def leading(self) -> tuple[Mono, GaussianRational]:
-        m = max(self.terms, key=_deglex_key)
-        return m, self.terms[m]
+        m = max(self._terms, key=_deglex_key)
+        return m, _gr(self._terms[m])
 
     def eval(self, qh: complex, qbh: complex, th: complex) -> complex:
         out = 0j
-        for (a, b, c), v in self.terms.items():
-            out += v.to_complex() * qh ** a * qbh ** b * th ** c
+        for (a, b, c), v in self._terms.items():
+            v = complex(v / 1, 0.0) if v.__class__ is int else v.to_complex()
+            out += v * qh ** a * qbh ** b * th ** c
         return out
 
     def subst_half(self, qh: GaussianRational | None,
@@ -418,17 +462,24 @@ class LaurentPoly:
                     m2[k] = 0
             return tuple(m2), c
 
-        return self.map_monos(fn)
+        return self._map_monos(fn)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=_deglex_key, reverse=True):
-            c = self.terms[m]
+        for m in sorted(self._terms, key=_deglex_key, reverse=True):
+            c = self._terms[m]
             ms = _mono_str(m)
             parts.append(_coeff_mono_str(c, ms, first=not parts))
         return "".join(parts)
+
+
+def _lp(terms: dict[Mono, GaussianRational | int]) -> LaurentPoly:
+    """The LaurentPoly with stored terms ``terms``, already in stored form."""
+    out = _new(LaurentPoly)
+    out._terms = terms
+    return out
 
 
 def _mul_general(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -437,22 +488,23 @@ def _mul_general(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     ``LaurentPoly.__mul__`` uses it when both factors have two or more
     terms; the tests use it as the reference for the one-term fast path.
     """
-    out: dict[Mono, GaussianRational] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    out: dict[Mono, GaussianRational | int] = {}
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
             m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
             c = c1 * c2
+            c = c if c.__class__ is int else _stored(c)
             s = out.get(m)
             if s is None:
-                if not c.is_zero:
-                    out[m] = c
+                out[m] = c  # a product of nonzero coefficients is nonzero
             else:
                 s = s + c
-                if s.is_zero:
-                    del out[m]
-                else:
+                s = s if s.__class__ is int else _stored(s)
+                if s:
                     out[m] = s
-    return LaurentPoly(out)
+                else:
+                    del out[m]
+    return _lp(out)
 
 
 def _mono_str(m: Mono) -> str:
@@ -468,7 +520,8 @@ def _mono_str(m: Mono) -> str:
     return "*".join(bits)
 
 
-def _coeff_mono_str(c: GaussianRational, ms: str, first: bool) -> str:
+def _coeff_mono_str(c: GaussianRational | int, ms: str, first: bool) -> str:
+    c = _gr(c)  # an int prints as its triple
     neg = (not c.b and c.a < 0) or (not c.a and c.b < 0)  # d > 0
     mag = -c if neg else c
     if ms:
@@ -516,11 +569,11 @@ def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return LaurentPoly.zero()
-    if len(d.terms) > 1:  # a one-term divisor has span 0 and always divides
-        if len(p.terms) == 1:
+    if len(d._terms) > 1:  # a one-term divisor has span 0 and always divides
+        if len(p._terms) == 1:
             return None
-        sp = _exp_spans(p.terms)
-        sd = _exp_spans(d.terms)
+        sp = _exp_spans(p._terms)
+        sd = _exp_spans(d._terms)
         if sp[0] < sd[0] or sp[1] < sd[1] or sp[2] < sd[2]:
             return None
     return _long_divide(p, d)
@@ -534,19 +587,20 @@ def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """
     mp = p.min_exps()
     md = d.min_exps()
-    rem = p.shifted(tuple(-e for e in mp)).terms
-    d2 = d.shifted(tuple(-e for e in md)).terms
+    rem = p.shifted(tuple(-e for e in mp))._terms
+    d2 = d.shifted(tuple(-e for e in md))._terms
     lead_m = max(d2, key=_deglex_key)
     la, lb, lc = lead_m
-    lead_inv = d2[lead_m].inverse()
+    lead_inv = _stored(_gr(d2[lead_m]).inverse())
     tail = [(m, c) for m, c in d2.items() if m != lead_m]
-    quot: dict[Mono, GaussianRational] = {}
+    quot: dict[Mono, GaussianRational | int] = {}
     while rem:
         m = max(rem, key=_deglex_key)
         sa, sb, sc = m[0] - la, m[1] - lb, m[2] - lc
         if sa < 0 or sb < 0 or sc < 0:
             return None
         f = rem.pop(m) * lead_inv
+        f = f if f.__class__ is int else _stored(f)
         quot[(sa, sb, sc)] = f
         # rem -= f * x^s * d2: the leading terms cancel exactly (popped
         # above); the others, all below m, take the products, negations
@@ -554,18 +608,20 @@ def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
         for (a, b, e), dc in tail:
             k = (a + sa, b + sb, e + sc)
             v = -(dc * f)
+            v = v if v.__class__ is int else _stored(v)
             old = rem.get(k)
             if old is None:
                 rem[k] = v
             else:
                 v = old + v
-                if v.is_zero:
-                    del rem[k]
-                else:
+                v = v if v.__class__ is int else _stored(v)
+                if v:
                     rem[k] = v
+                else:
+                    del rem[k]
     # restore the monomial factor stripped from p and d
     delta = (mp[0] - md[0], mp[1] - md[1], mp[2] - md[2])
-    out = LaurentPoly(quot)
+    out = _lp(quot)
     return out.shifted(delta) if delta != _MONO_ONE else out
 
 
@@ -654,7 +710,7 @@ class Scalar:
         # cheap cancellation: not a gcd, just an exact-division attempt,
         # which catches the common case of a denominator factor surviving
         # verbatim inside the numerator
-        if len(den.terms) > 1:
+        if len(den._terms) > 1:
             quot = exact_divide(num, den)
             if quot is not None:
                 num, den = quot, _POLY_ONE
@@ -664,13 +720,13 @@ class Scalar:
             shift = (-md[0], -md[1], -md[2])
             num = num.shifted(shift)
             den = den.shifted(shift)
-        _, lc = den.leading()
-        if lc.a != 1 or lc.b or lc.d != 1:
-            inv = lc.inverse()
+        lc = den._terms[max(den._terms, key=_deglex_key)]
+        if lc.__class__ is not int or lc != 1:
+            inv = _stored(_gr(lc).inverse())
             num = num.scale(inv)
             den = den.scale(inv)
         self.n = num
-        self.d = den if len(den.terms) > 1 else _POLY_ONE
+        self.d = den if len(den._terms) > 1 else _POLY_ONE
 
     # -- constructors ------------------------------------------------------
 
@@ -683,7 +739,7 @@ class Scalar:
     def _views(self) -> tuple[LaurentPoly, LaurentPoly]:
         """n*x^m and d*x^m with m_a = max(0, -min_a(n))."""
         n, d = self.n, self.d
-        if not n.terms:
+        if not n._terms:
             return n, d
         a, b, c = n.min_exps()
         if a >= 0 and b >= 0 and c >= 0:
@@ -696,16 +752,16 @@ class Scalar:
 
     def term_counts(self) -> tuple[int, int]:
         """Laurent terms of the numerator and of the denominator."""
-        return len(self.n.terms), len(self.d.terms)
+        return len(self.n._terms), len(self.d._terms)
 
     def exp_spans(self) -> tuple[Mono, Mono]:
         """Exponent spans per atom of a nonzero numerator and denominator."""
-        return _exp_spans(self.n.terms), _exp_spans(self.d.terms)
+        return _exp_spans(self.n._terms), _exp_spans(self.d._terms)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.n.terms
+        return not self.n._terms
 
     def is_one(self) -> bool:
         return self.n == self.d
@@ -723,9 +779,9 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         n1, n2 = self.n, other.n
-        if not n1.terms:
+        if not n1._terms:
             return other
-        if not n2.terms:
+        if not n2._terms:
             return self
         d1, d2 = self.d, other.d
         if d1 is d2 or d1 == d2:
@@ -749,22 +805,22 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         n1, n2 = self.n, other.n
-        if not n1.terms or not n2.terms:
+        if not n1._terms or not n2._terms:
             return ZERO
         d1, d2 = self.d, other.d
-        # a factor of exactly +-1 (the one constant term (+-1 + 0i)/1 over
+        # a factor of exactly +-1 (the one constant term, the int +-1, over
         # the denominator 1) gives the other factor or its negation
-        t = n2.terms
+        t = n2._terms
         if d2 is _POLY_ONE and len(t) == 1 and _MONO_ONE in t:
             c = t[_MONO_ONE]
-            if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
-                return self if c.a == 1 else -self
+            if c.__class__ is int and (c == 1 or c == -1):
+                return self if c == 1 else -self
         if d1 is _POLY_ONE:
-            t = n1.terms
+            t = n1._terms
             if len(t) == 1 and _MONO_ONE in t:
                 c = t[_MONO_ONE]
-                if not c.b and c.d == 1 and (c.a == 1 or c.a == -1):
-                    return other if c.a == 1 else -other
+                if c.__class__ is int and (c == 1 or c == -1):
+                    return other if c == 1 else -other
             if d2 is _POLY_ONE:
                 return _scalar(n1 * n2, _POLY_ONE)
         # cross-cancel before multiplying to slow denominator growth
@@ -779,12 +835,12 @@ class Scalar:
         return Scalar(n1 * n2, d1 * d2)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if not other.n.terms:
+        if not other.n._terms:
             raise ZeroDivisionError("division by zero scalar")
         return Scalar(self.n * other.d, self.d * other.n)
 
     def inverse(self) -> "Scalar":
-        if not self.n.terms:
+        if not self.n._terms:
             raise ZeroDivisionError("inverse of zero scalar")
         return Scalar(self.d, self.n)
 
@@ -803,9 +859,9 @@ class Scalar:
         """Conjugation: q <-> qb, i -> -i, t fixed; then specialize."""
 
         def fn(m, c):
-            return (m[1], m[0], m[2]), c.conj()
+            return (m[1], m[0], m[2]), c if c.__class__ is int else c.conj()
 
-        num, den = self.n.map_monos(fn), self.d.map_monos(fn)
+        num, den = self.n._map_monos(fn), self.d._map_monos(fn)
         if regime.kind is RegimeKind.GENERIC:
             return Scalar(num, den)
         return _map_pair(num, den, lambda m, c: (regime.subst_mono(m), c))
@@ -874,9 +930,9 @@ class Scalar:
         if den == _POLY_ONE:
             return ns
         ds = str(den)
-        if len(num.terms) > 1:
+        if len(num._terms) > 1:
             ns = f"({ns})"
-        if len(den.terms) > 1 or "*" in ds or "^" in ds:
+        if len(den._terms) > 1 or "*" in ds or "^" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -893,7 +949,7 @@ def _scalar(n: LaurentPoly, d: LaurentPoly) -> Scalar:
 
 
 def _map_pair(num: LaurentPoly, den: LaurentPoly, fn) -> Scalar:
-    return Scalar(num.map_monos(fn), den.map_monos(fn))
+    return Scalar(num._map_monos(fn), den._map_monos(fn))
 
 
 # --------------------------------------------------------------------------
@@ -915,7 +971,7 @@ def integer(n: int) -> Scalar:
     """The Scalar n, stored as Scalar.from_poly would store it."""
     if not n:
         return ZERO
-    return _scalar(LaurentPoly({_MONO_ONE: GaussianRational(n, 0)}), _POLY_ONE)
+    return _scalar(_lp({_MONO_ONE: n}), _POLY_ONE)
 
 
 def rat(n: int, d: int = 1) -> Scalar:

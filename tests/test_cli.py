@@ -143,6 +143,16 @@ def test_verify_json_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["nf", "--expr=--"], ["eval", "--q=--"],
+                                  ["eval", "--t=--"], ["verify", "--json=--"]])
+def test_a_bare_double_dash_option_value_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    option = argv[1].split("=")[0]
+    assert capsys.readouterr().err == f"error: argument {option}: expected one argument\n"
+    assert list(tmp_path.iterdir()) == []  # verify wrote no report
+
+
 def test_verify_reports_expected_nonzero_semantics(capsys):
     code = main(["verify", "--regime", "generic", "--suite", "pbw"])
     assert code == 0

@@ -598,14 +598,12 @@ def test_constructors_store_no_zero():
         assert s.is_zero()
 
 
-@settings(max_examples=100, deadline=None)
-@given(scalars, scalars, wide_polys, wide_nonzero, regimes, st.sampled_from([0, 1, 2]))
-def test_no_operation_stores_a_zero_coefficient(a, b, p, d, r, atom):
-    for poly in (p + d, p - d, p - p, p * d, -p, p.scale(GaussianRational(0, 2)),
-                 p.scale(GaussianRational(0, 0)), d.shifted((1, -1, 2)),
-                 p.map_monos(lambda m, c: ((0, 0, 0), c)),
-                 exact_divide(p * d, d)):
-        _assert_clean_poly(poly)
+def _operation_results(a, b, p, d, r, atom):
+    """The polynomials and scalars built by every operation of the kernel."""
+    polys = [p + d, p - d, p - p, p * d, -p, p.scale(GaussianRational(0, 2)),
+             p.scale(GaussianRational(0, 0)), d.shifted((1, -1, 2)),
+             p.map_monos(lambda m, c: ((0, 0, 0), c)),
+             exact_divide(p * d, d)]
     values = [a + b, a - b, a - a, a * b, -a, a.star(), a.flip_half(atom),
               a.subst_qbar_minus_q(), a.subst_half(qh=GaussianRational(0, 1)),
               a ** 2]
@@ -615,6 +613,15 @@ def test_no_operation_stores_a_zero_coefficient(a, b, p, d, r, atom):
         values += [a.specialize(r), a.star(r)]
     except ZeroDivisionError:
         pass  # denominator vanishes under this substitution
+    return polys, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars, scalars, wide_polys, wide_nonzero, regimes, st.sampled_from([0, 1, 2]))
+def test_no_operation_stores_a_zero_coefficient(a, b, p, d, r, atom):
+    polys, values = _operation_results(a, b, p, d, r, atom)
+    for poly in polys:
+        _assert_clean_poly(poly)
     for s in values:
         _assert_clean(s)
 
@@ -849,3 +856,75 @@ def test_views_of_fixed_values():
     assert str(r) == "(q + 1)/(q^2*t + q*t^2)"
     for x in (ZERO, ONE, integer(5), Q_HALF, s, r, -r, r * s, r + s):
         _assert_laurent_form(x)
+
+
+# ---------------------------------------------------------------------------
+# stored form: a rational integer is an int, any other coefficient a triple;
+# the public reads hand out GaussianRational values
+# ---------------------------------------------------------------------------
+
+def _assert_stored_form(p: LaurentPoly):
+    """Each stored coefficient is a nonzero int exactly when it is a rational
+    integer, and otherwise a triple with b != 0 or d != 1."""
+    for c in p._terms.values():
+        if type(c) is int:
+            assert c != 0
+        else:
+            assert type(c) is GaussianRational and (c.b != 0 or c.d != 1), c
+
+
+frac_scalars = st.builds(Scalar, st.one_of(frac_polys, wide_polys), frac_polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scalars, frac_scalars), frac_scalars, st.one_of(frac_polys, wide_polys),
+       frac_polys, regimes, st.sampled_from([0, 1, 2]))
+def test_every_operation_stores_rational_integers_as_ints(a, b, p, d, r, atom):
+    polys, values = _operation_results(a, b, p, d, r, atom)
+    # sums and products that turn halves into integers, and a rescaling
+    polys += [p + p, p * p, p.scale(GaussianRational(Fraction(1, 2), 0)),
+              d.scale(d.leading()[1].inverse())]
+    for poly in polys:
+        _assert_stored_form(poly)
+    for s in values:
+        for poly in (s.n, s.d, s.num, s.den):
+            _assert_stored_form(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts, st.one_of(st.integers(-40, 40), st.integers(-10 ** 30, 10 ** 30)))
+def test_int_operands_give_the_all_triple_result(a, b, k):
+    x, kk = GaussianRational(a, b), GaussianRational(k, 0)
+    for got, want in ((x + k, x + kk), (k + x, kk + x), (x - k, x - kk),
+                      (k - x, kk - x), (x * k, x * kk), (k * x, kk * x)):
+        assert type(got) is GaussianRational
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+def test_public_reads_hand_out_gaussian_rationals():
+    half_i = GaussianRational(Fraction(1, 2), 1)
+    p = LaurentPoly({(2, 0, 0): GaussianRational(3, 0), (1, 0, 0): half_i, (0, 0, 0): -1})
+    assert [type(c) for c in p._terms.values()] == [int, GaussianRational, int]
+    assert p.terms == {(2, 0, 0): GaussianRational(3, 0), (1, 0, 0): half_i,
+                       (0, 0, 0): GaussianRational(-1, 0)}
+    assert all(type(c) is GaussianRational for c in p.terms.values())
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 0)] = GaussianRational(1, 0)  # a read-only view
+    assert p.leading() == ((2, 0, 0), GaussianRational(3, 0))
+    assert type(p.leading()[1]) is GaussianRational
+    seen = []
+    assert p.map_monos(lambda m, c: seen.append(c) or (m, c)) == p
+    assert [type(c) for c in seen] == [GaussianRational] * 3
+    assert str(p) == "3*q + (1/2 + i)*q^(1/2) - 1"
+    assert str(LaurentPoly({(2, 0, 0): 1, (0, 0, 2): -1})) == "q - t"
+
+
+def test_an_int_coefficient_evaluates_as_its_triple():
+    for n in (1, -7, 2 ** 60 + 1, 3 ** 100):
+        got, want = LaurentPoly.const(n).eval(1, 1, 1), 0j + GaussianRational(n, 0).to_complex()
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    with pytest.raises(OverflowError) as want:
+        GaussianRational(10 ** 400, 0).to_complex()
+    with pytest.raises(OverflowError) as got:
+        LaurentPoly.const(10 ** 400).eval(1, 1, 1)
+    assert str(got.value) == str(want.value)
