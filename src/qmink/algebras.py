@@ -605,8 +605,7 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
         if not nonzero:
             return False, "no residual", None
         # cross-check: leftover coefficients match the matrix obstruction
-        src = operator_source(regime)
-        obstruction = compose(sq.pminus, sq.what + identity((U, B, U, B)))
+        obstruction = operator_source(regime).get("Pminus(What+1)")
         for (m, n), poly in nonzero.items():
             row = (m << 2) | n
             for w, c in poly.terms.items():

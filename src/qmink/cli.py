@@ -668,26 +668,33 @@ def _cmd_eval(args) -> int:
             q = cmath.exp(1j * rng.uniform(0.1, 3.0)) * (0.5 + rng.random())
             qb = cmath.exp(1j * rng.uniform(0.1, 3.0)) * (0.5 + rng.random())
             samples.append((q, t, qb))
-    worst: dict[str, float] = {}
+    # per identity, the sample whose residual is largest against its
+    # scale: (residual, scale)
+    worst: dict[str, tuple[float, float]] = {}
     for q, t, qb in samples:
+        scales: dict[str, float] = {}
         try:
-            res = intertwiners.numeric_suite(regime, q, t, qb)
+            res = intertwiners.numeric_suite(regime, q, t, qb, scales=scales)
         except (coeff.DomainError, ZeroDivisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except OverflowError as exc:
-            print(f"error: double precision overflow at q = {q}: {exc}",
-                  file=sys.stderr)
+        except (OverflowError, FloatingPointError) as exc:
+            print(f"error: double precision overflow at q = {q}, t = {t:g}: "
+                  f"{exc}", file=sys.stderr)
             return 2
         for k, v in res.items():
-            prev = worst.get(k, 0.0)
-            # max() would drop a NaN; keep it so the check reports FAIL
-            worst[k] = v if v > prev or math.isnan(v) else prev
+            s = scales.get(k, 1.0)
+            prev = worst.get(k)
+            # a NaN compares false; keep it so the check reports FAIL
+            if prev is None or v / s > prev[0] / prev[1] or math.isnan(v):
+                worst[k] = v, s
     ok = True
     for k in sorted(worst):
-        status = "PASS" if worst[k] < args.tol else "FAIL"
-        ok = ok and worst[k] < args.tol
-        print(f"{status} {k}  max residual {worst[k]:.3e}")
+        v, s = worst[k]
+        passed = v < args.tol * s
+        ok = ok and passed
+        print(f"{'PASS' if passed else 'FAIL'} {k}  max residual {v:.3e}"
+              + (f"  scale {s:.3e}" if s > 1.0 else ""))
     print(f"{len(samples)} samples, tolerance {args.tol:g}, "
           f"branch: principal square roots, seed {args.seed}")
     return 0 if ok else 1

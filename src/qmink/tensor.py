@@ -14,6 +14,11 @@ entries in the same order as the dense matrix loops would (in ``compose``:
 inner index ascending, then column ascending), so each Scalar is built by
 the same sequence of operations and printed results do not depend on the
 storage.
+
+``compose`` builds every row of a product; ``lazy_compose`` builds each
+row the first time it is read, with the same row function, so a check
+that only needs the first nonzero row of a product (or of a sum or
+difference of products) builds no row past it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .coeff import GENERIC, ONE, ZERO, Regime, Scalar
 __all__ = [
     "Leg", "U", "B", "TMap",
     "TypeMismatchError", "ArityMismatchError", "SignatureMismatchError",
-    "compose", "place", "placement", "Placement",
+    "compose", "lazy_compose", "place", "placement", "Placement",
     "tensor_product", "bar_conjugate", "tau_conjugate",
     "permutation", "flip", "identity",
     "row_echelon", "annihilator_basis", "nullspace_basis", "span_equal",
@@ -95,14 +100,90 @@ def _kept(row: Row, fn) -> Row:
     return out
 
 
+def _row_sum(r1: Row, r2: Row) -> Row:
+    """Entrywise sum of two sparse rows, columns ascending; zero sums dropped."""
+    if not r1 or not r2:
+        return dict(r1 or r2)
+    out = {}
+    for j in sorted(r1.keys() | r2.keys()):
+        a = r1.get(j)
+        b = r2.get(j)
+        if a is None:
+            out[j] = b
+        elif b is None:
+            out[j] = a
+        else:
+            s = a + b
+            if not s.is_zero():
+                out[j] = s
+    return out
+
+
+def _row_neg(row: Row) -> Row:
+    return {j: -v for j, v in row.items()}
+
+
+def _product_row(frow: Row, g_rows) -> Row:
+    """Row of the product f after g, from f's row and g's rows.
+
+    Products are summed into each output entry in the dense order, inner
+    index k ascending, then column j ascending; zero sums are dropped.
+    """
+    acc: Row = {}
+    for k, fv in frow.items():
+        for j, gv in g_rows[k].items():
+            s = acc.get(j)
+            acc[j] = fv * gv if s is None else s + fv * gv
+    return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
+
+
+class _LazyRows:
+    """The rows of a map, each built by row(i) on its first read and kept.
+
+    Iteration builds rows in order, so a scan that stops at some row
+    builds no row past it.  A row built from other maps' rows reads them
+    by index, so when those are lazy too only the rows it needs are built.
+    """
+
+    __slots__ = ("_row", "_built")
+
+    def __init__(self, n: int, row):
+        self._row = row
+        self._built: list[Row | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i: int) -> Row:
+        r = self._built[i]
+        if r is None:
+            r = self._built[i] = self._row(i)
+        return r
+
+    def __iter__(self):
+        for i in range(len(self._built)):
+            yield self[i]
+
+
+def _rows_of(n: int, row, *sources: "TMap"):
+    """row(i) for i < n: lazy rows when a source map's rows are lazy,
+    otherwise all built now."""
+    if any(type(m.rows) is _LazyRows for m in sources):
+        return _LazyRows(n, row)
+    return [row(i) for i in range(n)]
+
+
 class TMap:
     """Exact linear map between typed tensor products of 2-dim legs.
 
     ``rows[i]`` maps each column j of row i to its entry, a nonzero
     Scalar; zero entries are absent and the keys are in ascending order.
-    Rows are never mutated once the map is built.  The constructor takes
-    dense rows (one Scalar per column); ``entries`` gives them back as a
-    read-only tuple of tuples, built on each access.
+    Rows are never mutated once the map is built.  ``rows`` is a list,
+    except on a map from ``lazy_compose`` and on the maps derived from one
+    row by row (sums, negations, ``map_entries``): there it builds each
+    row on its first read.  The constructor takes dense rows (one Scalar
+    per column); ``entries`` gives them back as a read-only tuple of
+    tuples, built on each access.
     """
 
     __slots__ = ("in_sig", "out_sig", "rows")
@@ -145,35 +226,22 @@ class TMap:
 
     def map_entries(self, fn) -> "TMap":
         """fn applied to every nonzero entry; fn must send zero to zero."""
+        rows = self.rows
         return TMap._of(self.in_sig, self.out_sig,
-                        [_kept(row, fn) for row in self.rows])
+                        _rows_of(len(rows), lambda i: _kept(rows[i], fn), self))
 
     def __add__(self, other: "TMap") -> "TMap":
         if self.in_sig != other.in_sig or self.out_sig != other.out_sig:
             raise SignatureMismatchError("sum of maps with different signatures")
-        rows = []
-        for r1, r2 in zip(self.rows, other.rows):
-            if not r1 or not r2:
-                rows.append(dict(r1 or r2))
-                continue
-            out = {}
-            for j in sorted(r1.keys() | r2.keys()):
-                a = r1.get(j)
-                b = r2.get(j)
-                if a is None:
-                    out[j] = b
-                elif b is None:
-                    out[j] = a
-                else:
-                    s = a + b
-                    if not s.is_zero():
-                        out[j] = s
-            rows.append(out)
-        return TMap._of(self.in_sig, self.out_sig, rows)
+        r1, r2 = self.rows, other.rows
+        return TMap._of(self.in_sig, self.out_sig,
+                        _rows_of(len(r1), lambda i: _row_sum(r1[i], r2[i]),
+                                 self, other))
 
     def __neg__(self) -> "TMap":
+        rows = self.rows
         return TMap._of(self.in_sig, self.out_sig,
-                        [{j: -v for j, v in row.items()} for row in self.rows])
+                        _rows_of(len(rows), lambda i: _row_neg(rows[i]), self))
 
     def __sub__(self, other: "TMap") -> "TMap":
         """self + (-other), negating entry by entry.
@@ -243,25 +311,32 @@ def identity(sig: Signature) -> TMap:
     return TMap._of(sig, sig, [{k: ONE} for k in range(_dim(sig))])
 
 
-def compose(f: TMap, g: TMap) -> TMap:
-    """Matrix product f after g.
-
-    Products are summed into each output entry in the dense order, inner
-    index k ascending, then column j ascending.
-    """
+def _check_composable(f: TMap, g: TMap) -> None:
     if g.out_sig != f.in_sig:
         raise SignatureMismatchError(
             f"cannot compose {sig_str(f.in_sig)}<-... with ...->{sig_str(g.out_sig)}")
+
+
+def compose(f: TMap, g: TMap) -> TMap:
+    """Matrix product f after g, every row built now."""
+    _check_composable(f, g)
     g_rows = g.rows
-    rows = []
-    for frow in f.rows:
-        acc: Row = {}
-        for k, fv in frow.items():
-            for j, gv in g_rows[k].items():
-                s = acc.get(j)
-                acc[j] = fv * gv if s is None else s + fv * gv
-        rows.append({j: acc[j] for j in sorted(acc) if not acc[j].is_zero()})
-    return TMap._of(g.in_sig, f.out_sig, rows)
+    return TMap._of(g.in_sig, f.out_sig,
+                    [_product_row(frow, g_rows) for frow in f.rows])
+
+
+def lazy_compose(f: TMap, g: TMap) -> TMap:
+    """compose(f, g) with each row built on its first read.
+
+    Row i is built from f's row i and the rows of g it names, so when g
+    is lazy too only those rows of g are built.  Sums, negations and
+    scalings of the result are lazy in turn, and each row they build
+    holds what the same operation on ``compose(f, g)`` holds.
+    """
+    _check_composable(f, g)
+    f_rows, g_rows = f.rows, g.rows
+    return TMap._of(g.in_sig, f.out_sig,
+                    _LazyRows(len(f_rows), lambda i: _product_row(f_rows[i], g_rows)))
 
 
 def tensor_product(f: TMap, g: TMap) -> TMap:

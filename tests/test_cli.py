@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,7 +311,7 @@ def test_eval_rejects_vacuous_or_meaningless_options(capsys, extra, needle):
 def test_eval_samples_budget_refuses_before_sampling(monkeypatch, capsys):
     from qmink import cli, intertwiners
 
-    def fake_suite(regime, q, t, qb):
+    def fake_suite(regime, q, t, qb, scales=None):
         raise AssertionError("sampled despite the budget")
     monkeypatch.setattr(intertwiners, "numeric_suite", fake_suite)
     t0 = time.perf_counter()
@@ -324,7 +328,7 @@ def test_eval_uses_the_given_t(monkeypatch, capsys):
     from qmink import intertwiners
     seen = []
 
-    def fake_suite(regime, q, t, qb):
+    def fake_suite(regime, q, t, qb, scales=None):
         seen.append(t)
         return {"moves/X.X.M": 0.0}
     monkeypatch.setattr(intertwiners, "numeric_suite", fake_suite)
@@ -349,12 +353,42 @@ def test_eval_non_finite_or_huge_point_exits_2(capsys, regime, point):
     assert "samples," not in captured.out  # nothing was checked or reported
 
 
+@pytest.mark.parametrize("args", [
+    ["--regime", "unit-circle", "--t", "1e-3", "--samples", "3"],
+    ["--regime", "unit-circle", "--t", "1e4", "--samples", "3"],
+    ["--regime", "real-q", "--q=100,0", "--samples", "1"],
+    ["--regime", "case2+", "--q=0.001,0", "--samples", "1"],
+])
+def test_eval_judges_residuals_against_their_scale(capsys, args):
+    # far from q = t = 1 the entries, and the rounding of true identities,
+    # are huge; each residual is judged against tol times its scale
+    assert main(["eval"] + args) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "  scale " in out
+
+
+@pytest.mark.parametrize("args", [
+    ["--t", "1e-320", "--samples", "1"],
+    ["--regime", "generic", "--q", "1e308,1e308", "--samples", "1"],
+])
+def test_eval_float_overflow_is_one_error_line(args):
+    # a subprocess: pytest would capture numpy's warnings in-process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qmink.cli", "eval"] + args,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: double precision")
+    assert "Warning" not in proc.stderr and "samples," not in proc.stdout
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_eval_non_finite_residual_is_a_failure(monkeypatch, capsys, bad):
     from qmink import intertwiners
     calls = []
 
-    def fake_suite(regime, q, t, qb):
+    def fake_suite(regime, q, t, qb, scales=None):
         calls.append(q)
         # the bad value comes first, then a finite one that max() would keep
         return {"moves/X.X.M": bad if len(calls) == 1 else 1e-15,

@@ -1,11 +1,13 @@
 import cmath
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, REAL_Q,
-                         T, UNIT_CIRCLE, ZERO, GaussianRational, integer, rat,
-                         MissingParameterError)
+                         RegimeKind, T, UNIT_CIRCLE, ZERO, GaussianRational,
+                         integer, rat, MissingParameterError)
 from qmink.intertwiners import (Factor, MatrixIdentity,
                                 OperatorSource, UnknownNameError,
                                 classical_limit, identity_catalog,
@@ -336,6 +338,30 @@ def test_numeric_residual_detects_wrong_scalar():
     assert numeric_residual(bad, src, q, 0.5) > 1e-3
 
 
+def test_a_broken_identity_fails_against_its_scale():
+    from qmink.intertwiners import _x_x_m
+    src = operator_source(UNIT_CIRCLE)
+    q = cmath.exp(0.7j)
+    scales = {}
+    resid = numeric_residual(_x_x_m("probe", "X!pert"), src, q, 1e4, None,
+                             {}, scales)
+    assert scales["probe"] >= 1e8 and resid >= 1e-9 * scales["probe"]
+    resid = numeric_residual(_x_x_m("probe", "X"), src, q, 1e4, None, {},
+                             scales)
+    assert resid < 1e-9 * scales["probe"]
+
+
+def test_numeric_suite_scales_leave_the_residuals_alone():
+    q = cmath.exp(0.7j)
+    scales = {}
+    res = numeric_suite(UNIT_CIRCLE, q, 1e-3, scales=scales)
+    assert res == numeric_suite(UNIT_CIRCLE, q, 1e-3)
+    assert set(scales) == set(res)
+    assert all(s >= 1.0 for s in scales.values())
+    assert any(r >= 1e-9 for r in res.values())
+    assert all(r < 1e-9 * scales[k] for k, r in res.items())
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -354,3 +380,58 @@ def test_failing_report_carries_residual():
     rep = run_matrix_identity(bad, src)
     assert rep.status == "fail"
     assert rep.residual and "entry[" in rep.residual
+
+
+# ---------------------------------------------------------------------------
+# expect-nonzero verdicts read rows up to the first nonzero one
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "reports"
+
+
+def _golden_checks(regime):
+    name = {"case2+": "case2-plus", "case2-": "case2-minus"}.get(
+        regime.label, regime.label)
+    checks = json.loads((GOLDEN / f"{name}.json").read_text())["checks"]
+    return {c["check_id"]: c for c in checks}
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+def test_expect_nonzero_scans_stop_at_the_reported_row(monkeypatch, regime):
+    from qmink import intertwiners
+    judged = {}
+    check_nonzero = intertwiners._check_nonzero
+
+    def spy(check_id, reg, resid, detail=None):
+        def capture():
+            judged[check_id] = m = resid()
+            return m
+        return check_nonzero(check_id, reg, capture, detail)
+    monkeypatch.setattr(intertwiners, "_check_nonzero", spy)
+    src = OperatorSource(regime)
+    reports = [r for suite in (suite_moves, suite_braid, suite_compat,
+                               suite_crossed)
+               for r in suite(regime, src) if r.check_id in judged]
+    golden = _golden_checks(regime)
+    for rep in reports:
+        got = rep.to_json_dict()
+        del got["elapsed_ms"]
+        assert got == {k: v for k, v in golden[rep.check_id].items()
+                       if k != "elapsed_ms"}
+    lazy = {k: m for k, m in judged.items() if not isinstance(m.rows, list)}
+    want = {"moves/X.X.M!perturbed-x", "braid/Rhat+!perturbed-x"}
+    if regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
+        want |= {f"compat/sigma-{s}-nonzero" for s in ("one", "q", "qinv")}
+    assert set(lazy) == want
+    residuals = {r.check_id: r.residual for r in reports}
+    for check_id, m in lazy.items():
+        row = int(re.match(r"entry\[(\d+)\]", residuals[check_id]).group(1))
+        assert max(i for i, r in enumerate(m.rows._built) if r is not None) == row
+
+
+def test_a_vanishing_difference_fails_without_a_residual():
+    from qmink.intertwiners import _x_x_m
+    rep = run_matrix_identity(_x_x_m("probe", "X", "nonzero"),
+                              operator_source(UNIT_CIRCLE))
+    assert rep.mode == "expect-nonzero"
+    assert rep.status == "fail" and rep.residual is None

@@ -6,7 +6,7 @@ from qmink.intertwiners import operator_source
 from qmink.tensor import (ArityMismatchError, B, SignatureMismatchError, TMap,
                           TypeMismatchError, U, annihilator_basis,
                           bar_conjugate, compose, flip, identity, invert,
-                          nullspace_basis, permutation, place, placement,
+                          lazy_compose, nullspace_basis, permutation, place, placement,
                           row_echelon, span_equal, tau_conjugate,
                           tensor_product)
 
@@ -472,3 +472,75 @@ def test_sub_is_the_sum_with_the_negated_map(data):
         assert [(j, str(v.num), str(v.den)) for j, v in r1.items()] == \
             [(j, str(v.num), str(v.den)) for j, v in r2.items()]
     assert strs((-a).entries) == strs(a.scale(-ONE).entries)
+
+
+# ---------------------------------------------------------------------------
+# rows on demand
+# ---------------------------------------------------------------------------
+
+def stored(row):
+    return [(j, str(v)) for j, v in row.items()]
+
+
+def built(m):
+    """Indices of the rows of a lazy map built so far."""
+    return {i for i, r in enumerate(m.rows._built) if r is not None}
+
+
+@st.composite
+def chains(draw):
+    """Two or three composable maps, outermost first: sparse ones, or
+    dense 4x4 ones of +-1, whose product sums often cancel."""
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        sign_rows = st.lists(st.lists(st.sampled_from([ONE, -ONE]),
+                                      min_size=4, max_size=4),
+                             min_size=4, max_size=4)
+        return [TMap((U, B), (U, B), draw(sign_rows)) for _ in range(n)]
+    sigs = [draw(leg_sigs) for _ in range(n + 1)]
+    return [draw(sparse_maps(in_sig=sigs[k + 1], out_sig=sigs[k]))
+            for k in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(), st.data())
+def test_lazy_rows_are_the_compose_rows(maps, data):
+    eager = lazy = maps[-1]
+    for f in reversed(maps[:-1]):
+        eager = compose(f, eager)
+        lazy = lazy_compose(f, lazy)
+    other = data.draw(sparse_maps(in_sig=eager.in_sig, out_sig=eager.out_sig))
+    c = data.draw(entry_values)
+    pairs = [(lazy, eager), (lazy - other, eager - other),
+             (other - lazy, other - eager), (-lazy, -eager),
+             (lazy.scale(c), eager.scale(c))]
+    n = len(eager.rows)
+    # rows read in any order hold what compose and the eager sums hold
+    order = data.draw(st.permutations(range(n)))
+    for got, want in pairs:
+        assert len(got.rows) == n
+        for i in order:
+            assert stored(got.rows[i]) == stored(want.rows[i])
+        assert_sparse_invariant(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains(), st.data())
+def test_a_lazy_row_builds_only_the_rows_it_reads(maps, data):
+    inner = lazy_compose(*maps[-2:])
+    top = inner if len(maps) == 2 else lazy_compose(maps[0], inner)
+    i = data.draw(st.integers(0, len(top.rows) - 1))
+    top.rows[i]
+    assert built(top) == {i}
+    if top is not inner:
+        assert built(inner) == set(maps[0].rows[i])
+
+
+def test_a_scan_stops_at_the_first_nonzero_row():
+    # row 0 of the product is a sum that cancels: it is built, and empty
+    f = TMap((U,), (U, U), [[ONE, ONE], [ONE, Q], [ONE, ZERO], [ZERO, T]])
+    g = TMap((U,), (U,), [[ONE, ZERO], [-ONE, ZERO]])
+    diff = lazy_compose(f, g) - TMap.zero(f.in_sig, f.out_sig)
+    assert diff.first_nonzero() == (1, 0, ONE - Q)
+    assert built(diff) == {0, 1} and diff.rows[0] == {}
+    assert (lazy_compose(f, g) - compose(f, g)).first_nonzero() is None
