@@ -67,7 +67,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    Path(argv[0]).write_text(json.dumps(digests(), indent=1) + "\n")
+    out = Path(argv[0])
+    if out.is_dir() or not out.parent.is_dir():  # checked before the digests run
+        print(f"error: cannot write {out}: not a file in an existing directory",
+              file=sys.stderr)
+        return 2
+    out.write_text(json.dumps(digests(), indent=1) + "\n")
     return 0
 
 

@@ -54,32 +54,29 @@ class ParseContext:
     regime: Regime
 
 
-# Input budget.  A product whose term count could exceed MAX_TERMS, a
-# power whose term count or longest word could exceed the limits, and an
-# exponent larger than MAX_EXPONENT in magnitude are refused before they
-# are computed.  Along a product word lengths only add up, so they are
-# checked once, on the parsed result, with its term count.  Normal forms
-# grow fast with word length: delta^6*alpha^6 (length 12) takes about 4 s,
-# length 14 about 45 s.  Queries of ordinary size (a few terms, words of
-# length 6 or less) stay well inside the budget.
+# Input budget.  Syntactic caps bound memory before any arithmetic runs.
+# A product whose term count could exceed MAX_TERMS, a power whose term
+# count or longest word could exceed the limits, and an exponent larger
+# than MAX_EXPONENT in magnitude are refused before they are computed;
+# word lengths only add up along a product, so they are checked on the
+# parsed result.  The exponent budget bounds the product of the exponent
+# magnitudes applied to any one subexpression, as powers multiply along a
+# chain, q^64^64, and through a parenthesised base, ((q+1)^64)^64.
+# MAX_DEPTH bounds the nesting of factors, which the parser follows by
+# recursion, and MAX_DIGITS keeps a literal inside what int() converts.
 #
-# Powers multiply along a chain (q^64^64 is q^4096) and through a
-# parenthesised base ((q+1)^64)^64, so the exponent budget bounds the
-# product of the exponent magnitudes applied to any one subexpression.
-# MAX_DEPTH bounds the nesting of factors (parentheses, brackets, star(),
-# unary minus), which the parser follows by recursion.  MAX_DIGITS keeps a
-# number literal inside what int() converts (4300 digits by default).
-#
-# MAX_SCALAR_TERMS bounds the Laurent terms a scalar coefficient could
-# reach, counted apart for numerators and denominators from the largest
-# counts among the operands' coefficients (``_scalar_size``): a product
-# multiplies them, a sum adds n1*d2 + n2*d1 over d1*d2, and p^k with n
-# terms has at most C(n+k-1, k).  Both the cost of a product and the size
-# of its result grow with these counts, which no other budget sees:
-# (q+qb+t+1)^32*(q+qb+t+2)^32 has one term and one word, yet its scalar
-# product takes 6545^2 term products.
+# MAX_WORK bounds the work itself, which no cap sees: nf parses and reduces
+# under ``coeff.WorkBudget(MAX_WORK)``, charged per coefficient product,
+# division step and rewrite step as they run.  The heaviest honest queries
+# measured cost 242 383 units (unit-circle delta^6*alpha^6, 0.5 s) and
+# 209 437 ((q+qb+t+1)^32); the lightest refused blow-up, (q+qb+t+1)^-45,
+# costs 778 317.  400 000 lies near their geometric mean.  A unit costs
+# at most about 3 us in most queries, 7 us where generic division steps
+# scan long remainders ((alpha+beta+gamma+delta)^5*(q+1): 345 491 units,
+# 2.5 s), so a refusal comes within about 3 s.  MAX_TERMS stays: a
+# product of one-term coefficients never reaches the charged double loop.
 MAX_TERMS = 1024
-MAX_SCALAR_TERMS = 16_384
+MAX_WORK = 400_000
 MAX_WORD_LENGTH = 12
 MAX_EXPONENT = 64
 MAX_DEPTH = 64
@@ -184,16 +181,13 @@ def parse_expr(text: str, ctx: ParseContext) -> NCPoly:
 
 
 def _parse_sum(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    negate = False
-    if toks.peek()[0] in "+-":
-        negate = toks.next()[0] == "-"
+    negate = toks.peek()[0] in "+-" and toks.next()[0] == "-"
     out = _parse_term(toks, ctx)
     if negate:
         out = -out
     while toks.peek()[0] in "+-":
-        op, _, pos = toks.next()
+        op = toks.next()[0]
         rhs = _parse_term(toks, ctx)
-        _check_sum(out, rhs, pos)
         out = out + rhs if op == "+" else out - rhs
     return out
 
@@ -206,11 +200,7 @@ def _parse_term(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         if op == "*":
             out = _product(out, rhs, pos)
         else:
-            inv = _as_scalar(rhs, pos).inverse()
-            n, d = _scalar_size(out)
-            ni, di = inv.term_counts()
-            _check_scalar_terms(n * ni, d * di, pos)
-            out = out.scale(inv)
+            out = out.scale(_as_scalar(rhs, pos).inverse())
     return out
 
 
@@ -265,34 +255,26 @@ def _parse_powers(toks: _Tokens, ctx: ParseContext) -> NCPoly:
 
 def _parse_exponent(toks: _Tokens) -> tuple[str, int]:
     """Integer exponent, or (k/2) half-integer form for the base atoms."""
-    neg = False
+    sign, tok = 1, toks.next()
+    if tok[0] == "-":
+        sign, tok = -1, toks.next()
+    if tok[0] == "num":
+        return "int", sign * int(tok[1])
+    if tok[0] != "(":
+        raise ExprSyntaxError("expected an exponent", tok[2])
     if toks.peek()[0] == "-":
         toks.next()
-        neg = True
-    tok = toks.peek()
-    if tok[0] == "num":
-        toks.next()
-        n = int(tok[1])
-        return "int", (-n if neg else n)
-    if tok[0] == "(":
-        toks.next()
-        inner_neg = False
-        if toks.peek()[0] == "-":
-            toks.next()
-            inner_neg = True
-        num = int(toks.expect("num")[1])
-        sign = -1 if (neg ^ inner_neg) else 1
-        if toks.peek()[0] == "/":
-            toks.next()
-            den = int(toks.expect("num")[1])
-            toks.expect(")")
-            if den != 2:
-                raise ExprSyntaxError("only /2 fractional exponents are supported",
-                                      tok[2])
-            return "half", sign * num
+        sign = -sign
+    num = sign * int(toks.expect("num")[1])
+    if toks.peek()[0] != "/":
         toks.expect(")")
-        return "int", sign * num
-    raise ExprSyntaxError("expected an exponent", tok[2])
+        return "int", num
+    toks.next()
+    den = int(toks.expect("num")[1])
+    toks.expect(")")
+    if den != 2:
+        raise ExprSyntaxError("only /2 fractional exponents are supported", tok[2])
+    return "half", num
 
 
 def _word_length(p: NCPoly) -> int:
@@ -309,64 +291,16 @@ def _check_budget(terms: int, length: int, pos: int) -> None:
             f"budget {MAX_WORD_LENGTH}", pos)
 
 
-def _scalar_size(p: NCPoly) -> tuple[int, int]:
-    """The most Laurent terms of a numerator, and of a denominator, among
-    p's coefficients (1 and 1 for the zero polynomial)."""
-    n = d = 1
-    for c in p.terms.values():
-        kn, kd = c.term_counts()
-        if kn > n:
-            n = kn
-        if kd > d:
-            d = kd
-    return n, d
-
-
-def _check_scalar_terms(num: int, den: int, pos: int) -> None:
-    if num > MAX_SCALAR_TERMS or den > MAX_SCALAR_TERMS:
-        raise ExprSyntaxError(
-            f"expression too large: coefficients of up to {max(num, den)} "
-            f"Laurent terms, budget {MAX_SCALAR_TERMS}", pos)
-
-
-def _check_sum(a: NCPoly, b: NCPoly, pos: int) -> None:
-    """Refuse a + b when a coefficient of it could exceed the scalar budget."""
-    na, da = _scalar_size(a)
-    nb, db = _scalar_size(b)
-    _check_scalar_terms(na * db + nb * da, da * db, pos)
-
-
 def _product(a: NCPoly, b: NCPoly, pos: int) -> NCPoly:
-    """a * b, refused when its term count or a coefficient could exceed
-    the budgets."""
+    """a * b, refused when its term count could exceed the budget."""
     _check_budget(len(a.terms) * len(b.terms), 0, pos)
-    na, da = _scalar_size(a)
-    nb, db = _scalar_size(b)
-    _check_scalar_terms(na * nb, da * db, pos)
     return a * b
-
-
-def _check_power_terms(c: Scalar, k: int, pos: int) -> None:
-    """Refuse c^k, k >= 1, when a coefficient of it could exceed the scalar
-    budget.  A part of f terms gives at most C(f+k-1, k) terms, and at most
-    the product over atoms of (k*span + 1): every term of its k-th power
-    has its exponents in k*[min, max]."""
-    n, d = (min(math.comb(f + k - 1, k), math.prod(k * e + 1 for e in spans))
-            for f, spans in zip(c.term_counts(), c.exp_spans()))
-    _check_scalar_terms(n, d, pos)
 
 
 def _poly_pow(p: NCPoly, k: int, pos: int) -> NCPoly:
     if k < 0:
-        s = _as_scalar(p, pos).inverse()
-        _check_power_terms(s, -k, pos)
-        return NCPoly.scalar(p.alphabet, s ** -k)
+        return NCPoly.scalar(p.alphabet, _as_scalar(p, pos).inverse() ** -k)
     _check_budget(len(p.terms) ** k, _word_length(p) * k, pos)
-    if len(p.terms) == 1:  # one word and one coefficient c: the power is c^k
-        _check_power_terms(next(iter(p.terms.values())), k, pos)
-    else:
-        n, d = _scalar_size(p)
-        _check_scalar_terms(math.comb(n + k - 1, k), math.comb(d + k - 1, k), pos)
     out = NCPoly.scalar(p.alphabet, ONE)
     for _ in range(k):
         out = out * p
@@ -388,9 +322,7 @@ def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
         toks.expect(",")
         right = _parse_sum(toks, ctx)
         toks.expect("]")
-        ab, ba = _product(left, right, pos), _product(right, left, pos)
-        _check_sum(ab, ba, pos)
-        return ab - ba
+        return _product(left, right, pos) - _product(right, left, pos)
     if kind == "name":
         if value == "star":
             toks.expect("(")
@@ -524,6 +456,12 @@ def _report_json(regime: Regime, reports) -> dict:
 # Commands
 # --------------------------------------------------------------------------
 
+def _error(message: str) -> int:
+    """Print one ``error:`` line to stderr; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args) -> int:
     regime = regime_from_label(args.regime)
     t0 = time.perf_counter()
@@ -535,9 +473,7 @@ def _cmd_verify(args) -> int:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
         except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
+            return _error(f"cannot write {args.json}: {exc.strerror or exc}")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -580,15 +516,16 @@ def _cmd_relations(args) -> int:
 
 def _cmd_nf(args) -> int:
     regime = regime_from_label(args.regime)
+    # built once per regime, outside the budget: not the query's work
     alph, system = nf_system(regime)
     ctx = ParseContext(alph, regime)
     try:
-        poly = parse_expr(args.expr, ctx)
+        with coeff.WorkBudget(MAX_WORK):
+            nf = system.normal_form(parse_expr(args.expr, ctx))
     except (ExprSyntaxError, UnknownSymbolError, NoncommutativeDivisionError,
-            ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = str(system.normal_form(poly))
+            ZeroDivisionError, coeff.WorkBudgetExceeded) as exc:
+        return _error(str(exc))
+    out = str(nf)
     print(unicode_pretty(out) if args.pretty else out)
     return 0
 
@@ -607,8 +544,7 @@ def _cmd_obstruction(args) -> int:
 def _cmd_length(args) -> int:
     regime = regime_from_label(args.regime)
     if regime.kind not in (RegimeKind.UNIT_CIRCLE, RegimeKind.REAL_Q):
-        print("error: length runs in unit-circle or real-q regimes", file=sys.stderr)
-        return 2
+        return _error("length runs in unit-circle or real-q regimes")
     ell, reports, comparison = algebras.minkowski_length(regime)
     alg = algebras.minkowski_system(regime)
     print(f"length element ({regime.label}): {ell}")
@@ -627,17 +563,12 @@ def _cmd_length(args) -> int:
 def _cmd_eval(args) -> int:
     regime = regime_from_label(args.regime)
     if not 1 <= args.samples <= MAX_SAMPLES:
-        print(f"error: --samples must be between 1 and {MAX_SAMPLES}, "
-              f"got {args.samples}", file=sys.stderr)
-        return 2
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"error: --tol must be finite and positive, got {args.tol:g}",
-              file=sys.stderr)
-        return 2
-    if args.t is not None and not (math.isfinite(args.t) and args.t > 0):
-        print(f"error: --t must be finite and positive, got {args.t:g}",
-              file=sys.stderr)
-        return 2
+        return _error(f"--samples must be between 1 and {MAX_SAMPLES}, "
+                      f"got {args.samples}")
+    for name in ("tol", "t"):
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return _error(f"--{name} must be finite and positive, got {value:g}")
     rng = random.Random(args.seed)
     samples: list[tuple[complex, float, complex | None]] = []
     t_values = [args.t] if args.t is not None else [0.5, 2.0]
@@ -645,11 +576,9 @@ def _cmd_eval(args) -> int:
         try:
             re, im = (float(v) for v in args.q.split(","))
         except ValueError:
-            print(f"error: --q needs RE,IM, got {args.q!r}", file=sys.stderr)
-            return 2
+            return _error(f"--q needs RE,IM, got {args.q!r}")
         if not (math.isfinite(re) and math.isfinite(im)):
-            print(f"error: --q parts must be finite, got {args.q!r}", file=sys.stderr)
-            return 2
+            return _error(f"--q parts must be finite, got {args.q!r}")
         q = complex(re, im)
         if regime.kind is RegimeKind.UNIT_CIRCLE and q != 0:
             q /= abs(q)  # project user input onto the circle exactly
@@ -676,12 +605,9 @@ def _cmd_eval(args) -> int:
         try:
             res = intertwiners.numeric_suite(regime, q, t, qb, scales=scales)
         except (coeff.DomainError, ZeroDivisionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(str(exc))
         except (OverflowError, FloatingPointError) as exc:
-            print(f"error: double precision overflow at q = {q}, t = {t:g}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
+            return _error(f"double precision overflow at q = {q}, t = {t:g}: {exc}")
         for k, v in res.items():
             s = scales.get(k, 1.0)
             prev = worst.get(k)
@@ -753,8 +679,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for name, value in vars(args).items():
         if value == []:  # argparse (Python 3.11) reads --expr=-- as []
-            print(f"error: argument --{name}: expected one argument", file=sys.stderr)
-            return 2
+            return _error(f"argument --{name}: expected one argument")
     return args.fn(args)
 
 

@@ -89,6 +89,7 @@ __all__ = [
     "ALL_REGIMES", "regime_from_label",
     "ZERO", "ONE", "I", "Q", "QB", "T", "Q_HALF", "QB_HALF", "T_HALF",
     "integer", "rat", "gauss", "exact_divide",
+    "WorkBudget", "WorkBudgetExceeded",
 ]
 
 
@@ -98,6 +99,41 @@ class DomainError(ValueError):
 
 class MissingParameterError(ValueError):
     """A regime or builder was invoked without a parameter it needs."""
+
+
+class WorkBudgetExceeded(Exception):
+    """The work under a ``WorkBudget`` would exceed its units."""
+
+
+class WorkBudget:
+    """Charges the work done in its ``with`` block against ``units``; the
+    charge that would exceed them raises ``WorkBudgetExceeded`` before its
+    work runs.  Charged: ``len(a) * len(b)`` by ``_mul_general``,
+    ``len(tail) + 1`` per step of ``_long_divide``, one per term that
+    ``RewriteSystem.normal_form`` pops.  Outside any budget each of these
+    sites costs one ``is None`` test.  Exit restores the budget before."""
+
+    def __init__(self, units: int):
+        self.units = self.left = units
+
+    def __enter__(self):
+        global active_budget
+        self.outer, active_budget = active_budget, self
+        return self
+
+    def __exit__(self, *exc):
+        global active_budget
+        active_budget = self.outer
+
+    def charge(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise WorkBudgetExceeded(
+                f"expression too large: over the budget of {self.units} "
+                "steps of arithmetic and rewriting")
+
+
+active_budget: WorkBudget | None = None  # the one in force, if any
 
 
 # --------------------------------------------------------------------------
@@ -488,6 +524,9 @@ def _mul_general(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     ``LaurentPoly.__mul__`` uses it when both factors have two or more
     terms; the tests use it as the reference for the one-term fast path.
     """
+    budget = active_budget
+    if budget is not None:
+        budget.charge(len(a._terms) * len(b._terms))
     out: dict[Mono, GaussianRational | int] = {}
     for m1, c1 in a._terms.items():
         for m2, c2 in b._terms.items():
@@ -594,7 +633,10 @@ def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     lead_inv = _stored(_gr(d2[lead_m]).inverse())
     tail = [(m, c) for m, c in d2.items() if m != lead_m]
     quot: dict[Mono, GaussianRational | int] = {}
+    budget = active_budget
     while rem:
+        if budget is not None:
+            budget.charge(len(tail) + 1)
         m = max(rem, key=_deglex_key)
         sa, sb, sc = m[0] - la, m[1] - lb, m[2] - lc
         if sa < 0 or sb < 0 or sc < 0:
@@ -749,14 +791,6 @@ class Scalar:
 
     num = property(lambda self: self._views()[0])
     den = property(lambda self: self._views()[1])
-
-    def term_counts(self) -> tuple[int, int]:
-        """Laurent terms of the numerator and of the denominator."""
-        return len(self.n._terms), len(self.d._terms)
-
-    def exp_spans(self) -> tuple[Mono, Mono]:
-        """Exponent spans per atom of a nonzero numerator and denominator."""
-        return _exp_spans(self.n._terms), _exp_spans(self.d._terms)
 
     # -- predicates --------------------------------------------------------
 

@@ -463,11 +463,12 @@ def run_matrix_identity(chk: MatrixIdentity, source: OperatorSource) -> CheckRep
         "nonzero as expected")
 
 
-def _scale(*sides: np.ndarray) -> float:
-    """max(1, the largest |entry| of the sides): what a residual is
-    judged against, since far from q = t = 1 the entries, and the
-    rounding error of a true identity with them, grow without bound."""
-    return max(1.0, *(float(np.max(np.abs(a))) for a in sides))
+def _scale(*bounds: np.ndarray) -> float:
+    """max(1, the largest entry of the bounds |A_n|...|A_1| of the sides'
+    products, entrywise absolute values): what a residual is judged against.
+    The rounding error of a product grows with these (the forward error
+    bound), which count the terms that cancel in the finished product."""
+    return max(1.0, *(float(np.max(b)) for b in bounds))
 
 
 def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
@@ -486,9 +487,10 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
     """
     if values is None:
         values = {}
+    bounds = []
 
     def side(factors):
-        acc = None
+        acc = bound = None
         sig = chk.ambient
         pending = 1.0 + 0j
         for f in reversed(factors):
@@ -503,12 +505,16 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
             pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
             a = pl.scatter(a)
             acc = a if acc is None else a @ acc
+            if scales is not None:
+                bound = abs(a) if bound is None else abs(a) @ bound
             sig = pl.out_sig
+        if scales is not None:
+            bounds.append(bound * abs(pending))
         return acc * pending
 
     lhs, rhs = side(chk.lhs), side(chk.rhs)
     if scales is not None:
-        scales[chk.check_id] = _scale(lhs, rhs)
+        scales[chk.check_id] = _scale(*bounds)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -882,6 +888,7 @@ def numeric_suite(regime: Regime, q: complex, t: float,
             ident = np.eye(16)
             lhs = pm @ (w + ident / q)
             if scales is not None:
-                scales["compat/braiding-scalar-zero"] = _scale(lhs)
+                scales["compat/braiding-scalar-zero"] = _scale(
+                    abs(pm) @ (abs(w) + ident / abs(q)))
             out["compat/braiding-scalar-zero"] = float(np.max(np.abs(lhs)))
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import coeff
 from .coeff import GENERIC, ONE, Regime, Scalar, ZERO
 from .tensor import row_echelon
 
@@ -283,7 +284,10 @@ class RewriteSystem:
         out: dict[Word, Scalar] = {}
         stack = [(w, c, 0) for w, c in p.terms.items() if not c.is_zero()]
         rules = self.rules
+        budget = coeff.active_budget
         while stack:
+            if budget is not None:
+                budget.charge(1)
             w, c, start = stack.pop()
             pos = None
             for i in range(start, len(w) - 1):

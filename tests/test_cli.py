@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink.algebras import minkowski_system, table_relations, x_alphabet
-from qmink.cli import (ExprSyntaxError, NoncommutativeDivisionError,
+from qmink import coeff
+from qmink.cli import (MAX_WORK, ExprSyntaxError, NoncommutativeDivisionError,
                        ParseContext, UnknownSymbolError, main, nf_system,
                        parse_expr, run_suites)
 from qmink.coeff import (ALL_REGIMES, ONE, Q, T, UNIT_CIRCLE, ZERO,
-                         GaussianRational, LaurentPoly, Scalar)
+                         GaussianRational, LaurentPoly, Scalar, WorkBudget,
+                         WorkBudgetExceeded, exact_divide)
 from qmink.rewrite import NCPoly
 
 UC_ALPH = x_alphabet(UNIT_CIRCLE)
@@ -356,6 +358,7 @@ def test_eval_non_finite_or_huge_point_exits_2(capsys, regime, point):
 @pytest.mark.parametrize("args", [
     ["--regime", "unit-circle", "--t", "1e-3", "--samples", "3"],
     ["--regime", "unit-circle", "--t", "1e4", "--samples", "3"],
+    ["--regime", "unit-circle", "--t", "1e-8", "--samples", "2"],
     ["--regime", "real-q", "--q=100,0", "--samples", "1"],
     ["--regime", "case2+", "--q=0.001,0", "--samples", "1"],
 ])
@@ -448,28 +451,85 @@ def test_nf_input_budget_leaves_room_for_ordinary_queries():
     "[alpha/(q+qb+t+1)^20, beta/(q+qb+t+2)^20]",
 ])
 def test_nf_scalar_term_budget_refuses_coefficient_blowup(capsys, expr):
-    # the powers within the budget take about a second; the refused
-    # product or sum of the first one alone took 100 s
+    # the refused product or sum of the first one alone took 100 s
     t0 = time.perf_counter()
     assert main(["nf", "--regime", "generic", "--expr", expr]) == 2
-    assert time.perf_counter() - t0 < 10.0
+    assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: expression too large") and "Traceback" not in err
 
 
-def test_nf_scalar_term_budget_edge():
-    from qmink.cli import MAX_SCALAR_TERMS
-    alph, _ = nf_system(ALL_REGIMES[0])
+def test_nf_work_budget_edge(capsys):
+    # (q+qb+t+1)^k charges 4*C(k+3, 4) - 3 units: 365 557 for k = 37 and
+    # 405 077 for k = 38, on either side of MAX_WORK
+    assert main(["nf", "--regime", "generic", "--expr", "(q+qb+t+1)^37"]) == 0
+    assert main(["nf", "--regime", "generic", "--expr", "(q+qb+t+1)^38"]) == 2
+    assert capsys.readouterr().err.startswith("error: expression too large")
+    # honest powers of one coefficient fit
+    alph, system = nf_system(ALL_REGIMES[0])
     ctx = ParseContext(alph, ALL_REGIMES[0])
-    # C(13,3) * C(8,3) = 286 * 56 = 16016 and 286 * 84 = 24024 term products
-    assert 286 * 56 <= MAX_SCALAR_TERMS < 286 * 84
-    p = parse_expr("(q+qb+t+1)^10*(q+qb+t+2)^5", ctx)
-    assert len(p.terms[()].num.terms) == 816  # C(18,3): degree <= 15 in q, qb, t
-    with pytest.raises(ExprSyntaxError, match="too large"):
-        parse_expr("(q+qb+t+1)^10*(q+qb+t+2)^6", ctx)
-    # C(n+k-1, k) overcounts one atom's powers, and still admits these
     for expr in ("((q+1)^8)^8", "(q+1)^64", "q^64*q^64", "(q-1/q)^64"):
-        parse_expr(expr, ctx)
+        with WorkBudget(MAX_WORK):
+            system.normal_form(parse_expr(expr, ctx))
+
+
+@pytest.mark.parametrize("expr", ["delta^5*alpha^5", "(delta+alpha)^8"])
+def test_nf_work_budget_bounds_the_reduction(capsys, expr):
+    # accepted by every syntactic cap; they reduced for 177 s and 16 s
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", "generic", "--expr", expr]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression too large") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("regime, expr", [
+    ("generic", "(q+qb+t+1)^32"),
+    ("unit-circle", "delta^6*alpha^6"),
+])
+def test_nf_work_budget_admits_the_heaviest_honest_queries(capsys, regime, expr):
+    assert main(["nf", "--regime", regime, "--expr", expr]) == 0
+    assert capsys.readouterr().out.strip()
+
+
+def test_nf_work_budget_leaves_no_state_behind(capsys):
+    refused = "1/(q+qb+t+1)^20/(q+qb+t+2)^20"  # refused in one large charge
+    assert main(["nf", "--regime", "generic", "--expr", refused]) == 2
+    assert coeff.active_budget is None
+    # a fresh budget for the next query, and none for library callers
+    assert main(["nf", "--regime", "generic", "--expr", "(q+qb+t+1)^4"]) == 0
+    alph, system = nf_system(ALL_REGIMES[0])
+    p = parse_expr("delta*alpha*delta*alpha", ParseContext(alph, ALL_REGIMES[0]))
+    assert system.normal_form(p).terms
+
+
+def test_work_budget_charges_each_kind_of_work():
+    a, b = Q + ONE, T + ONE  # two terms each: 4 coefficient products
+    with WorkBudget(4):
+        a * b
+    with pytest.raises(WorkBudgetExceeded), WorkBudget(3):
+        a * b
+    # (q^2 - 1)/(q - 1) takes two division steps of 1 + 1 (the divisor's tail)
+    num, den = (Q * Q - ONE).n, (Q - ONE).n
+    with WorkBudget(4):
+        exact_divide(num, den)
+    with pytest.raises(WorkBudgetExceeded), WorkBudget(3):
+        exact_divide(num, den)
+    # delta*alpha is popped, then the two words it rewrites to
+    alph, system = nf_system(UNIT_CIRCLE)
+    p = parse_expr("delta*alpha", ParseContext(alph, UNIT_CIRCLE))
+    with WorkBudget(3):
+        system.normal_form(p)
+    with pytest.raises(WorkBudgetExceeded), WorkBudget(2):
+        system.normal_form(p)
+    # budgets nest, and the one in force before is restored
+    with WorkBudget(10) as outer:
+        with pytest.raises(WorkBudgetExceeded):
+            with WorkBudget(3):
+                a * b
+        assert coeff.active_budget is outer
+        a * b
+    assert outer.left == 6 and coeff.active_budget is None
 
 
 @pytest.mark.parametrize("nested, flat", [

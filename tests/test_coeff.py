@@ -802,7 +802,7 @@ def _assert_laurent_form(s: Scalar):
     if not monomial_den:
         assert s.d.leading()[1] == _GR_ONE
         assert s.d.min_exps() == (0, 0, 0)
-    assert s.term_counts() == (len(s.num.terms), len(s.den.terms))
+    assert (len(s.n.terms), len(s.d.terms)) == (len(s.num.terms), len(s.den.terms))
     num, den = _normalised(s.num, s.den)
     _same_terms(s.num, num)
     _same_terms(s.den, den)
