@@ -67,14 +67,14 @@ class ParseContext:
 #
 # MAX_WORK bounds the work itself, which no cap sees: nf parses and reduces
 # under ``coeff.WorkBudget(MAX_WORK)``, charged per coefficient product,
-# division step and rewrite step as they run.  The heaviest honest queries
-# measured cost 242 383 units (unit-circle delta^6*alpha^6, 0.5 s) and
-# 209 437 ((q+qb+t+1)^32); the lightest refused blow-up, (q+qb+t+1)^-45,
-# costs 778 317.  400 000 lies near their geometric mean.  A unit costs
-# at most about 3 us in most queries, 7 us where generic division steps
-# scan long remainders ((alpha+beta+gamma+delta)^5*(q+1): 345 491 units,
-# 2.5 s), so a refusal comes within about 3 s.  MAX_TERMS stays: a
-# product of one-term coefficients never reaches the charged double loop.
+# division attempt and step, and rewrite step as they run.  The heaviest
+# honest queries measured cost 242 383 units (unit-circle delta^6*alpha^6)
+# and 209 437 ((q+qb+t+1)^32); the lightest refused blow-up,
+# (q+qb+t+1)^-45, costs 778 317.  400 000 lies near their geometric mean.
+# On one core of a 2-core Xeon a unit costs at most about 3 us (a
+# unit-circle rewrite step), so the slowest refusal measured, unit-circle
+# (delta+alpha)^10, comes after 1.3 s.  MAX_TERMS stays: a product of
+# one-term coefficients never reaches the charged double loop.
 MAX_TERMS = 1024
 MAX_WORK = 400_000
 MAX_WORD_LENGTH = 12
@@ -181,7 +181,9 @@ def parse_expr(text: str, ctx: ParseContext) -> NCPoly:
 
 
 def _parse_sum(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    negate = toks.peek()[0] in "+-" and toks.next()[0] == "-"
+    negate = False
+    if toks.peek()[0] in "+-":
+        negate = toks.next()[0] == "-"
     out = _parse_term(toks, ctx)
     if negate:
         out = -out
@@ -255,26 +257,34 @@ def _parse_powers(toks: _Tokens, ctx: ParseContext) -> NCPoly:
 
 def _parse_exponent(toks: _Tokens) -> tuple[str, int]:
     """Integer exponent, or (k/2) half-integer form for the base atoms."""
-    sign, tok = 1, toks.next()
-    if tok[0] == "-":
-        sign, tok = -1, toks.next()
-    if tok[0] == "num":
-        return "int", sign * int(tok[1])
-    if tok[0] != "(":
-        raise ExprSyntaxError("expected an exponent", tok[2])
+    neg = False
     if toks.peek()[0] == "-":
         toks.next()
-        sign = -sign
-    num = sign * int(toks.expect("num")[1])
-    if toks.peek()[0] != "/":
+        neg = True
+    tok = toks.peek()
+    if tok[0] == "num":
+        toks.next()
+        n = int(tok[1])
+        return "int", (-n if neg else n)
+    if tok[0] == "(":
+        toks.next()
+        inner_neg = False
+        if toks.peek()[0] == "-":
+            toks.next()
+            inner_neg = True
+        num = int(toks.expect("num")[1])
+        sign = -1 if (neg ^ inner_neg) else 1
+        if toks.peek()[0] == "/":
+            toks.next()
+            den = int(toks.expect("num")[1])
+            toks.expect(")")
+            if den != 2:
+                raise ExprSyntaxError("only /2 fractional exponents are supported",
+                                      tok[2])
+            return "half", sign * num
         toks.expect(")")
-        return "int", num
-    toks.next()
-    den = int(toks.expect("num")[1])
-    toks.expect(")")
-    if den != 2:
-        raise ExprSyntaxError("only /2 fractional exponents are supported", tok[2])
-    return "half", num
+        return "int", sign * num
+    raise ExprSyntaxError("expected an exponent", tok[2])
 
 
 def _word_length(p: NCPoly) -> int:
@@ -456,12 +466,6 @@ def _report_json(regime: Regime, reports) -> dict:
 # Commands
 # --------------------------------------------------------------------------
 
-def _error(message: str) -> int:
-    """Print one ``error:`` line to stderr; returns exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_verify(args) -> int:
     regime = regime_from_label(args.regime)
     t0 = time.perf_counter()
@@ -473,7 +477,9 @@ def _cmd_verify(args) -> int:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
         except OSError as exc:
-            return _error(f"cannot write {args.json}: {exc.strerror or exc}")
+            print(f"error: cannot write {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -524,7 +530,8 @@ def _cmd_nf(args) -> int:
             nf = system.normal_form(parse_expr(args.expr, ctx))
     except (ExprSyntaxError, UnknownSymbolError, NoncommutativeDivisionError,
             ZeroDivisionError, coeff.WorkBudgetExceeded) as exc:
-        return _error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = str(nf)
     print(unicode_pretty(out) if args.pretty else out)
     return 0
@@ -544,7 +551,8 @@ def _cmd_obstruction(args) -> int:
 def _cmd_length(args) -> int:
     regime = regime_from_label(args.regime)
     if regime.kind not in (RegimeKind.UNIT_CIRCLE, RegimeKind.REAL_Q):
-        return _error("length runs in unit-circle or real-q regimes")
+        print("error: length runs in unit-circle or real-q regimes", file=sys.stderr)
+        return 2
     ell, reports, comparison = algebras.minkowski_length(regime)
     alg = algebras.minkowski_system(regime)
     print(f"length element ({regime.label}): {ell}")
@@ -563,12 +571,17 @@ def _cmd_length(args) -> int:
 def _cmd_eval(args) -> int:
     regime = regime_from_label(args.regime)
     if not 1 <= args.samples <= MAX_SAMPLES:
-        return _error(f"--samples must be between 1 and {MAX_SAMPLES}, "
-                      f"got {args.samples}")
-    for name in ("tol", "t"):
-        value = getattr(args, name)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            return _error(f"--{name} must be finite and positive, got {value:g}")
+        print(f"error: --samples must be between 1 and {MAX_SAMPLES}, "
+              f"got {args.samples}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be finite and positive, got {args.tol:g}",
+              file=sys.stderr)
+        return 2
+    if args.t is not None and not (math.isfinite(args.t) and args.t > 0):
+        print(f"error: --t must be finite and positive, got {args.t:g}",
+              file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     samples: list[tuple[complex, float, complex | None]] = []
     t_values = [args.t] if args.t is not None else [0.5, 2.0]
@@ -576,9 +589,11 @@ def _cmd_eval(args) -> int:
         try:
             re, im = (float(v) for v in args.q.split(","))
         except ValueError:
-            return _error(f"--q needs RE,IM, got {args.q!r}")
+            print(f"error: --q needs RE,IM, got {args.q!r}", file=sys.stderr)
+            return 2
         if not (math.isfinite(re) and math.isfinite(im)):
-            return _error(f"--q parts must be finite, got {args.q!r}")
+            print(f"error: --q parts must be finite, got {args.q!r}", file=sys.stderr)
+            return 2
         q = complex(re, im)
         if regime.kind is RegimeKind.UNIT_CIRCLE and q != 0:
             q /= abs(q)  # project user input onto the circle exactly
@@ -605,9 +620,12 @@ def _cmd_eval(args) -> int:
         try:
             res = intertwiners.numeric_suite(regime, q, t, qb, scales=scales)
         except (coeff.DomainError, ZeroDivisionError) as exc:
-            return _error(str(exc))
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except (OverflowError, FloatingPointError) as exc:
-            return _error(f"double precision overflow at q = {q}, t = {t:g}: {exc}")
+            print(f"error: double precision overflow at q = {q}, t = {t:g}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
         for k, v in res.items():
             s = scales.get(k, 1.0)
             prev = worst.get(k)
@@ -679,7 +697,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for name, value in vars(args).items():
         if value == []:  # argparse (Python 3.11) reads --expr=-- as []
-            return _error(f"argument --{name}: expected one argument")
+            print(f"error: argument --{name}: expected one argument", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

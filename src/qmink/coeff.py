@@ -64,9 +64,10 @@ the remainder cancels exactly (f is chosen so), so it is removed without
 the arithmetic; every other term takes the same products, negations and
 sums that ``rem - d.shifted(s).scale(f)`` would run.  Deglex order is
 preserved by the shift, so the rest of f * x^s * d lies below the removed
-term and each step strictly lowers the remainder's leading term.  The
-leading terms, and so the quotient's terms and their order, are chosen as
-before; the quotient is unique anyway.  ``integer(n)``
+term and each step strictly lowers the remainder's leading term, which a
+heap of the remainder's monomials finds in O(log n) rather than by a scan.
+The leading terms, and so the quotient's terms and their order, are chosen
+as before; the quotient is unique anyway.  ``integer(n)``
 stores n over the shared constant 1 without a ``Fraction`` round trip, the
 num/den that ``Scalar.from_poly`` builds for it.
 """
@@ -79,6 +80,7 @@ from math import gcd, lcm
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
 __all__ = [
@@ -108,13 +110,17 @@ class WorkBudgetExceeded(Exception):
 class WorkBudget:
     """Charges the work done in its ``with`` block against ``units``; the
     charge that would exceed them raises ``WorkBudgetExceeded`` before its
-    work runs.  Charged: ``len(a) * len(b)`` by ``_mul_general``,
-    ``len(tail) + 1`` per step of ``_long_divide``, one per term that
-    ``RewriteSystem.normal_form`` pops.  Outside any budget each of these
-    sites costs one ``is None`` test.  Exit restores the budget before."""
+    work runs.  Charged: ``len(a) * len(b)`` by ``_mul_general``;
+    ``len(p) + len(d)`` per ``exact_divide`` attempt with a divisor of two
+    or more terms, and ``len(tail) + 1`` per step of ``_long_divide``; one
+    per term that ``RewriteSystem.normal_form`` pops.  Outside any budget
+    each of these sites costs one ``is None`` test.  A budget entered
+    inside another passes its charges on to it, and exit restores the
+    budget before."""
 
     def __init__(self, units: int):
         self.units = self.left = units
+        self.outer = None
 
     def __enter__(self):
         global active_budget
@@ -131,6 +137,8 @@ class WorkBudget:
             raise WorkBudgetExceeded(
                 f"expression too large: over the budget of {self.units} "
                 "steps of arithmetic and rewriting")
+        if self.outer is not None:
+            self.outer.charge(units)
 
 
 active_budget: WorkBudget | None = None  # the one in force, if any
@@ -611,6 +619,9 @@ def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     if len(d._terms) > 1:  # a one-term divisor has span 0 and always divides
         if len(p._terms) == 1:
             return None
+        budget = active_budget  # the spans, the shifts and the heap
+        if budget is not None:
+            budget.charge(len(p._terms) + len(d._terms))
         sp = _exp_spans(p._terms)
         sd = _exp_spans(d._terms)
         if sp[0] < sd[0] or sp[1] < sd[1] or sp[2] < sd[2]:
@@ -633,11 +644,18 @@ def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     lead_inv = _stored(_gr(d2[lead_m]).inverse())
     tail = [(m, c) for m, c in d2.items() if m != lead_m]
     quot: dict[Mono, GaussianRational | int] = {}
+    # max-heap of the remainder's monomials in deglex order, as negated
+    # keys; an entry whose term has cancelled is skipped when it surfaces
+    heap = [(-a - b - e, -a, -b, -e) for a, b, e in rem]
+    heapify(heap)
     budget = active_budget
     while rem:
+        _, na, nb, ne = heappop(heap)
+        m = (-na, -nb, -ne)
+        if m not in rem:
+            continue
         if budget is not None:
             budget.charge(len(tail) + 1)
-        m = max(rem, key=_deglex_key)
         sa, sb, sc = m[0] - la, m[1] - lb, m[2] - lc
         if sa < 0 or sb < 0 or sc < 0:
             return None
@@ -654,6 +672,7 @@ def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
             old = rem.get(k)
             if old is None:
                 rem[k] = v
+                heappush(heap, (-k[0] - k[1] - k[2], -k[0], -k[1], -k[2]))
             else:
                 v = old + v
                 v = v if v.__class__ is int else _stored(v)

@@ -451,7 +451,8 @@ def test_nf_input_budget_leaves_room_for_ordinary_queries():
     "[alpha/(q+qb+t+1)^20, beta/(q+qb+t+2)^20]",
 ])
 def test_nf_scalar_term_budget_refuses_coefficient_blowup(capsys, expr):
-    # the refused product or sum of the first one alone took 100 s
+    # the refused product or sum of the first one alone took 100 s; each is
+    # refused within 0.4 s on one core of a 2-core Xeon
     t0 = time.perf_counter()
     assert main(["nf", "--regime", "generic", "--expr", expr]) == 2
     assert time.perf_counter() - t0 < 2.0
@@ -475,12 +476,26 @@ def test_nf_work_budget_edge(capsys):
 
 @pytest.mark.parametrize("expr", ["delta^5*alpha^5", "(delta+alpha)^8"])
 def test_nf_work_budget_bounds_the_reduction(capsys, expr):
-    # accepted by every syntactic cap; they reduced for 177 s and 16 s
+    # accepted by every syntactic cap; they reduced for 177 s and 16 s, and
+    # are refused after 0.3 s and 0.4 s on one core of a 2-core Xeon
     t0 = time.perf_counter()
     assert main(["nf", "--regime", "generic", "--expr", expr]) == 2
     assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: expression too large") and "Traceback" not in err
+
+
+def test_nf_work_budget_bounds_the_time_of_a_division(capsys):
+    # 365 558 units, 9139 of them division steps over a remainder of about
+    # 9.9k terms: each step costs O(log n) in the remainder (0.4 s in all),
+    # where a scan of the remainder per step took 12 s
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", "generic",
+                 "--expr", "(q+qb+t+1)^36*(q+1)/(q+1)"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert main(["nf", "--regime", "generic", "--expr", "(q+qb+t+1)^36"]) == 0
+    quotient, power = capsys.readouterr().out.splitlines()
+    assert quotient == power
 
 
 @pytest.mark.parametrize("regime, expr", [
@@ -509,11 +524,12 @@ def test_work_budget_charges_each_kind_of_work():
         a * b
     with pytest.raises(WorkBudgetExceeded), WorkBudget(3):
         a * b
-    # (q^2 - 1)/(q - 1) takes two division steps of 1 + 1 (the divisor's tail)
+    # (q^2 - 1)/(q - 1): an attempt of 2 + 2 terms, then two division steps
+    # of 1 + 1 (the divisor's tail)
     num, den = (Q * Q - ONE).n, (Q - ONE).n
-    with WorkBudget(4):
+    with WorkBudget(8):
         exact_divide(num, den)
-    with pytest.raises(WorkBudgetExceeded), WorkBudget(3):
+    with pytest.raises(WorkBudgetExceeded), WorkBudget(7):
         exact_divide(num, den)
     # delta*alpha is popped, then the two words it rewrites to
     alph, system = nf_system(UNIT_CIRCLE)
@@ -522,14 +538,16 @@ def test_work_budget_charges_each_kind_of_work():
         system.normal_form(p)
     with pytest.raises(WorkBudgetExceeded), WorkBudget(2):
         system.normal_form(p)
-    # budgets nest, and the one in force before is restored
+    # an inner budget passes its charges on, and exit restores the outer one
     with WorkBudget(10) as outer:
+        with WorkBudget(100):
+            a * b
+        assert coeff.active_budget is outer and outer.left == 6
         with pytest.raises(WorkBudgetExceeded):
-            with WorkBudget(3):
+            with WorkBudget(100):
                 a * b
-        assert coeff.active_budget is outer
-        a * b
-    assert outer.left == 6 and coeff.active_budget is None
+                a * b
+    assert coeff.active_budget is None
 
 
 @pytest.mark.parametrize("nested, flat", [
