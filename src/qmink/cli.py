@@ -54,16 +54,19 @@ class ParseContext:
     regime: Regime
 
 
-# Input budget.  Syntactic caps bound memory before any arithmetic runs.
-# A product whose term count could exceed MAX_TERMS, a power whose term
-# count or longest word could exceed the limits, and an exponent larger
-# than MAX_EXPONENT in magnitude are refused before they are computed;
-# word lengths only add up along a product, so they are checked on the
-# parsed result.  The exponent budget bounds the product of the exponent
-# magnitudes applied to any one subexpression, as powers multiply along a
-# chain, q^64^64, and through a parenthesised base, ((q+1)^64)^64.
-# MAX_DEPTH bounds the nesting of factors, which the parser follows by
-# recursion, and MAX_DIGITS keeps a literal inside what int() converts.
+# Input budget.  A product whose term count could exceed MAX_TERMS, a
+# power whose term count or longest word could exceed the limits, and an
+# exponent larger than MAX_EXPONENT in magnitude are refused before they
+# are computed.  Along a product word lengths only add up, so they are
+# checked once, on the parsed result, with its term count.  These caps
+# bound memory before any arithmetic runs.
+#
+# Powers multiply along a chain (q^64^64 is q^4096) and through a
+# parenthesised base ((q+1)^64)^64, so the exponent budget bounds the
+# product of the exponent magnitudes applied to any one subexpression.
+# MAX_DEPTH bounds the nesting of factors (parentheses, brackets, star(),
+# unary minus), which the parser follows by recursion.  MAX_DIGITS keeps a
+# number literal inside what int() converts (4300 digits by default).
 #
 # MAX_WORK bounds the work itself, which no cap sees: nf parses and reduces
 # under ``coeff.WorkBudget(MAX_WORK)``, charged per coefficient product,

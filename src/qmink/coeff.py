@@ -65,7 +65,7 @@ the arithmetic; every other term takes the same products, negations and
 sums that ``rem - d.shifted(s).scale(f)`` would run.  Deglex order is
 preserved by the shift, so the rest of f * x^s * d lies below the removed
 term and each step strictly lowers the remainder's leading term, which a
-heap of the remainder's monomials finds in O(log n) rather than by a scan.
+heap of the remainder's monomials finds in O(log n).
 The leading terms, and so the quotient's terms and their order, are chosen
 as before; the quotient is unique anyway.  ``integer(n)``
 stores n over the shared constant 1 without a ``Fraction`` round trip, the

@@ -524,12 +524,13 @@ def test_work_budget_charges_each_kind_of_work():
         a * b
     with pytest.raises(WorkBudgetExceeded), WorkBudget(3):
         a * b
-    # (q^2 - 1)/(q - 1): an attempt of 2 + 2 terms, then two division steps
-    # of 1 + 1 (the divisor's tail)
-    num, den = (Q * Q - ONE).n, (Q - ONE).n
-    with WorkBudget(8):
+    # (q^3 + q^2 + q + 1)/(q + 1): an attempt of 4 + 2 terms, then two
+    # division steps of 1 + 1 (the divisor's tail); the q^2 that the first
+    # step cancels surfaces from the heap at no charge
+    num, den = (Q ** 3 + Q * Q + Q + ONE).n, (Q + ONE).n
+    with WorkBudget(10):
         exact_divide(num, den)
-    with pytest.raises(WorkBudgetExceeded), WorkBudget(7):
+    with pytest.raises(WorkBudgetExceeded), WorkBudget(9):
         exact_divide(num, den)
     # delta*alpha is popped, then the two words it rewrites to
     alph, system = nf_system(UNIT_CIRCLE)
