@@ -532,6 +532,16 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
     quadratic-h block is then exchanged using the certified intertwining
     substitution (antisymmetrizer past h h), whose backing checks must
     have passed.  Returns (residuals by component, steps log, square).
+
+    The steps log states the mathematical order; the computation reduces
+    first and contracts after.  Each of the 16 blocks delta(x_j) delta(x_k)
+    - h h x'x' and each of the 16 rows of the antisymmetrizer applied to
+    the primed pairs is brought to normal form once (a block that the
+    antisymmetrizer does not use is skipped), and every residual is
+    the antisymmetrizer's combination of these reduced pieces.  That is the
+    same value as reducing the unreduced combination, because
+    ``normal_form`` is linear; the last ``normal_form`` only scans a
+    residual that is already normal.
     """
     if prereq is None:
         prereq = certified_prerequisites(regime)
@@ -551,30 +561,31 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
         "reduce the remaining primed/unprimed blocks to normal form",
     ]
 
-    zero = NCPoly.zero(alph)
-
     def word(*names):
         return NCPoly.word(alph, names)
 
-    def combination(row: dict, polys: list[NCPoly]) -> NCPoly:
+    def combination(row: dict, polys) -> NCPoly:
         """The sum over the row's entries v at column col of v polys[col]."""
-        return sum((polys[col].scale(v) for col, v in row.items()), zero)
+        return NCPoly.sum(alph, (polys[col].scale(v) for col, v in row.items()))
 
     def hh(j: int, k: int, tail: list[NCPoly]) -> NCPoly:
         """The sum over a, b of h[j,a] h[k,b] tail[a,b]."""
-        return sum((word(f"h[{j},{a}]", f"h[{k},{b}]") * tail[(a << 2) | b]
-                    for a in range(4) for b in range(4)), zero)
+        return NCPoly.sum(alph, (word(f"h[{j},{a}]", f"h[{k},{b}]") * tail[(a << 2) | b]
+                                 for a in range(4) for b in range(4)))
 
     # coproduct x_j -> x_j + h[j,a] x'_a
-    delta = [sum((word(f"h[{j},{a}]", PAIR_NAMES[a] + "'") for a in range(4)),
-                 word(PAIR_NAMES[j])) for j in range(4)]
+    delta = [NCPoly.sum(alph, [word(PAIR_NAMES[j])]
+                        + [word(f"h[{j},{a}]", PAIR_NAMES[a] + "'") for a in range(4)])
+             for j in range(4)]
     primed = [word(PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'")
               for a in range(4) for b in range(4)]
     # certified exchange: each product's h h x' x' block is replaced by
-    # h h times the antisymmetrizer applied to the primed pair
-    blocks = [delta[j] * delta[k] - hh(j, k, primed)
-              for j in range(4) for k in range(4)]
-    pm_primed = [combination(row, primed) for row in pm.rows]
+    # h h times the antisymmetrizer applied to the primed pair; a block in
+    # no column of the antisymmetrizer is not needed
+    blocks = {col: sys.normal_form(delta[col >> 2] * delta[col & 3]
+                                   - hh(col >> 2, col & 3, primed))
+              for col in {col for row in pm.rows for col in row}}
+    pm_primed = [sys.normal_form(combination(row, primed)) for row in pm.rows]
     residuals: dict[tuple[int, int], NCPoly] = {}
     for m in range(4):
         for n in range(4):
@@ -601,25 +612,22 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
 
     def sigma_one():
         residuals, _, sq = braided_delta_check(regime, sigma=ONE, prereq=prereq)
-        nonzero = {k: v for k, v in residuals.items() if not v.is_zero()}
+        nonzero = sum(not v.is_zero() for v in residuals.values())
         if not nonzero:
             return False, "no residual", None
-        # cross-check: leftover coefficients match the matrix obstruction
+        # each residual row is exactly its row of the matrix obstruction,
+        # sum over (a, b) of obstruction[row][(a, b)] h[a,c] x_b x'_c
         obstruction = operator_source(regime).get("Pminus(What+1)")
-        for (m, n), poly in nonzero.items():
-            row = (m << 2) | n
-            for w, c in poly.terms.items():
-                names = [sq.alphabet.name(k) for k in w]
-                if len(names) != 3 or not names[0].startswith("h["):
-                    return False, f"unexpected residual word {names}", None
-                aa, cc = (int(x) for x in names[0][2:-1].split(","))
-                bb = PAIR_NAMES.index(names[1])
-                if names[2] != PAIR_NAMES[cc] + "'":
-                    return False, f"unexpected residual word {names}", None
-                want = obstruction.rows[row].get((aa << 2) | bb, ZERO)
-                if c != want:
-                    return False, "residual does not match the matrix obstruction", None
-        return True, f"{len(nonzero)} nonzero components", \
+        alph = sq.alphabet
+        for (m, n), poly in residuals.items():
+            want = NCPoly.sum(alph, (
+                NCPoly.word(alph, (f"h[{col >> 2},{c}]", PAIR_NAMES[col & 3],
+                                   PAIR_NAMES[c] + "'"), v)
+                for col, v in obstruction.rows[(m << 2) | n].items()
+                for c in range(4)))
+            if not poly.equals(want):
+                return False, "residual does not match the matrix obstruction", None
+        return True, f"{nonzero} nonzero components", \
             "residual coefficients equal the entries of the matrix obstruction"
     reports.append(_timed("delta/sigma-one-fails", regime, "expect-nonzero", sigma_one))
 

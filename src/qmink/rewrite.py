@@ -102,6 +102,25 @@ class NCPoly:
     def scalar(alphabet: Alphabet, coeff: Scalar) -> "NCPoly":
         return NCPoly.word(alphabet, (), coeff)
 
+    @staticmethod
+    def sum(alphabet: Alphabet, polys) -> "NCPoly":
+        """The sum of polys in one pass.  Each word's coefficients are added
+        in the same order, and zero sums deleted in the same way, as by a
+        chain of ``+`` from zero, so the stored terms are the same."""
+        out: dict[Word, Scalar] = {}
+        for p in polys:
+            for w, c in p.terms.items():
+                s = out.get(w)
+                if s is None:
+                    out[w] = c
+                else:
+                    s = s + c
+                    if s.is_zero():
+                        del out[w]
+                    else:
+                        out[w] = s
+        return NCPoly(alphabet, out)
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -271,6 +290,12 @@ class RewriteSystem:
 
         Termination is structural: each step replaces a word by strictly
         smaller words in degree-lex order.
+
+        The map is linear in every system, confluent or not: each term is
+        reduced on its own, and only the results are summed, so
+        ``normal_form(a p1 + b p2)`` has the value ``a normal_form(p1) +
+        b normal_form(p2)`` (a Scalar of value zero has no terms, so the
+        zero sums are deleted either way).
 
         A word rewritten at ``pos`` keeps its prefix ``w[:pos]``, in which
         no left side occurs, so each new word is scanned from ``pos - 1``

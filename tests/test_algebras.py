@@ -15,7 +15,7 @@ from qmink.algebras import (OracleUnverifiedError,
                             suite_delta, suite_length, suite_pbw,
                             table_relations, x_alphabet, x_order)
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q,
-                         T, UNIT_CIRCLE, integer, rat)
+                         T, UNIT_CIRCLE, WorkBudget, integer, rat)
 from qmink.intertwiners import CheckReport, operator_source, suite_moves
 from qmink.rewrite import NCPoly
 from qmink.tensor import TMap, compose, identity, U, B
@@ -313,17 +313,69 @@ def test_braided_delta_passes_with_the_spectral_scalar():
 
 def test_braided_delta_fails_with_trivial_braiding():
     residuals, _, sq = braided_delta_check(UNIT_CIRCLE, sigma=ONE)
-    nonzero = {k: v for k, v in residuals.items() if not v.is_zero()}
-    assert nonzero
-    # every leftover coefficient equals a matrix-obstruction entry
+    assert sum(not v.is_zero() for v in residuals.values()) == 12
+    # each residual row is exactly the matrix obstruction's row, placed on
+    # the words h[a,c] x_b x'_c: no term missing, none extra
     obstruction = compose(sq.pminus, sq.what + identity((U, B, U, B)))
-    for (m, n), poly in nonzero.items():
-        row = (m << 2) | n
-        for w, c in poly.terms.items():
-            names = [sq.alphabet.name(k) for k in w]
-            aa, cc = (int(x) for x in names[0][2:-1].split(","))
-            bb = PAIR_NAMES.index(names[1])
-            assert c == obstruction.entries[row][(aa << 2) | bb]
+    alph = sq.alphabet
+    for (m, n), poly in residuals.items():
+        want = NCPoly.zero(alph)
+        for col, v in enumerate(obstruction.entries[(m << 2) | n]):
+            for c in range(4):
+                want = want + NCPoly.word(alph, (f"h[{col >> 2},{c}]",
+                                                 PAIR_NAMES[col & 3],
+                                                 PAIR_NAMES[c] + "'"), v)
+        assert poly.equals(want), (m, n)
+
+
+def _unsplit_braided_delta(sq):
+    """The braided coproduct residuals as computed before the blocks were
+    reduced one by one: each residual is the antisymmetrizer's combination
+    of the unreduced blocks, reduced as a whole."""
+    alph, sys, pm = sq.alphabet, sq.system, sq.pminus
+    zero = NCPoly.zero(alph)
+
+    def word(*names):
+        return NCPoly.word(alph, names)
+
+    def combination(row, polys):
+        return sum((polys[col].scale(v) for col, v in row.items()), zero)
+
+    def hh(j, k, tail):
+        return sum((word(f"h[{j},{a}]", f"h[{k},{b}]") * tail[(a << 2) | b]
+                    for a in range(4) for b in range(4)), zero)
+
+    delta = [sum((word(f"h[{j},{a}]", PAIR_NAMES[a] + "'") for a in range(4)),
+                 word(PAIR_NAMES[j])) for j in range(4)]
+    primed = [word(PAIR_NAMES[a] + "'", PAIR_NAMES[b] + "'")
+              for a in range(4) for b in range(4)]
+    blocks = [delta[j] * delta[k] - hh(j, k, primed)
+              for j in range(4) for k in range(4)]
+    pm_primed = [combination(row, primed) for row in pm.rows]
+    return {(m, n): sys.normal_form(combination(pm.rows[(m << 2) | n], blocks)
+                                    + hh(m, n, pm_primed))
+            for m in range(4) for n in range(4)}
+
+
+@pytest.mark.parametrize("kwargs, unsplit_units, fails", [
+    ({}, 12901, False),
+    ({"sigma": ONE}, 13237, True),
+    ({"sigma": ONE, "classical": True}, 2004, False),
+    ({"sigma": Q.specialize(UNIT_CIRCLE)}, 13429, True),
+], ids=["spectral", "sigma-one", "classical", "sigma-q"])
+def test_blockwise_reduction_matches_the_unsplit_script(kwargs, unsplit_units, fails):
+    # unsplit_units: the WorkBudget units of one call of the unsplit script,
+    # with the operators already built
+    prereq = certified_prerequisites(UNIT_CIRCLE)
+    sq = build_braided_square(UNIT_CIRCLE, **kwargs)  # builds the operators
+    with WorkBudget(10 ** 9) as budget:
+        residuals, _, _ = braided_delta_check(UNIT_CIRCLE, prereq=prereq, **kwargs)
+    want = _unsplit_braided_delta(sq)
+    assert residuals.keys() == want.keys()
+    for k, poly in residuals.items():
+        assert poly.equals(want[k]), k
+    assert any(not v.is_zero() for v in want.values()) == fails
+    assert 2 * (budget.units - budget.left) <= unsplit_units
 
 
 def test_braided_delta_classical_limit():

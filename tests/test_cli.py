@@ -283,6 +283,17 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_python_dash_m_qmink_runs_the_command_line():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qmink", "verify", "--regime",
+                           "unit-circle", "--suite", "delta"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert sum(line.startswith("PASS  delta/")
+               for line in proc.stdout.splitlines()) == 4
+
+
 def test_run_suites_all_regimes_green():
     for label in ("generic", "unit-circle", "real-q", "case2+", "case2-"):
         from qmink.coeff import regime_from_label

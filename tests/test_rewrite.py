@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink.algebras import minkowski_system, x_alphabet
+from qmink.algebras import build_braided_square, minkowski_system, x_alphabet
 from qmink.cli import nf_system
-from qmink.coeff import (ALL_REGIMES, CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q,
-                         QB, REAL_Q, T, UNIT_CIRCLE, ZERO, GaussianRational,
-                         LaurentPoly, Scalar, integer)
+from qmink.coeff import (ALL_REGIMES, CASE2_MINUS, CASE2_PLUS, GENERIC, I, ONE,
+                         Q, QB, REAL_Q, T, UNIT_CIRCLE, ZERO, GaussianRational,
+                         LaurentPoly, Scalar, integer, rat)
 from qmink.rewrite import (Alphabet, Generator, NCPoly, NotOrientableError,
                            RewriteRule, RewriteSystem, UnknownGeneratorError,
                            _mul_general, orient)
@@ -306,6 +306,47 @@ def test_resumed_scan_matches_the_full_scan(regime, data):
     got, want = system.normal_form(p), _full_scan_normal_form(system, p)
     assert _stored(got) == _stored(want)
     assert str(got) == str(want)
+
+
+_LINEARITY_SYSTEMS = {
+    **{r.label: lambda r=r: nf_system(r)[1] for r in ALL_REGIMES},
+    "braided": lambda: build_braided_square(UNIT_CIRCLE).system,
+    "braided-sigma-one": lambda: build_braided_square(UNIT_CIRCLE, sigma=ONE).system,
+    "braided-classical": lambda: build_braided_square(
+        UNIT_CIRCLE, sigma=ONE, classical=True).system,
+}
+
+
+# a few scalars of each shape, a multi-term denominator included; cheaper
+# to draw than _scalars, whose filters make hypothesis retry
+_pool = st.sampled_from([ONE, integer(-2), rat(1, 3) + I, Q, T * Q ** -1,
+                         QB + T, (Q + ONE) / (T + QB)])
+
+
+def _pool_polys(alph, max_len=4):
+    words = st.lists(st.integers(0, len(alph) - 1), max_size=max_len).map(tuple)
+    return st.dictionaries(words, _pool, max_size=3).map(lambda t: NCPoly(alph, t))
+
+
+@pytest.mark.parametrize("label", list(_LINEARITY_SYSTEMS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_linear(label, data):
+    # each term is reduced on its own and the results summed, so this holds
+    # in every system, the non-confluent generic one included
+    system = _LINEARITY_SYSTEMS[label]()
+    p1, p2 = (data.draw(_pool_polys(system.alphabet)) for _ in "ab")
+    a, b = data.draw(_pool), data.draw(_pool)
+    nf = system.normal_form
+    assert nf(p1.scale(a) + p2.scale(b)).equals(nf(p1).scale(a) + nf(p2).scale(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_pool_polys(UC_ALPH, 1), max_size=4))
+def test_one_pass_sum_matches_the_chain_of_additions(polys):
+    polys += [-p for p in polys[:1]]  # a cancellation, so a word is deleted
+    chain = sum(polys, NCPoly.zero(UC_ALPH))
+    assert _stored(NCPoly.sum(UC_ALPH, polys)) == _stored(chain)
 
 
 def test_rule_right_sides_hold_no_zero_coefficients():
