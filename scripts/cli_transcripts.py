@@ -119,7 +119,11 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out_dir = Path(argv[0])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:  # before the commands run
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for name, text in transcripts().items():
         (out_dir / name).write_text(text)
     return 0

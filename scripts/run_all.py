@@ -13,9 +13,16 @@ from qmink.cli import _report_json, run_suites
 from qmink.coeff import ALL_REGIMES
 
 
-def main() -> int:
-    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("reports")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0]) if argv else Path("reports")
+    try:  # before the suites run
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     grand_total = {"passed": 0, "failed": 0, "skipped": 0}
     t0 = time.perf_counter()
     for regime in ALL_REGIMES:
@@ -35,4 +42,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import cmath
 
@@ -91,203 +92,284 @@ MAX_SAMPLES = 10_000
 
 _SCALAR_ATOMS = {"q": coeff.Q, "qb": coeff.QB, "t": coeff.T, "i": coeff.I}
 _HALF_ATOMS = {"q": coeff.Q_HALF, "qb": coeff.QB_HALF, "t": coeff.T_HALF}
-# (regime label, atom name) -> the atom specialized to the regime; Scalars
+# admissible bracket indices: x, u, ub use 1..2, h uses 0..3
+_INDEX_RANGE = {"x": (1, 2), "u": (1, 2), "ub": (1, 2), "h": (0, 3)}
+# regime label -> atom name -> the atom specialized to the regime; Scalars
 # are immutable, so one instance serves every query.  A half power
 # q^(k/2) is taken of the specialized q^(1/2): a monomial Scalar has one
 # stored form, so that is what specializing the power would store.
-_REGIME_ATOMS = {(regime.label, name): atom.specialize(regime)
-                 for regime in coeff.ALL_REGIMES
-                 for name, atom in _SCALAR_ATOMS.items()}
-_REGIME_HALF_ATOMS = {(regime.label, name): atom.specialize(regime)
-                      for regime in coeff.ALL_REGIMES
-                      for name, atom in _HALF_ATOMS.items()}
+_REGIME_ATOMS = {regime.label: {name: atom.specialize(regime)
+                                for name, atom in _SCALAR_ATOMS.items()}
+                 for regime in coeff.ALL_REGIMES}
+_REGIME_HALF_ATOMS = {regime.label: {name: atom.specialize(regime)
+                                     for name, atom in _HALF_ATOMS.items()}
+                      for regime in coeff.ALL_REGIMES}
 
 
-# One token after optional ASCII whitespace (the ASCII characters that
-# str.isspace accepts): a run of ASCII digits, a name of ASCII letters,
-# digits and '_' with trailing primes, or a punctuation character.  Any
-# other character, any non-ASCII digit or letter included, and the end of
-# the text match as ``bad``, which ends the scan.
-_TOKEN = re.compile(r"""
-    [\t-\r\x1c-\x20]*
-    (?:
-        (?P<num>[0-9]+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
-      | (?P<punct>[-+*/^()\[\],'])
-      | (?P<bad>.|\Z)
-    )
-""", re.VERBOSE | re.DOTALL)
+# A text is split at its tokens: a run of ASCII digits, a name of ASCII
+# letters, digits and '_' with trailing primes, or a punctuation character.
+# The gaps between them may hold only ASCII whitespace (the ASCII characters
+# that str.isspace accepts); any other character, any non-ASCII digit or
+# letter included, is refused where it stands.
+_TOKEN = re.compile(r"([0-9]+|[A-Za-z_][A-Za-z0-9_]*'*|[-+*/^()\[\],'])")
+_SPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_KIND = {**dict.fromkeys("0123456789", "num"),
+         **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "name"),
+         **{c: c for c in "-+*/^()[],'"}}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        self._scan()
-        self.eof = ("eof", "", len(text))
-        self.k = 0
-        self.depth = 0      # factors entered and not yet left
-        self.magnitude = 1  # largest power product among finished factors
-
-    def _scan(self):
-        append = self.toks.append
-        for m in _TOKEN.finditer(self.text):
-            kind = m.lastgroup
-            value = m[kind]
-            i = m.end() - len(value)
-            if kind == "punct":
-                append((value, value, i))
-            elif kind == "bad":
-                if value:
-                    raise ExprSyntaxError(f"unexpected character {value!r}", i)
-                return
-            else:
-                if kind == "num" and len(value) > MAX_DIGITS:
-                    raise ExprSyntaxError(
-                        f"number too long: {len(value)} digits, budget {MAX_DIGITS}", i)
-                append((kind, value, i))
-
-    def peek(self):
-        try:
-            return self.toks[self.k]
-        except IndexError:
-            return self.eof
-
-    def next(self):
-        tok = self.peek()
-        self.k += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, values and positions of the tokens of text, each list
+    ending in the sentinel ``("eof", "", len(text))``."""
+    parts = _TOKEN.split(text)  # gap, token, gap, ..., token, gap
+    values = parts[1::2]
+    kinds = [_KIND[v[0]] for v in values]
+    kinds.append("eof")
+    values.append("")
+    starts = list(accumulate(map(len, parts)))[::2]  # where each gap ends
+    if "".join(parts[::2]).strip(_SPACE) or max(map(len, values)) > MAX_DIGITS:
+        # refuse the first bad character or long number; a long name passes
+        for gap, start, kind, value in zip(parts[::2], starts, kinds, values):
+            if bad := gap.lstrip(_SPACE):
+                raise ExprSyntaxError(f"unexpected character {bad[0]!r}",
+                                      start - len(bad))
+            if kind == "num" and len(value) > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"number too long: {len(value)} digits, budget {MAX_DIGITS}", start)
+    return kinds, values, starts
 
 
-def _as_scalar(p: NCPoly, pos: int) -> Scalar:
-    if any(w for w in p.terms):
-        raise NoncommutativeDivisionError(
-            f"division/inverse needs a scalar subexpression (at position {pos})")
-    return p.terms.get((), ZERO)
+def _as_scalar(v, pos: int) -> Scalar:
+    """The scalar a parsed value stands for, refused if it holds a word."""
+    if v.__class__ is tuple:
+        if not v[0]:
+            return v[1]
+    elif not any(v.terms):
+        return v.terms.get((), ZERO)
+    raise NoncommutativeDivisionError(
+        f"division/inverse needs a scalar subexpression (at position {pos})")
+
+
+def _neg(v):
+    return (v[0], -v[1]) if v.__class__ is tuple else -v
 
 
 def parse_expr(text: str, ctx: ParseContext) -> NCPoly:
     """Parse the ASCII grammar into an exact noncommutative polynomial."""
-    toks = _Tokens(text)
-    out = _parse_sum(toks, ctx)
-    tok = toks.peek()
-    if tok[0] != "eof":
-        raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    p = _Parser(text, ctx)
+    out = p.parse_sum()
+    if p.kinds[p.k] != "eof":
+        raise ExprSyntaxError(f"trailing input {p.values[p.k]!r}", p.starts[p.k])
+    out = p.poly(out)
     _check_budget(len(out.terms), _word_length(out), 0)
     return out
 
 
-def _parse_sum(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    negate = False
-    if toks.peek()[0] in "+-":
-        negate = toks.next()[0] == "-"
-    out = _parse_term(toks, ctx)
-    if negate:
-        out = -out
-    while toks.peek()[0] in "+-":
-        op = toks.next()[0]
-        rhs = _parse_term(toks, ctx)
-        out = out + rhs if op == "+" else out - rhs
-    return out
+class _Parser:
+    """Recursive descent over the token arrays of ``_scan``, read at ``k``.
 
-
-def _parse_term(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    out = _parse_factor(toks, ctx)
-    while toks.peek()[0] in "*/":
-        op, _, pos = toks.next()
-        rhs = _parse_factor(toks, ctx)
-        if op == "*":
-            out = _product(out, rhs, pos)
-        else:
-            out = out.scale(_as_scalar(rhs, pos).inverse())
-    return out
-
-
-def _parse_factor(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    toks.depth += 1
-    if toks.depth > MAX_DEPTH:
-        raise ExprSyntaxError(
-            f"expression nested too deeply: budget {MAX_DEPTH} levels",
-            toks.peek()[2])
-    enclosing = toks.magnitude
-    toks.magnitude = 1
-    out = _parse_powers(toks, ctx)
-    toks.magnitude = max(enclosing, toks.magnitude)
-    toks.depth -= 1
-    return out
-
-
-def _parse_powers(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    """A primary and its chain of powers, or a negated factor.
-
-    On return ``toks.magnitude`` is the product of the exponent magnitudes
-    applied to the innermost operand: the chain's exponents times the
-    largest such product inside the primary.
+    A parsed value is an ``NCPoly``, or a pair ``(word, coefficient)`` for
+    one term with a nonzero coefficient: a product of pairs is one word
+    concatenation and one ``Scalar`` product, as ``NCPoly.__mul__`` makes
+    it.  The ``Scalar`` and ``NCPoly`` operations run as on the ``NCPoly``
+    of each pair, in the same order, less zero tests of nonzero values.
     """
-    kind, value, _ = toks.peek()
-    if kind == "-":
-        toks.next()
-        return -_parse_factor(toks, ctx)
-    base_name = value if kind == "name" else None
-    out = _parse_primary(toks, ctx)
-    while toks.peek()[0] == "^":
-        _, _, pos = toks.next()
-        kind_e, val = _parse_exponent(toks)
-        if abs(val) > MAX_EXPONENT:
+
+    __slots__ = ("kinds", "values", "starts", "k", "depth", "magnitude",
+                 "alphabet", "regime", "atoms", "halves")
+
+    def __init__(self, text: str, ctx: ParseContext):
+        self.kinds, self.values, self.starts = _scan(text)
+        self.k = 0
+        self.depth = 0      # factors entered and not yet left
+        self.magnitude = 1  # largest power product among finished factors
+        self.alphabet = ctx.alphabet
+        self.regime = ctx.regime
+        self.atoms = _REGIME_ATOMS[ctx.regime.label]
+        self.halves = _REGIME_HALF_ATOMS[ctx.regime.label]
+
+    def poly(self, v) -> NCPoly:
+        return NCPoly(self.alphabet, {v[0]: v[1]}) if v.__class__ is tuple else v
+
+    def product(self, a, b, pos: int):
+        """a * b, refused when its term count could exceed the budget."""
+        if a.__class__ is tuple and b.__class__ is tuple:
+            return a[0] + b[0], a[1] * b[1]
+        a, b = self.poly(a), self.poly(b)
+        _check_budget(len(a.terms) * len(b.terms), 0, pos)
+        return a * b
+
+    def expect(self, kind: str) -> str:
+        k = self.k
+        self.k = k + 1
+        if self.kinds[k] != kind:
+            raise ExprSyntaxError(f"expected {kind!r}, found {self.values[k]!r}",
+                                  self.starts[k])
+        return self.values[k]
+
+    def parse_sum(self):
+        sign = self.kinds[self.k]
+        if sign == "+" or sign == "-":
+            self.k += 1
+        out = self.parse_term()
+        if sign == "-":
+            out = _neg(out)
+        while (op := self.kinds[self.k]) == "+" or op == "-":
+            self.k += 1
+            out, rhs = self.poly(out), self.poly(self.parse_term())
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def parse_term(self):
+        out = self.parse_factor()
+        while (op := self.kinds[self.k]) == "*" or op == "/":
+            pos = self.starts[self.k]
+            self.k += 1
+            rhs = self.parse_factor()
+            if op == "/":
+                c = _as_scalar(rhs, pos).inverse()
+                # an inverse is nonzero, so a pair needs no zero test
+                out = (out[0], out[1] * c) if out.__class__ is tuple else out.scale(c)
+            else:
+                out = self.product(out, rhs, pos)
+        return out
+
+    def parse_factor(self):
+        """A primary and its chain of powers, or a negated factor.
+
+        Before return ``magnitude`` is the product of the exponent
+        magnitudes applied to the innermost operand: the chain's exponents
+        times the largest such product inside the primary.
+        """
+        k = self.k
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(
-                f"exponent too large: {val}, budget {MAX_EXPONENT} in magnitude", pos)
-        toks.magnitude *= abs(val)
-        if toks.magnitude > MAX_EXPONENT:
-            raise ExprSyntaxError(
-                f"exponent too large: nested powers multiply to {toks.magnitude}, "
-                f"budget {MAX_EXPONENT} in magnitude", pos)
-        if kind_e == "half":
-            if base_name not in _HALF_ATOMS:
-                raise ExprSyntaxError("half powers only apply to q, qb, t", pos)
-            out = NCPoly.scalar(
-                ctx.alphabet, _REGIME_HALF_ATOMS[ctx.regime.label, base_name] ** val)
+                f"expression nested too deeply: budget {MAX_DEPTH} levels",
+                self.starts[k])
+        enclosing = self.magnitude
+        self.magnitude = 1
+        kind, value, pos = self.kinds[k], self.values[k], self.starts[k]
+        self.k = k + 1
+        if kind == "name":
+            out = self.atoms.get(value)
+            out = self.parse_name(value, pos) if out is None else ((), out)
+        elif kind == "num":
+            # specialize is the identity on constants
+            n = int(value)
+            out = ((), coeff.integer(n)) if n else NCPoly(self.alphabet, {})
+        elif kind == "(":
+            out = self.parse_sum()
+            self.expect(")")
+        elif kind == "[":
+            left = self.parse_sum()
+            self.expect(",")
+            right = self.parse_sum()
+            self.expect("]")
+            out = (self.poly(self.product(left, right, pos))
+                   - self.poly(self.product(right, left, pos)))
+        elif kind == "-":  # its factor takes the chain of powers
+            out = _neg(self.parse_factor())
         else:
-            out = _poly_pow(out, val, pos)
-        base_name = None
-    return out
+            raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+        base_name = value if kind == "name" else None
+        while self.kinds[self.k] == "^":
+            pos = self.starts[self.k]
+            self.k += 1
+            half, val = self.parse_exponent()
+            if abs(val) > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent too large: {val}, budget {MAX_EXPONENT} in magnitude", pos)
+            self.magnitude *= abs(val)
+            if self.magnitude > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent too large: nested powers multiply to "
+                    f"{self.magnitude}, budget {MAX_EXPONENT} in magnitude", pos)
+            if half:
+                if base_name not in self.halves:
+                    raise ExprSyntaxError("half powers only apply to q, qb, t", pos)
+                out = ((), self.halves[base_name] ** val)
+            else:
+                out = self.power(out, val, pos)
+            base_name = None
+        if self.magnitude < enclosing:
+            self.magnitude = enclosing
+        self.depth -= 1
+        return out
 
+    def power(self, v, n: int, pos: int):
+        """v^n; a negative n inverts a scalar."""
+        if n < 0:
+            return (), _as_scalar(v, pos).inverse() ** -n
+        p = self.poly(v)
+        _check_budget(len(p.terms) ** n, _word_length(p) * n, pos)
+        out = ((), ONE)
+        for _ in range(n):
+            out = self.product(out, v, pos)
+        return out
 
-def _parse_exponent(toks: _Tokens) -> tuple[str, int]:
-    """Integer exponent, or (k/2) half-integer form for the base atoms."""
-    neg = False
-    if toks.peek()[0] == "-":
-        toks.next()
-        neg = True
-    tok = toks.peek()
-    if tok[0] == "num":
-        toks.next()
-        n = int(tok[1])
-        return "int", (-n if neg else n)
-    if tok[0] == "(":
-        toks.next()
-        inner_neg = False
-        if toks.peek()[0] == "-":
-            toks.next()
-            inner_neg = True
-        num = int(toks.expect("num")[1])
-        sign = -1 if (neg ^ inner_neg) else 1
-        if toks.peek()[0] == "/":
-            toks.next()
-            den = int(toks.expect("num")[1])
-            toks.expect(")")
-            if den != 2:
-                raise ExprSyntaxError("only /2 fractional exponents are supported",
-                                      tok[2])
-            return "half", sign * num
-        toks.expect(")")
-        return "int", sign * num
-    raise ExprSyntaxError("expected an exponent", tok[2])
+    def parse_exponent(self) -> tuple[bool, int]:
+        """Integer exponent, or (k/2) half-integer form (True) for the base atoms."""
+        sign = 1
+        if self.kinds[self.k] == "-":
+            self.k += 1
+            sign = -1
+        kind, pos = self.kinds[self.k], self.starts[self.k]
+        if kind == "num":
+            return False, sign * int(self.expect("num"))
+        if kind != "(":
+            raise ExprSyntaxError("expected an exponent", pos)
+        self.k += 1
+        if self.kinds[self.k] == "-":
+            self.k += 1
+            sign = -sign
+        num = sign * int(self.expect("num"))
+        half = self.kinds[self.k] == "/"
+        if half:
+            self.k += 1
+            den = int(self.expect("num"))
+        self.expect(")")
+        if half and den != 2:
+            raise ExprSyntaxError("only /2 fractional exponents are supported", pos)
+        return half, num
+
+    def parse_name(self, value: str, pos: int):
+        """A generator, or star(...), named by the token value at pos."""
+        if value == "star":
+            self.expect("(")
+            inner = self.poly(self.parse_sum())
+            self.expect(")")
+            return inner.star(self.regime)
+        stem = value.rstrip("'")
+        if stem in _INDEX_RANGE and self.kinds[self.k] == "[":
+            self.k += 1
+            a, b = self.generator_indices(stem)
+            primes = value[len(stem):]
+            while self.kinds[self.k] == "'":
+                self.k += 1
+                primes += "'"
+            if stem == "x":
+                value = algebras.PAIR_NAMES[((a - 1) << 1) | (b - 1)] + primes
+            else:
+                value = f"{stem}[{a},{b}]" + primes
+        try:
+            return (self.alphabet.index(value),), ONE
+        except UnknownGeneratorError:
+            raise UnknownSymbolError(
+                f"unknown symbol {value!r} in this regime (at position {pos})") from None
+
+    def generator_indices(self, stem: str) -> list[int]:
+        """The a, b of stem[a,b], read after its '['."""
+        lo, hi = _INDEX_RANGE[stem]
+        out = []
+        for close in ",]":
+            pos = self.starts[self.k]
+            value = self.expect("num")
+            if not lo <= int(value) <= hi:
+                raise ExprSyntaxError(f"{stem}[...] index {value} outside {lo}..{hi}", pos)
+            out.append(int(value))
+            self.expect(close)
+        return out
 
 
 def _word_length(p: NCPoly) -> int:
@@ -302,89 +384,6 @@ def _check_budget(terms: int, length: int, pos: int) -> None:
         raise ExprSyntaxError(
             f"expression too large: words of length up to {length}, "
             f"budget {MAX_WORD_LENGTH}", pos)
-
-
-def _product(a: NCPoly, b: NCPoly, pos: int) -> NCPoly:
-    """a * b, refused when its term count could exceed the budget."""
-    _check_budget(len(a.terms) * len(b.terms), 0, pos)
-    return a * b
-
-
-def _poly_pow(p: NCPoly, k: int, pos: int) -> NCPoly:
-    if k < 0:
-        return NCPoly.scalar(p.alphabet, _as_scalar(p, pos).inverse() ** -k)
-    _check_budget(len(p.terms) ** k, _word_length(p) * k, pos)
-    out = NCPoly.scalar(p.alphabet, ONE)
-    for _ in range(k):
-        out = out * p
-    return out
-
-
-def _parse_primary(toks: _Tokens, ctx: ParseContext) -> NCPoly:
-    kind, value, pos = toks.next()
-    if kind == "num":
-        # specialize is the identity on constants
-        n = int(value)
-        return NCPoly(ctx.alphabet, {(): coeff.integer(n)} if n else {})
-    if kind == "(":
-        inner = _parse_sum(toks, ctx)
-        toks.expect(")")
-        return inner
-    if kind == "[":
-        left = _parse_sum(toks, ctx)
-        toks.expect(",")
-        right = _parse_sum(toks, ctx)
-        toks.expect("]")
-        return _product(left, right, pos) - _product(right, left, pos)
-    if kind == "name":
-        if value == "star":
-            toks.expect("(")
-            inner = _parse_sum(toks, ctx)
-            toks.expect(")")
-            return inner.star(ctx.regime)
-        if value in _SCALAR_ATOMS:
-            return NCPoly(ctx.alphabet, {(): _REGIME_ATOMS[ctx.regime.label, value]})
-        stem = value.rstrip("'")
-        if stem in _INDEX_RANGE and toks.peek()[0] == "[":
-            toks.next()
-            a = _generator_index(toks, stem)
-            toks.expect(",")
-            b = _generator_index(toks, stem)
-            toks.expect("]")
-            primes = value[len(stem):]
-            while toks.peek()[0] == "'":
-                toks.next()
-                primes += "'"
-            if stem == "x":
-                name = algebras.PAIR_NAMES[((a - 1) << 1) | (b - 1)] + primes
-            elif stem == "h":
-                name = f"h[{a},{b}]" + primes
-            else:
-                name = f"{stem}[{a},{b}]" + primes
-            return _generator(ctx, name, pos)
-        return _generator(ctx, value, pos)
-    raise ExprSyntaxError(f"unexpected token {value!r}", pos)
-
-
-# admissible bracket indices: x, u, ub use 1..2, h uses 0..3
-_INDEX_RANGE = {"x": (1, 2), "u": (1, 2), "ub": (1, 2), "h": (0, 3)}
-
-
-def _generator_index(toks: _Tokens, stem: str) -> int:
-    _, value, pos = toks.expect("num")
-    lo, hi = _INDEX_RANGE[stem]
-    k = int(value)
-    if not lo <= k <= hi:
-        raise ExprSyntaxError(f"{stem}[...] index {value} outside {lo}..{hi}", pos)
-    return k
-
-
-def _generator(ctx: ParseContext, name: str, pos: int) -> NCPoly:
-    try:
-        return NCPoly(ctx.alphabet, {(ctx.alphabet.index(name),): ONE})
-    except UnknownGeneratorError:
-        raise UnknownSymbolError(
-            f"unknown symbol {name!r} in this regime (at position {pos})") from None
 
 
 _PRETTY = {

@@ -1,5 +1,6 @@
 import json
 import os
+import string
 import subprocess
 import sys
 import time
@@ -64,7 +65,7 @@ def test_half_powers_of_the_specialized_atoms_store_what_specializing_would():
     from qmink.cli import _HALF_ATOMS, _REGIME_HALF_ATOMS
     for regime in ALL_REGIMES:
         for name, atom in _HALF_ATOMS.items():
-            base = _REGIME_HALF_ATOMS[regime.label, name]
+            base = _REGIME_HALF_ATOMS[regime.label][name]
             for k in range(-64, 65):
                 got, want = base ** k, (atom ** k).specialize(regime)
                 assert list(got.num.terms.items()) == list(want.num.terms.items())
@@ -606,6 +607,21 @@ def test_nf_power_chains_within_the_budget_multiply():
     assert parse_expr("(q^0)^64^0", ctx).equals(parse_expr("1", ctx))
 
 
+@pytest.mark.parametrize("expr, message, pos", [
+    # a sibling factor's powers count although a later one has fewer
+    ("(q^16*q)^8", "exponent too large: nested powers multiply to 128, "
+                   "budget 64 in magnitude", 8),
+    # a power's words are measured at the power, not at the end
+    ("alpha^13", "expression too large: words of length up to 13, budget 12", 5),
+    ("(alpha*beta)^7", "expression too large: words of length up to 14, budget 12", 12),
+])
+def test_power_refusals_give_the_budget_and_the_power(expr, message, pos):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(expr, CTX)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
 @pytest.mark.parametrize("expr, pos", [
     ("alpha^\u00b2", 6), ("\u00b2*alpha", 0), ("q^(1/\u00b2)", 5),
     ("x[\u00b2,1]", 2), ("h[\u0663,1]", 2), ("\u00e9", 0),
@@ -629,6 +645,10 @@ def test_nf_nesting_budget(capsys):
     ok = "(" * (MAX_DEPTH - 1) + "alpha" + ")" * (MAX_DEPTH - 1)
     assert main(["nf", "--regime", "unit-circle", "--expr", ok]) == 0
     assert capsys.readouterr().out == "alpha\n"
+    # a factor left is no longer nested: side by side, factors never count
+    flat = "+".join(["(q*alpha)"] * (4 * MAX_DEPTH))
+    assert main(["nf", "--regime", "unit-circle", "--expr", flat]) == 0
+    assert capsys.readouterr().out == f"{4 * MAX_DEPTH}*q*alpha\n"
 
 
 def test_nf_number_literal_budget(capsys):
@@ -651,12 +671,14 @@ def test_tokenizer_edge_errors(text, message, pos):
     assert err.value.pos == pos
 
 
+def _triples(text):
+    """The (kind, value, pos) tokens of text, the eof sentinel included."""
+    from qmink.cli import _scan
+    return list(zip(*_scan(text)))
+
+
 def test_tokenizer_trailing_whitespace():
-    from qmink.cli import _Tokens
-    toks = _Tokens("alpha  \t\n")
-    assert toks.toks == [("name", "alpha", 0)]
-    assert toks.next() == ("name", "alpha", 0)
-    assert toks.peek() == toks.next() == ("eof", "", 9)
+    assert _triples("alpha  \t\n") == [("name", "alpha", 0), ("eof", "", 9)]
     assert parse_expr(" alpha*beta  ", CTX).equals(w("alpha", "beta"))
 
 
@@ -715,10 +737,25 @@ def _reference_scan(text):
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.characters(max_codepoint=127), max_size=30))
 def test_scanner_matches_the_character_class_scanner_on_ascii(text):
-    from qmink.cli import _Tokens
     want, bad = _reference_scan(text)
     if bad is None:
-        assert _Tokens(text).toks == want
+        assert _triples(text) == want + [("eof", "", len(text))]
     else:
         with pytest.raises(ExprSyntaxError, match=f"at position {bad}"):
-            _Tokens(text)
+            _triples(text)
+
+
+# the characters of the ASCII grammar, whitespace included
+_GRAMMAR_CHARS = string.ascii_letters + string.digits + "_'+-*/^()[], \t\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(_GRAMMAR_CHARS), max_size=20),
+       st.characters(min_codepoint=128), st.text(max_size=10))
+def test_scanner_refuses_the_first_non_ascii_character_where_it_stands(
+        prefix, ch, suffix):
+    with pytest.raises(ExprSyntaxError) as err:
+        _triples(prefix + ch + suffix)
+    assert str(err.value) == \
+        f"unexpected character {ch!r} (at position {len(prefix)})"
+    assert err.value.pos == len(prefix)

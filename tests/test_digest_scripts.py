@@ -1,5 +1,6 @@
-"""The digest scripts refuse an output path they cannot write before they
-compute anything, with one ``error:`` line and exit 2."""
+"""The digest scripts, ``run_all.py`` and ``cli_transcripts.py`` refuse an
+output path they cannot write before they compute anything, with one
+``error:`` line and exit 2."""
 
 import importlib.util
 from pathlib import Path
@@ -16,7 +17,8 @@ def _load(name: str):
     return module
 
 
-@pytest.mark.parametrize("name", ["nf_digest", "operator_digest", "numeric_digest"])
+@pytest.mark.parametrize("name", ["nf_digest", "operator_digest", "numeric_digest",
+                                  "parse_digest"])
 @pytest.mark.parametrize("target", ["missing/out.json", "."])
 def test_digest_script_refuses_an_unwritable_path_first(tmp_path, monkeypatch,
                                                          capsys, name, target):
@@ -28,3 +30,27 @@ def test_digest_script_refuses_an_unwritable_path_first(tmp_path, monkeypatch,
     assert script.main([str(tmp_path / target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, work", [("run_all", "run_suites"),
+                                        ("cli_transcripts", "transcripts")])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_output_dir_scripts_refuse_a_path_that_is_not_a_directory(
+        tmp_path, monkeypatch, capsys, name, work, target):
+    script = _load(name)
+
+    def refuse(*args):
+        raise AssertionError("did the work for a path it cannot write")
+    monkeypatch.setattr(script, work, refuse)
+    (tmp_path / "file").write_text("")
+    assert script.main([str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert err.count("\n") == 1
+
+
+def test_run_all_gives_its_usage_on_extra_arguments(monkeypatch, capsys):
+    script = _load("run_all")
+    monkeypatch.setattr(script, "run_suites", lambda *args: pytest.fail("ran"))
+    assert script.main(["a", "b"]) == 2
+    assert capsys.readouterr().err == "Usage: python scripts/run_all.py [output_dir]\n"
