@@ -59,7 +59,8 @@ class ParseContext:
 # power whose term count or longest word could exceed the limits, and an
 # exponent larger than MAX_EXPONENT in magnitude are refused before they
 # are computed.  Along a product word lengths only add up, so they are
-# checked once, on the parsed result, with its term count.  These caps
+# checked once, on the parsed result, with its term count; a refusal names
+# the first '*' or '[' whose product built a word over the cap.  These caps
 # bound memory before any arithmetic runs.
 #
 # Powers multiply along a chain (q^64^64 is q^4096) and through a
@@ -161,7 +162,8 @@ def parse_expr(text: str, ctx: ParseContext) -> NCPoly:
     if p.kinds[p.k] != "eof":
         raise ExprSyntaxError(f"trailing input {p.values[p.k]!r}", p.starts[p.k])
     out = p.poly(out)
-    _check_budget(len(out.terms), _word_length(out), 0)
+    _check_budget(len(out.terms), 0, 0)
+    _check_budget(0, _word_length(out), p.long_at or 0)
     return out
 
 
@@ -176,13 +178,14 @@ class _Parser:
     """
 
     __slots__ = ("kinds", "values", "starts", "k", "depth", "magnitude",
-                 "alphabet", "regime", "atoms", "halves")
+                 "long_at", "alphabet", "regime", "atoms", "halves")
 
     def __init__(self, text: str, ctx: ParseContext):
         self.kinds, self.values, self.starts = _scan(text)
         self.k = 0
         self.depth = 0      # factors entered and not yet left
         self.magnitude = 1  # largest power product among finished factors
+        self.long_at = None  # first product with a word over MAX_WORD_LENGTH
         self.alphabet = ctx.alphabet
         self.regime = ctx.regime
         self.atoms = _REGIME_ATOMS[ctx.regime.label]
@@ -192,12 +195,19 @@ class _Parser:
         return NCPoly(self.alphabet, {v[0]: v[1]}) if v.__class__ is tuple else v
 
     def product(self, a, b, pos: int):
-        """a * b, refused when its term count could exceed the budget."""
+        """a * b, refused when its term count could exceed the budget; the
+        first product with a word over MAX_WORD_LENGTH sets ``long_at``."""
         if a.__class__ is tuple and b.__class__ is tuple:
-            return a[0] + b[0], a[1] * b[1]
+            w = a[0] + b[0]
+            if len(w) > MAX_WORD_LENGTH and self.long_at is None:
+                self.long_at = pos
+            return w, a[1] * b[1]
         a, b = self.poly(a), self.poly(b)
         _check_budget(len(a.terms) * len(b.terms), 0, pos)
-        return a * b
+        out = a * b
+        if self.long_at is None and _word_length(out) > MAX_WORD_LENGTH:
+            self.long_at = pos
+        return out
 
     def expect(self, kind: str) -> str:
         k = self.k

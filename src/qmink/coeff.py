@@ -48,15 +48,16 @@ chi(m)*x^f(m) in both parts, a factor that construction removes.
 ``subst_half`` maps the views, whose exponents are not negative, so an
 atom set to 0 zeroes the terms that hold it instead of dividing by zero.
 
-``Scalar * Scalar`` with a factor that is exactly +1 or -1 returns the
-other factor, or its negation: the numerator is the one constant term,
-the int +-1, over the denominator ``_POLY_ONE``.  The test reads the
-stored coefficient in place, so a factor that is not +-1 costs a length
-test or two.  That is the pair the product would build anyway: a
-multi-term denominator only comes from ``Scalar.__init__``, after its
-``exact_divide(num, den)`` attempt failed; divisibility does not change
-under the monomial shift, the rescaling or a sign, so the product's
-attempts would fail again and rebuild the same pair.
+``Scalar * Scalar`` with a unit factor (one term over ``_POLY_ONE``: a
+Gaussian rational times a monomial) stores ``n1 * n2`` over the other
+factor's denominator, and a factor of exactly +1 or -1 (the int +-1)
+returns the other factor or its negation.  That is the pair the general
+path would build: a stored ``d`` of two or more terms never divides its
+``n`` (``exact_divide(n, d) is None``), as ``Scalar.__init__`` stores one
+only after its division attempt failed and a sign or a unit factor keeps
+it; divisibility does not change under those, the monomial shift or the
+rescaling.  So the general path's attempts would all fail, and ``d``
+(monic, minimum exponent 0) is its own product with ``_POLY_ONE``.
 
 ``_long_divide`` keeps one remainder dict and subtracts f * x^s * d from it
 term by term, with no intermediate ``LaurentPoly``.  The leading term of
@@ -874,8 +875,11 @@ class Scalar:
                 c = t[_MONO_ONE]
                 if c.__class__ is int and (c == 1 or c == -1):
                     return other if c == 1 else -other
-            if d2 is _POLY_ONE:
-                return _scalar(n1 * n2, _POLY_ONE)
+            # over 1 both, or a unit (one term over 1) times n2/d2
+            if d2 is _POLY_ONE or len(t) == 1:
+                return _scalar(n1 * n2, d2)
+        elif d2 is _POLY_ONE and len(n2._terms) == 1:
+            return _scalar(n1 * n2, d1)
         # cross-cancel before multiplying to slow denominator growth
         if d2 is not _POLY_ONE:
             quot = exact_divide(n1, d2)

@@ -614,12 +614,26 @@ def test_nf_power_chains_within_the_budget_multiply():
     # a power's words are measured at the power, not at the end
     ("alpha^13", "expression too large: words of length up to 13, budget 12", 5),
     ("(alpha*beta)^7", "expression too large: words of length up to 14, budget 12", 12),
+    # along a product, at the first '*' or '[' that built a word over the cap
+    ("alpha^7*alpha^6", "expression too large: words of length up to 13, budget 12", 7),
+    ("beta*[alpha^6, beta^7]", "expression too large: words of length up to 14, budget 12", 5),
+    ("beta + " + "*".join(["alpha"] * 13),
+     "expression too large: words of length up to 13, budget 12", 78),
+    ("(alpha + beta)*(alpha^6*beta^6)",
+     "expression too large: words of length up to 13, budget 12", 14),
 ])
 def test_power_refusals_give_the_budget_and_the_power(expr, message, pos):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(expr, CTX)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("expr", ["alpha^12*alpha - alpha^12*alpha", "[alpha^6, alpha^7]"])
+def test_long_products_that_cancel_are_accepted(capsys, expr):
+    # the cap applies to the parsed result, so a sum that cancels passes
+    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 @pytest.mark.parametrize("expr, pos", [

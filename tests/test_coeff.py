@@ -24,8 +24,12 @@ def _poly(d):
     return LaurentPoly({m: c for m, c in d.items() if not c.is_zero})
 
 
+# every a + b*i with a, b in -3..3 but zero, drawn without rejection
+nonzero_ints = st.sampled_from([-3, -2, -1, 1, 2, 3])
+nonzero_coeffs = st.one_of(st.builds(GaussianRational.of, nonzero_ints, st.integers(-3, 3)),
+                           st.builds(GaussianRational.of, st.just(0), nonzero_ints))
 polys = st.dictionaries(monos, coeffs, max_size=3).map(_poly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
+nonzero_polys = st.dictionaries(monos, nonzero_coeffs, min_size=1, max_size=3).map(_poly)
 scalars = st.builds(Scalar, polys, nonzero_polys)
 nonzero_scalars = st.builds(Scalar, nonzero_polys, nonzero_polys)
 regimes = st.sampled_from([GENERIC, UNIT_CIRCLE, REAL_Q, CASE2_PLUS])
@@ -381,7 +385,7 @@ def test_unit_inverse_is_the_conjugate():
 
 wide_monos = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 wide_polys = st.dictionaries(wide_monos, coeffs, max_size=5).map(_poly)
-wide_nonzero = wide_polys.filter(lambda p: not p.is_zero)
+wide_nonzero = st.dictionaries(wide_monos, nonzero_coeffs, min_size=1, max_size=5).map(_poly)
 
 
 @settings(max_examples=150, deadline=None)
@@ -424,11 +428,19 @@ def test_exact_divide_early_rejects():
 
 units = st.sampled_from([GaussianRational(1, 0), GaussianRational(-1, 0),
                          GaussianRational(0, 1), GaussianRational(0, -1)])
+# the fractions in -3..3 with a denominator of at most 4, built directly:
+# the nonzero ones are the multiples of 1/4 or 1/3 from 1/4 to 3 in size
+nonzero_fracs = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]), st.one_of(
+    st.builds(Fraction, st.integers(1, 12), st.just(4)),
+    st.builds(Fraction, st.integers(1, 9), st.just(3))))
+fracs = st.one_of(st.just(Fraction(0)), nonzero_fracs)
+# the nonzero Gaussian rationals with parts among those fractions, with a
+# branch of their own for integral parts, as before
 nonunit_coeffs = st.one_of(
-    coeffs,
-    st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
-              st.fractions(-3, 3, max_denominator=4)),
-).filter(lambda c: not c.is_zero)
+    nonzero_coeffs,
+    st.builds(GaussianRational, nonzero_fracs, fracs),
+    st.builds(GaussianRational, st.just(0), nonzero_fracs),
+)
 term_monos = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 one_term = st.builds(lambda m, c: LaurentPoly({m: c}), term_monos,
                      st.one_of(units, nonunit_coeffs))
@@ -598,22 +610,27 @@ def test_constructors_store_no_zero():
         assert s.is_zero()
 
 
+def _operation_values(a, b, r, atom):
+    """The scalars built by every operation of the kernel."""
+    values = [a + b, a - b, a - a, a * b, -a, a.star(), a.flip_half(atom), a ** 2]
+    if not b.is_zero():
+        values += [a / b, b.inverse(), b ** -2]
+    for subst in (a.subst_qbar_minus_q, lambda: a.subst_half(qh=GaussianRational(0, 1)),
+                  lambda: a.specialize(r), lambda: a.star(r)):
+        try:
+            values.append(subst())
+        except ZeroDivisionError:
+            pass  # the denominator vanishes under this substitution
+    return values
+
+
 def _operation_results(a, b, p, d, r, atom):
     """The polynomials and scalars built by every operation of the kernel."""
     polys = [p + d, p - d, p - p, p * d, -p, p.scale(GaussianRational(0, 2)),
              p.scale(GaussianRational(0, 0)), d.shifted((1, -1, 2)),
              p.map_monos(lambda m, c: ((0, 0, 0), c)),
              exact_divide(p * d, d)]
-    values = [a + b, a - b, a - a, a * b, -a, a.star(), a.flip_half(atom),
-              a.subst_qbar_minus_q(), a.subst_half(qh=GaussianRational(0, 1)),
-              a ** 2]
-    if not b.is_zero():
-        values += [a / b, b.inverse(), b ** -2]
-    try:
-        values += [a.specialize(r), a.star(r)]
-    except ZeroDivisionError:
-        pass  # denominator vanishes under this substitution
-    return polys, values
+    return polys, _operation_values(a, b, r, atom)
 
 
 @settings(max_examples=100, deadline=None)
@@ -637,8 +654,9 @@ def test_numerator_divisibility_does_not_depend_on_representation():
 
 
 # ---------------------------------------------------------------------------
-# products by exactly +-1 return the other factor (or its negation) as the
-# general path would build it; other constants still take that path
+# products by exactly +-1 return the other factor (or its negation), and
+# products by any other unit keep the other factor's stored denominator, as
+# the general path would build them
 # ---------------------------------------------------------------------------
 
 _MINUS_ONE = Scalar(LaurentPoly.const(GaussianRational(-1, 0)),
@@ -666,6 +684,23 @@ def test_product_by_one_returns_the_other_factor():
         assert a * ONE is a and ONE * a is a
         assert str(a * -ONE) == str(-a) and (-ONE * a).d is a.d
     assert str(_UNREDUCED * -ONE) == str(_ref_scalar_mul(_UNREDUCED, -ONE))
+
+
+# a Gaussian rational times a monomial: fractions, i, negative and half exponents
+unit_scalars = one_term.map(Scalar.from_poly)
+multi_den_scalars = st.one_of(
+    st.sampled_from([_UNREDUCED, -_UNREDUCED, (Q + T) ** -1]),
+    st.builds(Scalar, st.one_of(one_term, many_terms), many_terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_scalars, multi_den_scalars)
+def test_product_by_a_unit_matches_the_general_path(u, s):
+    assume(len(s.d.terms) > 1)  # not when the drawn denominator divides out
+    for got, want in ((u * s, _ref_scalar_mul(u, s)), (s * u, _ref_scalar_mul(s, u))):
+        _same_terms(got.num, want.num)
+        _same_terms(got.den, want.den)
+        assert got.d is s.d
 
 
 # ---------------------------------------------------------------------------
@@ -941,3 +976,60 @@ def test_an_int_coefficient_evaluates_as_its_triple():
     with pytest.raises(OverflowError) as got:
         LaurentPoly.const(10 ** 400).eval(1, 1, 1)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# a stored denominator of two or more terms never divides its numerator:
+# Scalar.__init__ stores one only after its division attempt failed, and the
+# product by a unit, which skips that attempt, rests on it
+# ---------------------------------------------------------------------------
+
+def _assert_no_dividing_denominator(s: Scalar):
+    if len(s.d.terms) > 1:
+        assert exact_divide(s.n, s.d) is None, s
+
+
+def test_no_operator_entry_stores_a_dividing_denominator():
+    from qmink.cli import run_suites
+    from qmink.coeff import ALL_REGIMES
+    from qmink.intertwiners import operator_source
+    multi = 0
+    for regime in ALL_REGIMES:
+        run_suites(regime, "all")
+        for op in operator_source(regime)._cache.values():
+            for row in op.rows:
+                for v in row.values():
+                    _assert_no_dividing_denominator(v)
+                    multi += len(v.d.terms) > 1
+    assert multi  # the generic operators have multi-term denominators
+
+
+def test_no_normal_form_stores_a_dividing_denominator():
+    import importlib.util
+    from pathlib import Path
+    from qmink.cli import ParseContext, nf_system, parse_expr
+    from qmink.coeff import regime_from_label
+    path = Path(__file__).resolve().parents[1] / "scripts" / "nf_digest.py"
+    spec = importlib.util.spec_from_file_location("nf_digest", path)
+    nf_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(nf_digest)
+    multi = 0
+    for q in nf_digest.workloads.nf_queries(nf_digest.SEED, nf_digest.QUERIES):
+        regime = regime_from_label(q["regime"])
+        alph, system = nf_system(regime)
+        poly = parse_expr(nf_digest.workloads.query_text(q), ParseContext(alph, regime))
+        for v in system.normal_form(poly).terms.values():
+            _assert_no_dividing_denominator(v)
+            multi += len(v.d.terms) > 1
+    assert multi
+
+
+drawn_scalars = st.one_of(scalars, frac_scalars, mixed_scalars, unit_scalars,
+                          multi_den_scalars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_scalars, drawn_scalars, regimes, st.sampled_from([0, 1, 2]))
+def test_no_operation_stores_a_dividing_denominator(a, b, r, atom):
+    for s in (a, b, *_operation_values(a, b, r, atom), *_operation_values(b, a, r, atom)):
+        _assert_no_dividing_denominator(s)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,13 +243,20 @@ def test_normal_form_is_idempotent(p):
 # ---------------------------------------------------------------------------
 
 _monos = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
-_gauss = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
-                   st.fractions(-3, 3, max_denominator=4))
-_laurent = st.dictionaries(_monos, _gauss, max_size=3).map(
-    lambda d: LaurentPoly({m: c for m, c in d.items() if not c.is_zero}))
-# multi-term denominators included, as in the generic regime
-_scalars = st.builds(Scalar, _laurent, _laurent.filter(lambda p: not p.is_zero)
-                     ).filter(lambda s: not s.is_zero())
+# the fractions in -3..3 with a denominator of at most 4, built directly:
+# the nonzero ones are the multiples of 1/4 or 1/3 from 1/4 to 3 in size
+_nonzero_fracs = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]), st.one_of(
+    st.builds(Fraction, st.integers(1, 12), st.just(4)),
+    st.builds(Fraction, st.integers(1, 9), st.just(3))))
+_fracs = st.one_of(st.just(Fraction(0)), _nonzero_fracs)
+# a nonzero real part, or a zero one and a nonzero imaginary part
+_nonzero_gauss = st.one_of(st.builds(GaussianRational, _nonzero_fracs, _fracs),
+                           st.builds(GaussianRational, st.just(0), _nonzero_fracs))
+_nonzero_laurent = st.dictionaries(_monos, _nonzero_gauss, min_size=1, max_size=3
+                                   ).map(LaurentPoly)
+# nonzero by construction; multi-term denominators included, as in the
+# generic regime
+_scalars = st.builds(Scalar, _nonzero_laurent, _nonzero_laurent)
 
 
 def _stored(p: NCPoly) -> list:
@@ -318,7 +327,7 @@ _LINEARITY_SYSTEMS = {
 
 
 # a few scalars of each shape, a multi-term denominator included; cheaper
-# to draw than _scalars, whose filters make hypothesis retry
+# to draw than _scalars
 _pool = st.sampled_from([ONE, integer(-2), rat(1, 3) + I, Q, T * Q ** -1,
                          QB + T, (Q + ONE) / (T + QB)])
 
