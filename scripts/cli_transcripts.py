@@ -62,12 +62,15 @@ NF_COMMON = (
     "x[3,1]",
     "alpha/beta",
     "alpha^65",
+    "alpha^13",
 )
 
 NF_EXTRA = {
     "generic": ("delta*alpha*beta*alpha", "h[0,1]*alpha"),
+    # the budget refuses the reduction of 64-letter words; 2^14464 has
+    # more digits than str() prints of an int (4300 by default)
     "unit-circle": ("h[0,1]*alpha", "h[3,3]*h[0,0]", "alpha'*alpha",
-                    "delta'*beta"),
+                    "delta'*beta", "(delta*alpha)^32", "*".join(["2^64"] * 226)),
     "real-q": ("h[0,1]*alpha", "h[3,3]*h[0,0]"),
     "case2+": ("h[0,1]*alpha", "h[3,3]*h[0,0]"),
     "case2-": ("h[0,1]*alpha", "h[3,3]*h[0,0]"),

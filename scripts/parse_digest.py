@@ -17,9 +17,11 @@ and writes a JSON object mapping regime -> the SHA-256 of one line per text.
 An accepted text gives its terms in dict order, each as its word and the
 stored ``n``/``d`` terms of its coefficient in order with ``repr``
 coefficients, and the budget units the parse charged.  A refused text gives
-its exception class, message and ``pos``.  The printed normal forms of
-``nf_digest.py`` cannot see term order, yet term order sets the summation
-order of generic normal forms, so this pins what the parser hands on.
+its exception class, message and ``pos``, and so does an accepted one with
+an integer too long for ``repr`` (4300 digits by default).  The printed
+normal forms of ``nf_digest.py`` cannot see term order, yet term order sets
+the summation order of generic normal forms, so this pins what the parser
+hands on.
 Compare a fresh file with ``diff``.
 """
 
@@ -102,7 +104,10 @@ def parse_line(text: str, regime_label: str) -> str:
         return f"{type(exc).__name__} {exc} pos={getattr(exc, 'pos', None)}"
     terms = [(w, list(c.n._terms.items()), list(c.d._terms.items()))
              for w, c in poly.terms.items()]
-    return f"{terms!r} units={budget.units - budget.left}"
+    try:
+        return f"{terms!r} units={budget.units - budget.left}"
+    except ValueError as exc:  # an integer over int's str limit, as in nf
+        return f"{type(exc).__name__} {exc} pos=None"
 
 
 def digests() -> dict:

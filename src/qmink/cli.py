@@ -55,34 +55,28 @@ class ParseContext:
     regime: Regime
 
 
-# Input budget.  A product whose term count could exceed MAX_TERMS, a
-# power whose term count or longest word could exceed the limits, and an
-# exponent larger than MAX_EXPONENT in magnitude are refused before they
-# are computed.  Along a product word lengths only add up, so they are
-# checked once, on the parsed result, with its term count; a refusal names
-# the first '*' or '[' whose product built a word over the cap.  These caps
-# bound memory before any arithmetic runs.
+# Input budget.  An exponent larger than MAX_EXPONENT in magnitude is
+# refused before it is computed.  Powers multiply along a chain (q^64^64 is
+# q^4096) and through a parenthesised base ((q+1)^64)^64, so the exponent
+# budget bounds the product of the exponent magnitudes applied to any one
+# subexpression.  MAX_DEPTH bounds the nesting of factors (parentheses,
+# brackets, star(), unary minus), which the parser follows by recursion.
+# MAX_DIGITS keeps a number literal inside what int() converts (4300 digits
+# by default).
 #
-# Powers multiply along a chain (q^64^64 is q^4096) and through a
-# parenthesised base ((q+1)^64)^64, so the exponent budget bounds the
-# product of the exponent magnitudes applied to any one subexpression.
-# MAX_DEPTH bounds the nesting of factors (parentheses, brackets, star(),
-# unary minus), which the parser follows by recursion.  MAX_DIGITS keeps a
-# number literal inside what int() converts (4300 digits by default).
-#
-# MAX_WORK bounds the work itself, which no cap sees: nf parses and reduces
-# under ``coeff.WorkBudget(MAX_WORK)``, charged per coefficient product,
-# division attempt and step, and rewrite step as they run.  The heaviest
-# honest queries measured cost 242 383 units (unit-circle delta^6*alpha^6)
-# and 209 437 ((q+qb+t+1)^32); the lightest refused blow-up,
-# (q+qb+t+1)^-45, costs 778 317.  400 000 lies near their geometric mean.
-# On one core of a 2-core Xeon a unit costs at most about 3 us (a
+# MAX_WORK bounds the work itself: nf parses and reduces under
+# ``coeff.WorkBudget(MAX_WORK)``, charged as the work runs per coefficient
+# product, division attempt and step, parsed product (1 plus its word's
+# length for one term; for polynomials, the word pairs plus the letters
+# they write) and rewrite step (1 + len(w) // 16 for the word w popped).
+# No term count or word length is capped.  The heaviest honest queries
+# measured cost 242 450 units (unit-circle delta^6*alpha^6) and 209 469
+# ((q+qb+t+1)^32); the lightest refused blow-up, (q+qb+t+1)^-45, costs
+# 778 317.  400 000 lies near their geometric mean.  On one core of a
+# 2-core Xeon under varying load a unit costs up to about 4 us (a
 # unit-circle rewrite step), so the slowest refusal measured, unit-circle
-# (delta+alpha)^10, comes after 1.3 s.  MAX_TERMS stays: a product of
-# one-term coefficients never reaches the charged double loop.
-MAX_TERMS = 1024
+# (delta+alpha)^10, comes after 0.7-1.45 s.
 MAX_WORK = 400_000
-MAX_WORD_LENGTH = 12
 MAX_EXPONENT = 64
 MAX_DEPTH = 64
 MAX_DIGITS = 1000
@@ -161,10 +155,7 @@ def parse_expr(text: str, ctx: ParseContext) -> NCPoly:
     out = p.parse_sum()
     if p.kinds[p.k] != "eof":
         raise ExprSyntaxError(f"trailing input {p.values[p.k]!r}", p.starts[p.k])
-    out = p.poly(out)
-    _check_budget(len(out.terms), 0, 0)
-    _check_budget(0, _word_length(out), p.long_at or 0)
-    return out
+    return p.poly(out)
 
 
 class _Parser:
@@ -178,14 +169,13 @@ class _Parser:
     """
 
     __slots__ = ("kinds", "values", "starts", "k", "depth", "magnitude",
-                 "long_at", "alphabet", "regime", "atoms", "halves")
+                 "alphabet", "regime", "atoms", "halves")
 
     def __init__(self, text: str, ctx: ParseContext):
         self.kinds, self.values, self.starts = _scan(text)
         self.k = 0
         self.depth = 0      # factors entered and not yet left
         self.magnitude = 1  # largest power product among finished factors
-        self.long_at = None  # first product with a word over MAX_WORD_LENGTH
         self.alphabet = ctx.alphabet
         self.regime = ctx.regime
         self.atoms = _REGIME_ATOMS[ctx.regime.label]
@@ -194,20 +184,22 @@ class _Parser:
     def poly(self, v) -> NCPoly:
         return NCPoly(self.alphabet, {v[0]: v[1]}) if v.__class__ is tuple else v
 
-    def product(self, a, b, pos: int):
-        """a * b, refused when its term count could exceed the budget; the
-        first product with a word over MAX_WORD_LENGTH sets ``long_at``."""
+    def product(self, a, b):
+        """a * b, charged to the active budget: ``1 + len(w)`` for the
+        word w of a product of pairs, and for polynomials the word pairs
+        plus the letters they write."""
+        budget = coeff.active_budget
         if a.__class__ is tuple and b.__class__ is tuple:
             w = a[0] + b[0]
-            if len(w) > MAX_WORD_LENGTH and self.long_at is None:
-                self.long_at = pos
+            if budget is not None:
+                budget.charge(1 + len(w))
             return w, a[1] * b[1]
         a, b = self.poly(a), self.poly(b)
-        _check_budget(len(a.terms) * len(b.terms), 0, pos)
-        out = a * b
-        if self.long_at is None and _word_length(out) > MAX_WORD_LENGTH:
-            self.long_at = pos
-        return out
+        if budget is not None:
+            ta, tb = a.terms, b.terms
+            budget.charge(len(ta) * len(tb) + len(tb) * sum(map(len, ta))
+                          + len(ta) * sum(map(len, tb)))
+        return a * b
 
     def expect(self, kind: str) -> str:
         k = self.k
@@ -224,11 +216,15 @@ class _Parser:
         out = self.parse_term()
         if sign == "-":
             out = _neg(out)
+        if (op := self.kinds[self.k]) != "+" and op != "-":
+            return out
+        # one pass over the terms; a chain of + would copy the sum per term
+        terms = [self.poly(out)]
         while (op := self.kinds[self.k]) == "+" or op == "-":
             self.k += 1
-            out, rhs = self.poly(out), self.poly(self.parse_term())
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            rhs = self.poly(self.parse_term())
+            terms.append(rhs if op == "+" else -rhs)
+        return NCPoly.sum(self.alphabet, terms)
 
     def parse_term(self):
         out = self.parse_factor()
@@ -237,11 +233,8 @@ class _Parser:
             self.k += 1
             rhs = self.parse_factor()
             if op == "/":
-                c = _as_scalar(rhs, pos).inverse()
-                # an inverse is nonzero, so a pair needs no zero test
-                out = (out[0], out[1] * c) if out.__class__ is tuple else out.scale(c)
-            else:
-                out = self.product(out, rhs, pos)
+                rhs = (), _as_scalar(rhs, pos).inverse()
+            out = self.product(out, rhs)
         return out
 
     def parse_factor(self):
@@ -276,8 +269,8 @@ class _Parser:
             self.expect(",")
             right = self.parse_sum()
             self.expect("]")
-            out = (self.poly(self.product(left, right, pos))
-                   - self.poly(self.product(right, left, pos)))
+            out = (self.poly(self.product(left, right))
+                   - self.poly(self.product(right, left)))
         elif kind == "-":  # its factor takes the chain of powers
             out = _neg(self.parse_factor())
         else:
@@ -311,11 +304,13 @@ class _Parser:
         """v^n; a negative n inverts a scalar."""
         if n < 0:
             return (), _as_scalar(v, pos).inverse() ** -n
-        p = self.poly(v)
-        _check_budget(len(p.terms) ** n, _word_length(p) * n, pos)
+        if v.__class__ is tuple:  # charged as the n products of the loop
+            if coeff.active_budget is not None:
+                coeff.active_budget.charge(n + len(v[0]) * n * (n + 1) // 2)
+            return v[0] * n, v[1] ** n
         out = ((), ONE)
         for _ in range(n):
-            out = self.product(out, v, pos)
+            out = self.product(out, v)
         return out
 
     def parse_exponent(self) -> tuple[bool, int]:
@@ -380,20 +375,6 @@ class _Parser:
             out.append(int(value))
             self.expect(close)
         return out
-
-
-def _word_length(p: NCPoly) -> int:
-    return max(map(len, p.terms), default=0)
-
-
-def _check_budget(terms: int, length: int, pos: int) -> None:
-    if terms > MAX_TERMS:
-        raise ExprSyntaxError(
-            f"expression too large: up to {terms} terms, budget {MAX_TERMS}", pos)
-    if length > MAX_WORD_LENGTH:
-        raise ExprSyntaxError(
-            f"expression too large: words of length up to {length}, "
-            f"budget {MAX_WORD_LENGTH}", pos)
 
 
 _PRETTY = {
@@ -544,7 +525,12 @@ def _cmd_nf(args) -> int:
             ZeroDivisionError, coeff.WorkBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = str(nf)
+    try:
+        out = str(nf)
+    except ValueError:  # str() of an int over its digit limit (4300 by default)
+        print(f"error: a coefficient has over {sys.get_int_max_str_digits()} "
+              "digits, the limit for printing an integer", file=sys.stderr)
+        return 2
     print(unicode_pretty(out) if args.pretty else out)
     return 0
 

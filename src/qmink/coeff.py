@@ -113,11 +113,15 @@ class WorkBudget:
     charge that would exceed them raises ``WorkBudgetExceeded`` before its
     work runs.  Charged: ``len(a) * len(b)`` by ``_mul_general``;
     ``len(p) + len(d)`` per ``exact_divide`` attempt with a divisor of two
-    or more terms, and ``len(tail) + 1`` per step of ``_long_divide``; one
-    per term that ``RewriteSystem.normal_form`` pops.  Outside any budget
-    each of these sites costs one ``is None`` test.  A budget entered
-    inside another passes its charges on to it, and exit restores the
-    budget before."""
+    or more terms, and ``len(tail) + 1`` per step of ``_long_divide``;
+    ``1 + len(w) // 16`` per word w that ``RewriteSystem.normal_form``
+    pops; per product that ``cli``'s parser builds, ``1 + len(w)`` for a
+    one-term product of word w (a power of one term at once), and for
+    polynomials a and b ``len(a) * len(b)`` word pairs plus the letters
+    they write.  Outside
+    any budget each of these sites costs one ``is None`` test.  A budget
+    entered inside another passes its charges on to it, and exit restores
+    the budget before."""
 
     def __init__(self, units: int):
         self.units = self.left = units
@@ -905,8 +909,16 @@ class Scalar:
         if k == 0:
             return ONE
         base = self if k > 0 else self.inverse()
+        k, t = abs(k), base.n._terms
+        if base.d is _POLY_ONE and len(t) == 1:
+            # a unit: the one term that the loop would build, in one step
+            (m, c), = t.items()
+            p = c
+            for _ in range(k - 1):
+                p = p * c
+            return _scalar(_lp({(m[0] * k, m[1] * k, m[2] * k): _stored(p)}), _POLY_ONE)
         out = base
-        for _ in range(abs(k) - 1):
+        for _ in range(k - 1):
             out = out * base
         return out
 

@@ -311,9 +311,9 @@ class RewriteSystem:
         rules = self.rules
         budget = coeff.active_budget
         while stack:
-            if budget is not None:
-                budget.charge(1)
             w, c, start = stack.pop()
+            if budget is not None:  # a step costs time in its word's length
+                budget.charge(1 + len(w) // 16)
             pos = None
             for i in range(start, len(w) - 1):
                 if (w[i], w[i + 1]) in rules:

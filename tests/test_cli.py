@@ -425,27 +425,80 @@ def test_nf_input_budget_refuses_blowup_quickly(capsys):
     assert err.startswith("error: expression too large") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("expr", [
-    "alpha^13",                       # word length over budget
-    "alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha",
-    "[(alpha+beta)^6, (gamma+delta)^5]",
-    "q^65",
-    "q^(-129/2)",
-])
-def test_nf_input_budget_limits(capsys, expr):
-    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 2
+@pytest.mark.parametrize("regime, expr", [
+    # each concatenates or reduces long words: the first two ran 6.5 s and
+    # 3.2 s at the length caps, the second then accepted; charged one unit
+    # per popped word, the next three were refused after 1.6-2.7 s
+    ("unit-circle", "*".join(["alpha"] * 60_000)),
+    ("unit-circle", "*".join(["q^64"] * 21_000)),
+    ("unit-circle", "(delta*alpha)^32"),
+    ("unit-circle", "(delta*alpha)^64"),
+    ("unit-circle", "delta^64*alpha^64"),
+    # 16 384 terms, each divided 1000 times: about 100 s with an uncharged
+    # division
+    ("generic", "(alpha+beta+gamma+delta)^7" + "/2" * 1000),
+], ids=lambda v: v[:40])
+def test_nf_work_budget_bounds_long_words(capsys, regime, expr):
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", regime, "--expr", expr]) == 2
+    assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "too large" in err
+    assert err.startswith("error: expression too large") and "Traceback" not in err
+
+
+def test_nf_sum_is_built_in_one_pass(capsys):
+    # 32 768 distinct words of three letters: adding term by term copied
+    # the sum per term, 6.1 s before a refusal; in one pass about 1 s
+    alph, _ = nf_system(UNIT_CIRCLE)
+    names = [alph.name(k) for k in range(32)]
+    expr = " + ".join(f"{a}*{b}*{c}" for a in names for b in names for c in names)
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert capsys.readouterr().out.count(" + ") > 10_000
+
+
+@pytest.mark.parametrize("expr", [
+    "*".join(["2^64"] * 226),        # 4355 digits, from 1.1 KB of input
+    "*".join(["9" * 1000] * 5),
+], ids=["2^64-226-factors", "five-1000-digit-literals"])
+def test_nf_coefficient_over_the_digit_limit_exits_2(capsys, expr):
+    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 2
+    assert capsys.readouterr() == ("", "error: a coefficient has over 4300 "
+                                   "digits, the limit for printing an integer\n")
+
+
+@pytest.mark.parametrize("expr, code", [
+    pytest.param(expr, code, id=expr) for expr, code in [
+        # words are not capped: a word of 13 letters prints
+        ("alpha^13", 0),
+        ("alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha", 0),
+        ("[(alpha+beta)^6, (gamma+delta)^5]", 2),
+        ("q^65", 2),
+        ("q^(-129/2)", 2),
+    ]
+])
+def test_nf_input_budget_limits(capsys, expr, code):
+    assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out == "*".join(["alpha"] * 13) + "\n"
+    else:
+        assert err.startswith("error: ") and "too large" in err
 
 
 def test_nf_input_budget_leaves_room_for_ordinary_queries():
     alph, _ = nf_system(UNIT_CIRCLE)
     ctx = ParseContext(alph, UNIT_CIRCLE)
-    assert len(parse_expr("(alpha+beta+gamma+delta)^5", ctx).terms) == 1024
-    assert len(parse_expr("alpha^12", ctx).terms) == 1
-    parse_expr("(q*alpha*beta + t*gamma)^2*(i*alpha - delta*u[1,2])*h[0,3]^2", ctx)
-    with pytest.raises(ExprSyntaxError, match="too large"):
-        parse_expr("(alpha+beta+gamma+delta)^6", ctx)
+    with WorkBudget(MAX_WORK):
+        assert len(parse_expr("(alpha+beta+gamma+delta)^6", ctx).terms) == 4096
+    with WorkBudget(MAX_WORK):
+        assert len(parse_expr("alpha^12", ctx).terms) == 1
+    with WorkBudget(MAX_WORK):
+        parse_expr("(q*alpha*beta + t*gamma)^2*(i*alpha - delta*u[1,2])*h[0,3]^2", ctx)
+    # the power's k-th product charges 4^k * (k + 1): 589 824 for k = 8
+    with pytest.raises(WorkBudgetExceeded, match="too large"), WorkBudget(MAX_WORK):
+        parse_expr("(alpha+beta+gamma+delta)^8", ctx)
 
 
 @pytest.mark.parametrize("expr", [
@@ -473,8 +526,8 @@ def test_nf_scalar_term_budget_refuses_coefficient_blowup(capsys, expr):
 
 
 def test_nf_work_budget_edge(capsys):
-    # (q+qb+t+1)^k charges 4*C(k+3, 4) - 3 units: 365 557 for k = 37 and
-    # 405 077 for k = 38, on either side of MAX_WORK
+    # (q+qb+t+1)^k charges 4*C(k+3, 4) - 3 + k units: 365 594 for k = 37
+    # and 405 115 for k = 38, on either side of MAX_WORK
     assert main(["nf", "--regime", "generic", "--expr", "(q+qb+t+1)^37"]) == 0
     assert main(["nf", "--regime", "generic", "--expr", "(q+qb+t+1)^38"]) == 2
     assert capsys.readouterr().err.startswith("error: expression too large")
@@ -563,6 +616,17 @@ def test_work_budget_charges_each_kind_of_work():
     assert coeff.active_budget is None
 
 
+def test_normal_form_charges_a_popped_word_by_its_length():
+    # alpha^k is in normal form: one pop, charged 1 + k // 16
+    alph, system = nf_system(UNIT_CIRCLE)
+    ctx = ParseContext(alph, UNIT_CIRCLE)
+    for k, units in ((15, 1), (16, 2), (40, 3)):
+        p = parse_expr(f"alpha^{k}", ctx)
+        with WorkBudget(10 ** 6) as budget:
+            system.normal_form(p)
+        assert budget.units - budget.left == units
+
+
 @pytest.mark.parametrize("nested, flat", [
     ("((q*q+q+1)^8)^8", "(q*q+q+1)^64"),
     ("((q*q+q+1)^-8)^8", "(q*q+q+1)^-64"),
@@ -611,16 +675,6 @@ def test_nf_power_chains_within_the_budget_multiply():
     # a sibling factor's powers count although a later one has fewer
     ("(q^16*q)^8", "exponent too large: nested powers multiply to 128, "
                    "budget 64 in magnitude", 8),
-    # a power's words are measured at the power, not at the end
-    ("alpha^13", "expression too large: words of length up to 13, budget 12", 5),
-    ("(alpha*beta)^7", "expression too large: words of length up to 14, budget 12", 12),
-    # along a product, at the first '*' or '[' that built a word over the cap
-    ("alpha^7*alpha^6", "expression too large: words of length up to 13, budget 12", 7),
-    ("beta*[alpha^6, beta^7]", "expression too large: words of length up to 14, budget 12", 5),
-    ("beta + " + "*".join(["alpha"] * 13),
-     "expression too large: words of length up to 13, budget 12", 78),
-    ("(alpha + beta)*(alpha^6*beta^6)",
-     "expression too large: words of length up to 13, budget 12", 14),
 ])
 def test_power_refusals_give_the_budget_and_the_power(expr, message, pos):
     with pytest.raises(ExprSyntaxError) as err:
@@ -629,9 +683,26 @@ def test_power_refusals_give_the_budget_and_the_power(expr, message, pos):
     assert err.value.pos == pos
 
 
+@pytest.mark.parametrize("expr, equal", [
+    pytest.param(expr, equal, id=expr) for expr, equal in [
+        # words over 12 letters, once refused, through a power, a product,
+        # a bracket, a sum and a product of polynomials
+        ("alpha^13", "*".join(["alpha"] * 13)),
+        ("(alpha*beta)^7", "*".join(["alpha*beta"] * 7)),
+        ("alpha^7*alpha^6", "alpha^13"),
+        ("beta*[alpha^6, beta^7]", "beta*alpha^6*beta^7 - beta^8*alpha^6"),
+        ("beta + " + "*".join(["alpha"] * 13), "alpha^13 + beta"),
+        ("(alpha + beta)*(alpha^6*beta^6)", "alpha^7*beta^6 + beta*alpha^6*beta^6"),
+    ]
+])
+def test_long_words_are_accepted(expr, equal):
+    with WorkBudget(MAX_WORK):
+        assert parse_expr(expr, CTX).equals(parse_expr(equal, CTX))
+
+
 @pytest.mark.parametrize("expr", ["alpha^12*alpha - alpha^12*alpha", "[alpha^6, alpha^7]"])
 def test_long_products_that_cancel_are_accepted(capsys, expr):
-    # the cap applies to the parsed result, so a sum that cancels passes
+    # words are not capped, so a sum of long products that cancel prints 0
     assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == 0
     assert capsys.readouterr().out == "0\n"
 

@@ -5,8 +5,7 @@ ones: non-ASCII digits, letters and spaces, deep nesting and long ``^``
 chains.  Sizes stay small (a handful of generators, exponents of at most
 three outside the hostile chains).  Where the input is known to break a
 budget or to hold a character outside ASCII, the test also asserts the
-refusal and its message (a power chain may be refused by the word-length
-budget before the exponent budget).
+refusal and its message.
 
 Every accepted query runs to its normal form: the work budget that
 ``qmink nf`` parses and reduces under refuses a slow reduction with exit

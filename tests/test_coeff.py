@@ -703,6 +703,17 @@ def test_product_by_a_unit_matches_the_general_path(u, s):
         assert got.d is s.d
 
 
+@settings(max_examples=100, deadline=None)
+@given(unit_scalars, st.integers(-8, 8))
+def test_power_of_a_unit_matches_the_product_loop(u, k):
+    want, base = ONE, (u if k >= 0 else u.inverse())
+    for _ in range(abs(k)):
+        want = want * base
+    got = u ** k
+    _same_terms(got.num, want.num)
+    _same_terms(got.den, want.den)
+
+
 # ---------------------------------------------------------------------------
 # in-place long division: the quotient of the LaurentPoly-building loop
 # ---------------------------------------------------------------------------

@@ -26,12 +26,14 @@ def test_parse_digest_matches_golden():
 
 
 def test_parse_line_records_form_charge_and_refusal():
+    # a product of one-term factors charges 1 plus the length of its word
     assert parse_digest.parse_line("2*alpha", "unit-circle") == \
-        "[((24,), [((0, 0, 0), 2)], [((0, 0, 0), 1)])] units=0"
+        "[((24,), [((0, 0, 0), 2)], [((0, 0, 0), 1)])] units=2"
     assert parse_digest.parse_line("alpha +", "generic") == \
         "ExprSyntaxError unexpected token '' (at position 7) pos=7"
-    # a product of two-term coefficients charges its double loop
-    assert parse_digest.parse_line("(q+1)*(q+1)", "generic").endswith(" units=4")
+    # a product of two-term coefficients charges its double loop, and the
+    # product of their one-term polynomials one word pair
+    assert parse_digest.parse_line("(q+1)*(q+1)", "generic").endswith(" units=5")
 
 
 def test_parse_digest_script_writes_the_digest(tmp_path, monkeypatch):
