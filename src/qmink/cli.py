@@ -22,7 +22,7 @@ from itertools import accumulate
 import cmath
 
 from . import algebras, coeff, intertwiners
-from .coeff import ONE, Regime, RegimeKind, Scalar, ZERO, regime_from_label
+from .coeff import ONE, Regime, RegimeKind, Scalar, regime_from_label
 from .rewrite import Alphabet, NCPoly, RewriteSystem, UnknownGeneratorError
 
 __all__ = ["main", "parse_expr", "ParseContext", "ExprSyntaxError",
@@ -134,13 +134,16 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
     return kinds, values, starts
 
 
-def _as_scalar(v, pos: int) -> Scalar:
-    """The scalar a parsed value stands for, refused if it holds a word."""
+def _inverse(v, pos: int) -> Scalar:
+    """The inverse of the scalar a parsed value stands for, refused at the
+    ``/`` or ``^`` at pos if the value holds a word or is zero."""
     if v.__class__ is tuple:
         if not v[0]:
-            return v[1]
+            return v[1].inverse()  # a pair's coefficient is nonzero
     elif not any(v.terms):
-        return v.terms.get((), ZERO)
+        if not v.terms:
+            raise ZeroDivisionError(f"inverse of zero scalar (at position {pos})")
+        return v.terms[()].inverse()
     raise NoncommutativeDivisionError(
         f"division/inverse needs a scalar subexpression (at position {pos})")
 
@@ -233,7 +236,7 @@ class _Parser:
             self.k += 1
             rhs = self.parse_factor()
             if op == "/":
-                rhs = (), _as_scalar(rhs, pos).inverse()
+                rhs = (), _inverse(rhs, pos)
             out = self.product(out, rhs)
         return out
 
@@ -273,6 +276,8 @@ class _Parser:
                    - self.poly(self.product(right, left)))
         elif kind == "-":  # its factor takes the chain of powers
             out = _neg(self.parse_factor())
+        elif kind == "eof":
+            raise ExprSyntaxError("unexpected end of input", pos)
         else:
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         base_name = value if kind == "name" else None
@@ -303,7 +308,7 @@ class _Parser:
     def power(self, v, n: int, pos: int):
         """v^n; a negative n inverts a scalar."""
         if n < 0:
-            return (), _as_scalar(v, pos).inverse() ** -n
+            return (), _inverse(v, pos) ** -n
         if v.__class__ is tuple:  # charged as the n products of the loop
             if coeff.active_budget is not None:
                 coeff.active_budget.charge(n + len(v[0]) * n * (n + 1) // 2)

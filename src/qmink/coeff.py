@@ -12,6 +12,11 @@ by cross multiplication, and construction only tries one exact division,
 moves monomials out of the denominator and makes it monic.  That keeps
 representations small without a multivariate gcd engine, and zero testing
 stays exact because the numerator of a zero value is the zero polynomial.
+Most of these speculative divisions fail: the one in construction, and the
+cross-cancellations of ``Scalar.__mul__``.  ``exact_divide`` rejects most
+misses by exponent spans before any long division (its docstring).  The
+multi-term denominators of the generic rewriting are powers of qb^2 + 1,
+which lack q and t, so there the span test runs column by column.
 
 A coefficient that is a rational integer is stored as an ``int``, so the
 loops of the polynomial arithmetic run native ints; any other
@@ -600,22 +605,63 @@ def _exp_spans(terms) -> Mono:
     return (max(a) - min(a), max(b) - min(b), max(c) - min(c))
 
 
+def _short_column(terms, sd: Mono) -> bool:
+    """Whether some column of the terms spans less than sd in an atom.
+
+    sd has a 0 in one or two atoms; a column is the set of terms with the
+    same exponents in those atoms.  One pass per atom with sd > 0, keeping
+    each column's smallest and largest exponent in it.
+    """
+    lacks = [k for k in (0, 1, 2) if not sd[k]]
+    a, b = lacks[0], lacks[-1]  # a == b when only one atom is lacked
+    for j in (0, 1, 2):
+        need = sd[j]
+        if not need:
+            continue
+        cols: dict[tuple[int, int], list[int]] = {}  # column -> [lo, hi]
+        for m in terms:
+            key = (m[a], m[b])
+            e = m[j]
+            col = cols.get(key)
+            if col is None:
+                cols[key] = [e, e]
+            elif e < col[0]:
+                col[0] = e
+            elif e > col[1]:
+                col[1] = e
+        for lo, hi in cols.values():
+            if hi - lo < need:
+                return True
+    return False
+
+
 def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """Return p/d when d divides p exactly, else None.
 
     Works up to monomial units: both arguments are shifted to honest
     polynomials first, so divisibility is decided in the Laurent ring.
 
-    Two necessary conditions are tested before any long division, and
-    both are exact because the Laurent ring is an integral domain:
+    Three necessary conditions are tested before any long division, and
+    all are exact because the Laurent ring is an integral domain:
 
     - a single term is a unit, so a divisor with two or more terms (not a
       unit) cannot divide it;
     - in each atom the exponent span (largest minus smallest exponent) of
       a product is the sum of the factors' spans, so a divisor whose span
-      exceeds p's in some atom cannot divide p.
+      exceeds p's in some atom cannot divide p;
+    - when d has span 0 in some atoms (it lacks them, as (qb^2+1)^k lacks
+      q and t), each column of p must pass the span test on its own.  A
+      column is the sum of p's terms that share their exponents in the
+      atoms d lacks.  Write d = x^e * d' with d' free of those atoms and
+      p = sum_g x^g * p_g over its columns, each p_g nonzero and free of
+      them too.  Multiplying by d' keeps each column in place, so
+      d' * s has the columns d' * s_g, and d divides p exactly when d'
+      divides every p_g.  Then p_g = d' * s_g, and spans add under
+      products: span(p_g) >= span(d') = span(d) in each atom.
 
-    Only a pair that passes both is divided out (``_long_divide``).
+    The third test replaces the second when d lacks an atom, since the
+    spans of p are at least those of any column.  Only a pair that passes
+    is divided out (``_long_divide``), which alone decides divisibility.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -627,10 +673,14 @@ def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
         budget = active_budget  # the spans, the shifts and the heap
         if budget is not None:
             budget.charge(len(p._terms) + len(d._terms))
-        sp = _exp_spans(p._terms)
         sd = _exp_spans(d._terms)
-        if sp[0] < sd[0] or sp[1] < sd[1] or sp[2] < sd[2]:
-            return None
+        if 0 in sd:
+            if _short_column(p._terms, sd):
+                return None
+        else:
+            sp = _exp_spans(p._terms)
+            if sp[0] < sd[0] or sp[1] < sd[1] or sp[2] < sd[2]:
+                return None
     return _long_divide(p, d)
 
 

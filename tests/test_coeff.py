@@ -10,7 +10,7 @@ from qmink.coeff import (CASE2_PLUS, GENERIC, REAL_Q, UNIT_CIRCLE, DomainError,
                          ONE, Q, QB, Q_HALF, QB_HALF, Regime, RegimeKind,
                          Scalar, T, T_HALF, ZERO, exact_divide, gauss, integer,
                          rat, regime_from_label, I)
-from qmink.coeff import _POLY_ONE, _long_divide, _mul_general
+from qmink.coeff import _POLY_ONE, _deglex_key, _long_divide, _mul_general
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -407,7 +407,7 @@ def test_exact_divide_of_a_product(a, b):
     assert quot == _long_divide(a * b, b)
 
 
-def test_exact_divide_early_rejects():
+def test_exact_divide_early_rejects(monkeypatch):
     binom = Q + ONE
     # a single term is a unit: a binomial never divides it
     for mono in (Q, Q ** -3 * T, ONE):
@@ -420,6 +420,17 @@ def test_exact_divide_early_rejects():
     assert _long_divide(p, d) is None
     # spans equal in every atom: the division runs and succeeds
     assert exact_divide((Q * T + ONE).num, (Q * T + ONE).num) == ONE.num
+    # d lacks atoms: p's spans cover d's, but a column of p (its terms with
+    # equal exponents in those atoms) does not, so no long division runs
+    from qmink import coeff
+    ran = []
+    monkeypatch.setattr(coeff, "_long_divide", lambda p, d: ran.append(p))
+    for p, d in (((QB + T).num, (QB + ONE).num),  # d lacks q and t
+                 ((Q * QB + ONE).num, (QB + ONE).num),
+                 ((Q * QB + T).num, (Q * QB + ONE).num)):  # d lacks t
+        assert exact_divide(p, d) is None
+        assert _long_divide(p, d) is None
+    assert not ran
 
 
 # ---------------------------------------------------------------------------
@@ -1044,3 +1055,64 @@ drawn_scalars = st.one_of(scalars, frac_scalars, mixed_scalars, unit_scalars,
 def test_no_operation_stores_a_dividing_denominator(a, b, r, atom):
     for s in (a, b, *_operation_values(a, b, r, atom), *_operation_values(b, a, r, atom)):
         _assert_no_dividing_denominator(s)
+
+
+# ---------------------------------------------------------------------------
+# exact_divide's column test: a divisor that lacks an atom must divide each
+# column of p (its terms with equal exponents in the lacked atoms) alone
+# ---------------------------------------------------------------------------
+
+def _lacking(p: LaurentPoly, atoms: tuple[int, ...]) -> LaurentPoly:
+    """p with its exponents in the given atoms set to 0, like terms merged."""
+    return p.map_monos(lambda m, c: (tuple(0 if k in atoms else e
+                                           for k, e in enumerate(m)), c))
+
+
+lacking_divisors = st.builds(
+    _lacking, st.one_of(wide_nonzero, many_terms),
+    st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])).filter(
+        lambda d: not d.is_zero)
+
+
+def _deglex_ordered(p: LaurentPoly) -> LaurentPoly:
+    """p with its terms in descending deglex order, the order in which long
+    division finds a quotient's terms."""
+    return LaurentPoly(dict(sorted(p.terms.items(), key=lambda mc: _deglex_key(mc[0]),
+                                   reverse=True)))
+
+
+@settings(deadline=None)
+@given(wide_polys, lacking_divisors)
+def test_column_test_keeps_every_exact_quotient(q, d):
+    q = _deglex_ordered(q)
+    got = exact_divide(q * d, d)
+    assert list(got._terms.items()) == list(q._terms.items())
+
+
+@settings(deadline=None)
+@given(wide_nonzero, lacking_divisors, st.booleans(), st.one_of(st.none(), one_term))
+def test_column_test_rejects_only_what_long_division_rejects(q, d, multiply, perturb):
+    p = q * d if multiply else q
+    if perturb is not None:
+        p = p + perturb
+    assume(not p.is_zero)
+    assert (exact_divide(p, d) is None) == (_long_divide(p, d) is None)
+
+
+def test_column_test_spares_the_long_divisions_that_miss(monkeypatch):
+    # the misses are rejected before the division; the quotients are the
+    # same, so only these counts see the column test
+    from qmink import coeff
+    from qmink.cli import ParseContext, nf_system, parse_expr
+    alph, system = nf_system(GENERIC)
+    poly = parse_expr("delta*gamma*delta*alpha*alpha*alpha", ParseContext(alph, GENERIC))
+    outcomes = []
+
+    def counted(p, d):
+        out = _long_divide(p, d)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(coeff, "_long_divide", counted)
+    system.normal_form(poly)
+    assert len(outcomes) == 84 and all(outcomes)  # 84 hits, 0 of the 184 misses

@@ -30,7 +30,7 @@ def test_parse_line_records_form_charge_and_refusal():
     assert parse_digest.parse_line("2*alpha", "unit-circle") == \
         "[((24,), [((0, 0, 0), 2)], [((0, 0, 0), 1)])] units=2"
     assert parse_digest.parse_line("alpha +", "generic") == \
-        "ExprSyntaxError unexpected token '' (at position 7) pos=7"
+        "ExprSyntaxError unexpected end of input (at position 7) pos=7"
     # a product of two-term coefficients charges its double loop, and the
     # product of their one-term polynomials one word pair
     assert parse_digest.parse_line("(q+1)*(q+1)", "generic").endswith(" units=5")
