@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import (GENERIC, ONE, Q, QB, REAL_Q, Regime, RegimeKind,
-                    Scalar, T, UNIT_CIRCLE, ZERO, integer,
-                    rat)
-from .intertwiners import (CheckReport, _check_empty, _check_span, _timed,
+from .coeff import (CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q, Regime, RegimeKind,
+                    Scalar, T, UNIT_CIRCLE, ZERO, integer, rat)
+from .intertwiners import (ON_GENERIC, ON_REAL_Q, ON_UNIT_CIRCLE, SPECIALIZED,
+                           CheckReport, OperatorSource, Row,
                            classical_limit, classical_value, operator_source,
-                           suite_moves, suite_spectral, vector_components)
+                           run_rows, run_suite, suite_moves, suite_spectral,
+                           vector_components)
 from .rewrite import (Alphabet, Generator, NCPoly, RewriteRule, RewriteSystem,
                       orient)
 from .tensor import (B, TMap, U, annihilator_basis, bar_conjugate, compose,
@@ -260,19 +261,34 @@ def minkowski_length_poly(regime: Regime) -> NCPoly:
     return _functional_to_relation(functional, x_alphabet(regime))
 
 
-def minkowski_length(regime: Regime):
-    """Length element, centrality/star reports, and the comparison scalar.
+def _quadratic_form_ratio(regime: Regime) -> Scalar | None:
+    """The normal form of the length element over that of alpha*delta/(2z)
+    + delta*alpha/(2 zbar) - gamma* gamma, z = q/t; None if not
+    proportional."""
+    sys = minkowski_system(regime).system
+    alph = sys.alphabet
+    half = rat(1, 2)
+    inv_2z = half * T * Q ** -1           # 1/(2z), z = q/t
+    inv_2zbar = half * T * Q              # 1/(2 zbar), zbar = 1/(qt)
+    formula = (NCPoly.word(alph, ("alpha", "delta"), inv_2z)
+               + NCPoly.word(alph, ("delta", "alpha"), inv_2zbar)
+               - NCPoly.word(alph, ("beta", "gamma")))
+    nf_l = sys.normal_form(minkowski_length_poly(regime))
+    nf_f = sys.normal_form(formula)
+    ratios = []
+    for w in set(nf_l.terms) | set(nf_f.terms):
+        cl = nf_l.terms.get(w, ZERO)
+        cf = nf_f.terms.get(w, ZERO)
+        if cf.is_zero():
+            return None
+        ratios.append(cl / cf)
+    return ratios[0] if all(r == ratios[0] for r in ratios) else None
 
-    Returns (poly, reports, comparison_scalar); the scalar relates the
-    contraction to alpha*delta/(2z) + delta*alpha/(2 zbar) - gamma* gamma
-    with z = q/t, and is only computed on the unit circle.
-    """
-    alg = minkowski_system(regime)
-    sys = alg.system
-    ell = minkowski_length_poly(regime)
-    reports = []
 
-    def central():
+def _length_rows() -> tuple[Row, ...]:
+    def central(regime, src):
+        sys = minkowski_system(regime).system
+        ell = minkowski_length_poly(regime)
         bad = []
         for name in PAIR_NAMES:
             gpoly = NCPoly.word(sys.alphabet, (name,))
@@ -280,49 +296,19 @@ def minkowski_length(regime: Regime):
             if not resid.is_zero():
                 bad.append(f"[l, {name}] -> {resid}")
         return bad
-    reports.append(_check_empty("length/centrality", regime, central))
 
-    def star_fixed():
-        resid = sys.normal_form(ell.star(regime) - ell)
+    def star_fixed(regime, src):
+        ell = minkowski_length_poly(regime)
+        resid = minkowski_system(regime).system.normal_form(ell.star(regime) - ell)
         return [] if resid.is_zero() else [str(resid)]
-    reports.append(_check_empty("length/star-fixed", regime, star_fixed))
 
-    comparison = None
-    if regime.kind is RegimeKind.UNIT_CIRCLE:
-        alph = sys.alphabet
-        half = rat(1, 2)
-        inv_2z = half * T * Q ** -1           # 1/(2z), z = q/t
-        inv_2zbar = half * T * Q              # 1/(2 zbar), zbar = 1/(qt)
-        formula = (NCPoly.word(alph, ("alpha", "delta"), inv_2z)
-                   + NCPoly.word(alph, ("delta", "alpha"), inv_2zbar)
-                   - NCPoly.word(alph, ("beta", "gamma")))
-        nf_l = sys.normal_form(ell)
-        nf_f = sys.normal_form(formula)
-        ratios = []
-        for w in set(nf_l.terms) | set(nf_f.terms):
-            cl = nf_l.terms.get(w, ZERO)
-            cf = nf_f.terms.get(w, ZERO)
-            if cf.is_zero():
-                ratios = None
-                break
-            ratios.append(cl / cf)
-        ok = ratios is not None and all(r == ratios[0] for r in ratios)
-        if ok:
-            comparison = ratios[0]
-        reports.append(CheckReport(
-            "length/quadratic-form-comparison", regime.label,
-            "pass" if ok else "fail", "info",
-            None if ok else "not proportional",
-            detail=f"contraction = ({comparison}) * displayed form"
-            if ok else None))
-    return ell, reports, comparison
+    def comparison(regime, src):
+        ratio = _quadratic_form_ratio(regime)
+        if ratio is None:
+            return False, "not proportional", None
+        return True, None, f"contraction = ({ratio}) * displayed form"
 
-
-def mz_presentation_check() -> CheckReport:
-    """The one-parameter z = q/t presentation spans the same relations."""
-    regime = UNIT_CIRCLE
-
-    def rows():
+    def mz_rows(regime, src):
         alph = x_alphabet(regime)
         z = Q * T ** -1
         zbar = z.star(regime)
@@ -334,9 +320,50 @@ def mz_presentation_check() -> CheckReport:
                                            (-ONE, "gamma beta")])
         mz = [r1, r2, r3, r1.star(regime), r2.star(regime), normal]
         return _relation_rows(mz), _relation_rows(table_relations(regime))
-    return _check_span(
-        "length/mz-presentation", regime, rows, "spans differ",
-        "three z-relations plus their stars and gamma* gamma = gamma gamma*")
+
+    def classical(regime, src):
+        cl = _classical_poly(minkowski_length_poly(regime))
+        alph = minkowski_system(regime).system.alphabet
+        want = (NCPoly.word(alph, ("alpha", "delta"), integer(-2))
+                + NCPoly.word(alph, ("beta", "gamma"), integer(2)))
+        # compare modulo the classical (commutative) relations
+        csys = _classical_system(regime)
+        resid = csys.normal_form(cl - want)
+        return [] if resid.is_zero() else [str(resid)]
+
+    kinds = ON_UNIT_CIRCLE | {RegimeKind.REAL_Q}
+    return (
+        Row("length/centrality", central, "empty", kinds),
+        Row("length/star-fixed", star_fixed, "empty", kinds),
+        Row("length/quadratic-form-comparison", comparison, kinds=ON_UNIT_CIRCLE,
+            mode="info"),
+        Row("length/mz-presentation", mz_rows, "span", ON_UNIT_CIRCLE,
+            detail="three z-relations plus their stars and gamma* gamma = gamma gamma*",
+            residual="spans differ"),
+        Row("length/classical-quadratic-form", classical, "empty", ON_UNIT_CIRCLE,
+            detail="q = t = 1 length is -2 (alpha delta - beta gamma)"),
+    )
+
+
+# the first three rows are the length element's own checks
+_LENGTH = _length_rows()
+
+
+def minkowski_length(regime: Regime):
+    """Length element, centrality/star reports, and the comparison scalar.
+
+    Returns (poly, reports, comparison_scalar); the scalar relates the
+    contraction to alpha*delta/(2z) + delta*alpha/(2 zbar) - gamma* gamma
+    with z = q/t, and is only computed on the unit circle.
+    """
+    comparison = _quadratic_form_ratio(regime) \
+        if regime.kind is RegimeKind.UNIT_CIRCLE else None
+    return minkowski_length_poly(regime), run_rows(_LENGTH[:3], regime), comparison
+
+
+def mz_presentation_check() -> CheckReport:
+    """The one-parameter z = q/t presentation spans the same relations."""
+    return run_rows(_LENGTH[3:4], UNIT_CIRCLE)[0]
 
 
 # --------------------------------------------------------------------------
@@ -506,6 +533,15 @@ def build_braided_square(regime: Regime = UNIT_CIRCLE,
                          RewriteSystem(alph, rules, regime), what, pminus)
 
 
+_DELTA_STEPS = (
+    "expand (x + h x')_1 (x + h x')_2 into four blocks",
+    "contract with the deformed antisymmetrizer",
+    "reduce: move h left, braid x' past x, apply both copies' relations",
+    "exchange antisymmetrizer with h h (certified intertwining substitution)",
+    "reduce the remaining primed/unprimed blocks to normal form",
+)
+
+
 def certified_prerequisites(regime: Regime) -> list[CheckReport]:
     """The moves and spectral reports behind the certified substitution.
 
@@ -553,13 +589,6 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
     alph = sq.alphabet
     sys = sq.system
     pm = sq.pminus
-    steps = [
-        "expand (x + h x')_1 (x + h x')_2 into four blocks",
-        "contract with the deformed antisymmetrizer",
-        "reduce: move h left, braid x' past x, apply both copies' relations",
-        "exchange antisymmetrizer with h h (certified intertwining substitution)",
-        "reduce the remaining primed/unprimed blocks to normal form",
-    ]
 
     def word(*names):
         return NCPoly.word(alph, names)
@@ -591,33 +620,23 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
         for n in range(4):
             residuals[(m, n)] = sys.normal_form(
                 combination(pm.rows[(m << 2) | n], blocks) + hh(m, n, pm_primed))
-    return residuals, steps, sq
+    return residuals, list(_DELTA_STEPS), sq
 
 
-def suite_delta(regime: Regime) -> list[CheckReport]:
-    if regime.kind is not RegimeKind.UNIT_CIRCLE:
-        return [CheckReport("delta/skip", regime.label, "skip", "info",
-                            detail="the braided coproduct check runs on the unit circle")]
-    reports = []
-    prereq = certified_prerequisites(regime)
-
-    def all_zero(residuals, detail):
+def suite_delta(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
+    # braided_delta_check reads its prerequisites from the recorded reports
+    def nonzero_components(residuals):
         bad = sum(not v.is_zero() for v in residuals.values())
-        return not bad, f"{bad} nonzero components" if bad else None, detail
+        return [f"{bad} nonzero components"] if bad else []
 
-    def good():
-        residuals, steps, _ = braided_delta_check(regime, prereq=prereq)
-        return all_zero(residuals, "; ".join(steps))
-    reports.append(_timed("delta/braided-coproduct", regime, "expect-zero", good))
-
-    def sigma_one():
-        residuals, _, sq = braided_delta_check(regime, sigma=ONE, prereq=prereq)
+    def sigma_one(regime, src):
+        residuals, _, sq = braided_delta_check(regime, sigma=ONE)
         nonzero = sum(not v.is_zero() for v in residuals.values())
         if not nonzero:
             return False, "no residual", None
         # each residual row is exactly its row of the matrix obstruction,
         # sum over (a, b) of obstruction[row][(a, b)] h[a,c] x_b x'_c
-        obstruction = operator_source(regime).get("Pminus(What+1)")
+        obstruction = src.get("Pminus(What+1)")
         alph = sq.alphabet
         for (m, n), poly in residuals.items():
             want = NCPoly.sum(alph, (
@@ -629,50 +648,33 @@ def suite_delta(regime: Regime) -> list[CheckReport]:
                 return False, "residual does not match the matrix obstruction", None
         return True, f"{nonzero} nonzero components", \
             "residual coefficients equal the entries of the matrix obstruction"
-    reports.append(_timed("delta/sigma-one-fails", regime, "expect-nonzero", sigma_one))
 
-    def classical():
-        residuals, _, _ = braided_delta_check(regime, sigma=ONE, classical=True,
-                                              prereq=prereq)
-        return all_zero(residuals, "plain tensor square at q = t = 1")
-    reports.append(_timed("delta/classical-sigma-one", regime, "expect-zero",
-                          classical))
-
-    def braid_consistency():
+    def braid_consistency(regime, src):
         # the braided square's rules among x and x' letters only
         alph = Alphabet(_crossed_generators(regime, primes=True, hs=False)[8:])
         rules = (_mapped_x_rules(alph, regime) + _mapped_x_rules(alph, regime, "'")
                  + _commuting_rules(alph, _PRIMED, PAIR_NAMES,
                                     (Q ** -1).specialize(regime)))
         obstructions = RewriteSystem(alph, rules, regime).check_confluence()
-        return not obstructions, f"{len(obstructions)} overlaps fail" \
-            if obstructions else None, "x/x' rule set is locally confluent"
-    reports.append(_timed("delta/braiding-consistency", regime, "expect-zero",
-                          braid_consistency))
-    return reports
+        return [f"{len(obstructions)} overlaps fail"] if obstructions else []
+
+    return run_suite("delta", (
+        Row("delta/braided-coproduct", lambda regime, src: nonzero_components(
+            braided_delta_check(regime)[0]), "empty", ON_UNIT_CIRCLE,
+            detail="; ".join(_DELTA_STEPS)),
+        Row("delta/sigma-one-fails", sigma_one, kinds=ON_UNIT_CIRCLE,
+            mode="expect-nonzero"),
+        Row("delta/classical-sigma-one", lambda regime, src: nonzero_components(
+            braided_delta_check(regime, sigma=ONE, classical=True)[0]), "empty",
+            ON_UNIT_CIRCLE, detail="plain tensor square at q = t = 1"),
+        Row("delta/braiding-consistency", braid_consistency, "empty", ON_UNIT_CIRCLE,
+            detail="x/x' rule set is locally confluent"),
+    ), regime, source, "the braided coproduct check runs on the unit circle")
 
 
-def suite_length(regime: Regime) -> list[CheckReport]:
-    if regime.kind not in (RegimeKind.UNIT_CIRCLE, RegimeKind.REAL_Q):
-        return [CheckReport("length/skip", regime.label, "skip", "info",
-                            detail="length checks run on unit-circle and real-q")]
-    _, reports, _ = minkowski_length(regime)
-    if regime.kind is RegimeKind.UNIT_CIRCLE:
-        reports.append(mz_presentation_check())
-
-        def classical():
-            cl = _classical_poly(minkowski_length_poly(regime))
-            alph = minkowski_system(regime).system.alphabet
-            want = (NCPoly.word(alph, ("alpha", "delta"), integer(-2))
-                    + NCPoly.word(alph, ("beta", "gamma"), integer(2)))
-            # compare modulo the classical (commutative) relations
-            csys = _classical_system(regime)
-            resid = csys.normal_form(cl - want)
-            return [] if resid.is_zero() else [str(resid)]
-        reports.append(_check_empty(
-            "length/classical-quadratic-form", regime, classical,
-            "q = t = 1 length is -2 (alpha delta - beta gamma)"))
-    return reports
+def suite_length(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
+    return run_suite("length", _LENGTH, regime, source,
+                     "length checks run on unit-circle and real-q")
 
 
 def _classical_system(regime: Regime) -> RewriteSystem:
@@ -690,88 +692,80 @@ def _classical_crossed_system() -> RewriteSystem:
                          UNIT_CIRCLE)
 
 
-def suite_pbw(regime: Regime) -> list[CheckReport]:
-    reports = []
-
-    def integrity():
+def suite_pbw(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
+    def integrity(regime, src):
         try:
             minkowski_system(regime)
         except SpanMismatchError as exc:
             return False, str(exc), None
         return True, None, "derived and tabulated relation spans agree"
-    reports.append(_timed("pbw/relation-integrity", regime, "expect-zero",
-                          integrity))
 
-    def annihilator_rows():
+    def annihilator_rows(regime, src):
         # the antisymmetrizer's own row space spans the same functionals
         # as the block-by-block route through the inverse crossing
-        src = operator_source(regime)
         return ([f.entries[0] for f in annihilator_basis(src.get("Pminus"))],
                 [f.entries[0] for f in _block_functionals(regime)])
-    reports.append(_check_span("pbw/antisymmetrizer-annihilator-span", regime,
-                               annihilator_rows, "spans differ", rank=6))
 
-    if regime.kind is RegimeKind.GENERIC:
-        def obstruction():
-            criteria = obstruction_criteria(*pbw_obstruction_generic()[:2])
-            if not criteria["nonzero in generic"]:
-                return False, "obstruction unexpectedly vanishes", None
-            ok = all(criteria.values())
-            return ok, None if ok else "factorization or specialization failed", \
-                "nonzero; factors through (1-(q qb)^2)(qb^2-q^2); vanishes on " \
-                "|q|=1, real q, and qb=-q"
-        reports.append(_timed("pbw/ordering-obstruction", regime,
-                              "expect-nonzero", obstruction))
+    def obstruction(regime, src):
+        criteria = obstruction_criteria(*pbw_obstruction_generic()[:2])
+        if not criteria["nonzero in generic"]:
+            return False, "obstruction unexpectedly vanishes", None
+        ok = all(criteria.values())
+        return ok, None if ok else "factorization or specialization failed", \
+            "nonzero; factors through (1-(q qb)^2)(qb^2-q^2); vanishes on " \
+            "|q|=1, real q, and qb=-q"
 
-        def overlap():
-            sys = minkowski_system(regime).system
-            obstructions = sys.check_confluence()
-            gba = tuple(sys.alphabet.index(n) for n in ("gamma", "beta", "alpha"))
-            hit = [o for o in obstructions if o.word == gba]
-            if not hit:
-                return False, "gamma beta alpha overlap resolves", None
-            support = {tuple(sys.alphabet.name(k) for k in w)
-                       for w in hit[0].diff.terms}
-            want = {("alpha", "alpha", "delta"), ("alpha", "beta", "gamma")}
-            ok = support == want
-            return ok, None if ok else f"support {support}", \
-                "generic overlap fails exactly on the two ordered cubic words"
-        reports.append(_timed("pbw/generic-overlap-nonconfluent", regime,
-                              "expect-nonzero", overlap))
-    else:
-        def confluent():
-            sys = minkowski_system(regime).system
-            obstructions = sys.check_confluence()
-            return not obstructions, \
-                f"{len(obstructions)} overlaps fail" if obstructions else None, \
-                f"ordering {' < '.join(x_order(regime))}"
-        reports.append(_timed("pbw/confluence", regime, "expect-zero", confluent))
+    def overlap(regime, src):
+        sys = minkowski_system(regime).system
+        obstructions = sys.check_confluence()
+        gba = tuple(sys.alphabet.index(n) for n in ("gamma", "beta", "alpha"))
+        hit = [o for o in obstructions if o.word == gba]
+        if not hit:
+            return False, "gamma beta alpha overlap resolves", None
+        support = {tuple(sys.alphabet.name(k) for k in w)
+                   for w in hit[0].diff.terms}
+        want = {("alpha", "alpha", "delta"), ("alpha", "beta", "gamma")}
+        ok = support == want
+        return ok, None if ok else f"support {support}", \
+            "generic overlap fails exactly on the two ordered cubic words"
 
-        def counts():
-            sys = minkowski_system(regime).system
-            got = [sys.count_normal_words(d) for d in range(5)]
-            want = [1, 4, 10, 20, 35]
-            ok = got == want
-            return ok, None if ok else f"counts {got}", \
-                "ordered monomial counts match the classical size"
-        reports.append(_timed("pbw/normal-word-counts", regime, "expect-zero",
-                              counts))
+    def confluent(regime, src):
+        obstructions = minkowski_system(regime).system.check_confluence()
+        return not obstructions, \
+            f"{len(obstructions)} overlaps fail" if obstructions else None, \
+            f"ordering {' < '.join(x_order(regime))}"
 
-        def star_closed():
-            sys = minkowski_system(regime).system
-            ok = sys.is_star_closed()
-            return ok, None if ok else "star of a relation does not reduce to zero", None
-        reports.append(_timed("pbw/star-closed", regime, "expect-zero", star_closed))
+    def counts(regime, src):
+        sys = minkowski_system(regime).system
+        got = [sys.count_normal_words(d) for d in range(5)]
+        return [] if got == [1, 4, 10, 20, 35] else [f"counts {got}"]
 
-        src = operator_source(regime)
-        name = "Rhat+" if regime.kind is RegimeKind.UNIT_CIRCLE else "Rhat-"
-        reports.append(_check_span(
-            "pbw/rhat-fixedpoint-span", regime,
-            lambda: ((identity((U, B, U, B)) - src.get(name)).entries,
-                     src.get("Pminus").entries),
-            "row spans differ",
-            f"x x relations match the fixed-point condition of {name}"))
-    return reports
+    def star_closed(regime, src):
+        ok = minkowski_system(regime).system.is_star_closed()
+        return [] if ok else ["star of a relation does not reduce to zero"]
+
+    def fixedpoint_span(name, kinds):
+        return Row("pbw/rhat-fixedpoint-span", lambda regime, src: (
+            (identity((U, B, U, B)) - src.get(name)).entries,
+            src.get("Pminus").entries), "span", kinds,
+            detail=f"x x relations match the fixed-point condition of {name}",
+            residual="row spans differ")
+
+    return run_suite("pbw", (
+        Row("pbw/relation-integrity", integrity),
+        Row("pbw/antisymmetrizer-annihilator-span", annihilator_rows, "span",
+            rank=6, residual="spans differ"),
+        Row("pbw/ordering-obstruction", obstruction, kinds=ON_GENERIC,
+            mode="expect-nonzero"),
+        Row("pbw/generic-overlap-nonconfluent", overlap, kinds=ON_GENERIC,
+            mode="expect-nonzero"),
+        Row("pbw/confluence", confluent, kinds=SPECIALIZED),
+        Row("pbw/normal-word-counts", counts, "empty", SPECIALIZED,
+            detail="ordered monomial counts match the classical size"),
+        Row("pbw/star-closed", star_closed, "empty", SPECIALIZED),
+        fixedpoint_span("Rhat+", ON_UNIT_CIRCLE),
+        fixedpoint_span("Rhat-", ON_REAL_Q),
+    ), regime, source)
 
 
 def _commutes(sys: RewriteSystem, a: str, b: str) -> bool:
@@ -781,15 +775,9 @@ def _commutes(sys: RewriteSystem, a: str, b: str) -> bool:
     return sys.normal_form(ab - ba).is_zero()
 
 
-def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
+def suite_classical(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
     """q = t = 1 degeneration: flips, antisymmetrizers, commutativity."""
-    if regime.kind is not RegimeKind.GENERIC:
-        return [CheckReport("classical/skip", regime.label, "skip", "info",
-                            detail="classical limit is taken from the generic build")]
-    src = operator_source(regime)
-    reports = []
-
-    def operators():
+    def operators(regime, src):
         tau_bold = permutation((U, B, U, B), (3, 4, 1, 2))
         half = rat(1, 2)
         anti_bold = (identity((U, B, U, B)) - tau_bold).scale(half)
@@ -803,28 +791,20 @@ def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
         if not vec.equals(anti_bold):
             bad.append("Pminus(vector)")
         return bad
-    reports.append(_check_empty(
-        "classical/operators", regime, operators,
-        "deformed maps collapse to flips and classical antisymmetrizers", ", "))
 
-    def commutative():
+    def commutative(regime, src):
         csys = _classical_system(UNIT_CIRCLE)
         return [f"[{a},{b}]" for a in PAIR_NAMES for b in PAIR_NAMES
                 if not _commutes(csys, a, b)]
-    reports.append(_check_empty("classical/minkowski-commutative", regime,
-                                commutative, "x-algebra commutes at q = t = 1", ", "))
 
-    def crossed_classical():
+    def crossed_classical(regime, src):
         sysc = _classical_crossed_system()
         return [f"[{xname},{uname}]" for xname in PAIR_NAMES
                 for uname in ("u[1,1]", "u[1,2]", "u[2,1]", "u[2,2]",
                               "ub[1,1]", "ub[2,2]")
                 if not _commutes(sysc, xname, uname)][:4]
-    reports.append(_check_empty(
-        "classical/crossed-commutative", regime, crossed_classical,
-        "cross relations become plain commutation at q = t = 1", ", "))
 
-    def braided_classical():
+    def braided_classical(regime, src):
         sys = build_braided_square(UNIT_CIRCLE, sigma=ONE, classical=True).system
         bad = []
         for a in PAIR_NAMES:
@@ -832,19 +812,30 @@ def suite_classical(regime: Regime = GENERIC) -> list[CheckReport]:
             if not _commutes(sys, a, "h[1,2]"):
                 bad.append(f"[{a},h]")
         return bad[:4]
-    reports.append(_check_empty(
-        "classical/braided-commutative", regime, braided_classical,
-        "braided square collapses to the plain square at q = t = 1", ", "))
 
-    def corner_survives():
+    def corner_survives(regime, src):
         # recorded, not resolved: with a corner term the crossing does not
         # degenerate to the flip at q = t = 1, so the classical statement
         # is taken at epsilon = 0
-        from .coeff import CASE2_PLUS
         x_cl = classical_limit(operator_source(CASE2_PLUS).get("X"))
         resid = x_cl - flip(U, B)
         return (not resid.is_zero_map()), None, \
             "epsilon corner survives the q = t = 1 limit in the second case"
-    reports.append(_timed("classical/corner-term-survives", regime,
-                          "expect-nonzero", corner_survives))
-    return reports
+
+    def empty(check_id, build, detail):
+        return Row(check_id, build, "empty", ON_GENERIC, detail=detail, sep=", ")
+
+    return run_suite("classical", (
+        empty("classical/operators", operators,
+              "deformed maps collapse to flips and classical antisymmetrizers"),
+        empty("classical/minkowski-commutative", commutative,
+              "x-algebra commutes at q = t = 1"),
+        empty("classical/crossed-commutative", crossed_classical,
+              "cross relations become plain commutation at q = t = 1"),
+        empty("classical/braided-commutative", braided_classical,
+              "braided square collapses to the plain square at q = t = 1"),
+        Row("classical/corner-term-survives", corner_survives, kinds=ON_GENERIC,
+            mode="expect-nonzero"),
+    ), regime, source, "classical limit is taken from the generic build")
+
+

@@ -12,6 +12,7 @@ same number of X factors on both sides, so the rescaling scalar cancels.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ from .tensor import (B, Leg, TMap, U, bar_conjugate, compose, identity, invert,
                      tau_conjugate, tensor_product)
 
 __all__ = [
-    "CheckReport", "UnknownNameError",
+    "CheckReport", "UnknownNameError", "Row", "run_rows", "run_suite",
+    "ON_GENERIC", "ON_UNIT_CIRCLE", "ON_REAL_Q", "SPECIALIZED",
     "Factor", "MatrixIdentity", "run_matrix_identity", "identity_catalog",
     "suite_moves", "suite_braid", "suite_spectral", "suite_compat",
     "suite_crossed", "vector_components", "pauli_basis", "pauli_basis_inverse",
@@ -56,10 +58,6 @@ class CheckReport:
     elapsed_ms: float = 0.0
     detail: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
     def to_json_dict(self) -> dict:
         out = {
             "check_id": self.check_id,
@@ -86,74 +84,96 @@ def _residual_str(m: TMap) -> str | None:
     return f"entry[{i}][{j}] = {s}"
 
 
-def _expect_equal(lhs: TMap, rhs: TMap) -> tuple[bool, str | None]:
-    """Verdict and residual of the expect-zero check lhs - rhs = 0.
-
-    The maps are compared first; the residual lhs - rhs is built only
-    when they differ, to name its first nonzero entry.
-    """
+def _verdict_equal(row, sides):
+    # the residual lhs - rhs is built only to name its first nonzero entry
+    lhs, rhs = sides
     if lhs.equals(rhs):
-        return True, None
-    return False, _residual_str(lhs - rhs)
+        return True, None, row.detail
+    return False, _residual_str(lhs - rhs), row.detail
 
 
-def _timed(check_id: str, regime: Regime, mode: str, fn) -> CheckReport:
-    t0 = time.perf_counter()
-    ok, residual, detail = fn()
-    ms = (time.perf_counter() - t0) * 1e3
-    return CheckReport(check_id, regime.label, "pass" if ok else "fail",
-                       mode, residual, ms, detail)
+def _verdict_zero(row, m: TMap):
+    """The map's rows are read up to the first nonzero one, the residual; a
+    map from lazy_compose (or a sum of such maps) builds no row past it, so
+    an expect-nonzero control that fails early costs a few rows."""
+    residual = _residual_str(m)
+    return (residual is None) == (row.verdict == "zero"), residual, row.detail
 
 
-# The verdict helpers.  Each takes a thunk that builds what it judges, so
-# the report's elapsed time covers building it.  The zero and nonzero
-# verdicts read the map's rows in order up to the first nonzero one, which
-# is also the residual; a map from lazy_compose (or a sum of such maps)
-# builds no row past it, so an expect-nonzero control that fails early
-# costs a few rows, not the whole product.
-
-def _check_equal(check_id: str, regime: Regime, sides,
-                 detail: str | None = None) -> CheckReport:
-    """Expect-zero check lhs - rhs = 0, where sides() gives (lhs, rhs)."""
-    return _timed(check_id, regime, "expect-zero",
-                  lambda: (*_expect_equal(*sides()), detail))
+def _verdict_span(row, rows):
+    a, b = rows
+    ok = (row.rank is None or len(a) == row.rank) and span_equal(a, b)
+    return ok, None if ok else row.residual, row.detail
 
 
-def _check_zero(check_id: str, regime: Regime, resid,
-                detail: str | None = None, mode: str = "expect-zero") -> CheckReport:
-    """The map resid() is zero (or, in expect-nonzero mode, is not)."""
-    def body():
-        residual = _residual_str(resid())
-        return (residual is None) == (mode == "expect-zero"), residual, detail
-    return _timed(check_id, regime, mode, body)
+# verdict kind -> verdict(row, what the row's build made) -> (ok, residual, detail)
+_VERDICTS = {
+    "equal": _verdict_equal,
+    "zero": _verdict_zero,
+    "nonzero": _verdict_zero,
+    "empty": lambda row, bad: (not bad, row.sep.join(bad) or None, row.detail),
+    "span": _verdict_span,
+    "custom": lambda row, judged: judged,
+}
 
 
-def _check_nonzero(check_id: str, regime: Regime, resid,
-                   detail: str | None = None) -> CheckReport:
-    """resid() is not the zero map; it may be lazy (see ``lazy_compose``)."""
-    return _check_zero(check_id, regime, resid, detail, "expect-nonzero")
+@dataclass(frozen=True)
+class Row:
+    """One check of a suite table.  ``build(regime, source)`` makes what
+    the verdict judges: for ``equal`` the maps (lhs, rhs), lhs - rhs to be
+    zero; for ``zero`` and ``nonzero`` one map; for ``empty`` a list of
+    failures, joined by ``sep`` into the residual; for ``span`` two row
+    lists to span the same space, the first of ``rank`` rows when given, a
+    failure reporting the ``residual`` text; for ``custom`` the triple (ok,
+    residual, detail).  The row runs in the regime kinds ``kinds``, or in
+    all when None.  Its mode, unless given, is expect-nonzero for a nonzero
+    verdict and expect-zero otherwise."""
+
+    check_id: str
+    build: Callable[[Regime, "OperatorSource"], object]
+    verdict: str = "custom"
+    kinds: frozenset[RegimeKind] | None = None
+    mode: str | None = None
+    detail: str | None = None
+    sep: str = "; "
+    rank: int | None = None
+    residual: str | None = None
 
 
-def _check_empty(check_id: str, regime: Regime, failures,
-                 detail: str | None = None, sep: str = "; ") -> CheckReport:
-    """Expect-zero check that failures() lists nothing; its residual joins
-    the list with sep."""
-    def body():
-        bad = failures()
-        return not bad, sep.join(bad) or None, detail
-    return _timed(check_id, regime, "expect-zero", body)
+ON_GENERIC = frozenset({RegimeKind.GENERIC})
+ON_UNIT_CIRCLE = frozenset({RegimeKind.UNIT_CIRCLE})
+ON_REAL_Q = frozenset({RegimeKind.REAL_Q, RegimeKind.CASE2})   # q real, case 2 too
+SPECIALIZED = ON_UNIT_CIRCLE | ON_REAL_Q
 
 
-def _check_span(check_id: str, regime: Regime, rows, residual: str,
-                detail: str | None = None, rank: int | None = None) -> CheckReport:
-    """Expect-zero check that the two row lists rows() gives span the same
-    space (and, when rank is given, that the first holds rank rows); a
-    failure reports the fixed residual text."""
-    def body():
-        a, b = rows()
-        ok = (rank is None or len(a) == rank) and span_equal(a, b)
-        return ok, None if ok else residual, detail
-    return _timed(check_id, regime, "expect-zero", body)
+def run_rows(rows, regime: Regime,
+             source: "OperatorSource | None" = None) -> list[CheckReport]:
+    """The reports of the rows (``Row`` or ``MatrixIdentity``) that run in
+    the regime, in table order; a report's time covers its build."""
+    src = source or operator_source(regime)
+    reports = []
+    for row in rows:
+        if row.kinds is None or regime.kind in row.kinds:
+            t0 = time.perf_counter()
+            ok, residual, detail = _VERDICTS[row.verdict](row, row.build(regime, src))
+            ms = (time.perf_counter() - t0) * 1e3
+            mode = row.mode or ("expect-nonzero" if row.verdict == "nonzero"
+                                else "expect-zero")
+            reports.append(CheckReport(row.check_id, regime.label, "pass" if ok
+                                       else "fail", mode, residual, ms, detail))
+    return reports
+
+
+def run_suite(name: str, rows, regime: Regime, source: "OperatorSource | None" = None,
+              skip: str | None = None) -> list[CheckReport]:
+    """Run a suite's table in the regime and record its reports on the
+    source; a suite none of whose rows runs there reports ``<name>/skip``
+    with the detail ``skip``."""
+    src = source or operator_source(regime)
+    reports = run_rows(rows, regime, src) or [
+        CheckReport(f"{name}/skip", regime.label, "skip", "info", detail=skip)]
+    src.reports[name] = list(reports)
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -301,9 +321,9 @@ class OperatorSource:
     flip_atoms applies the half-power sign automorphism to every entry,
     which is how branch insensitivity of the suites is exercised.
 
-    ``reports`` holds the latest reports of the moves and spectral suites
-    run on this source, by suite name; checks that rest on those suites
-    (the braided coproduct) read them instead of running them again.
+    ``reports`` holds the latest reports of each suite run on this source,
+    by suite name; checks that rest on the moves and spectral suites (the
+    braided coproduct) read them instead of running them again.
     """
 
     def __init__(self, regime: Regime, flip_atoms: tuple[int, ...] = ()):
@@ -421,13 +441,32 @@ class Factor:
 
 @dataclass(frozen=True)
 class MatrixIdentity:
-    """lhs == rhs as exact matrices; factors listed left to right."""
+    """lhs == rhs as exact matrices; factors listed left to right.  As a
+    suite's row, the equal verdict judges the sides, or with expect
+    "nonzero" the nonzero verdict judges their lazy difference."""
 
     check_id: str
     ambient: tuple[Leg, ...]
     lhs: tuple[Factor, ...]
     rhs: tuple[Factor, ...]
     expect: str = "zero"  # residual lhs - rhs
+    kinds: frozenset[RegimeKind] | None = None
+
+    mode = None
+
+    @property
+    def verdict(self) -> str:
+        return "equal" if self.expect == "zero" else "nonzero"
+
+    @property
+    def detail(self) -> str | None:
+        return None if self.expect == "zero" else "nonzero as expected"
+
+    def build(self, regime: Regime, source: "OperatorSource"):
+        product = compose if self.expect == "zero" else lazy_compose
+        lhs, rhs = (_evaluate_side(side, self.ambient, source, product)
+                    for side in (self.lhs, self.rhs))
+        return (lhs, rhs) if self.expect == "zero" else lhs - rhs
 
 
 def _evaluate_side(factors: tuple[Factor, ...], ambient: tuple[Leg, ...],
@@ -452,15 +491,7 @@ def _evaluate_side(factors: tuple[Factor, ...], ambient: tuple[Leg, ...],
 
 
 def run_matrix_identity(chk: MatrixIdentity, source: OperatorSource) -> CheckReport:
-    def side(factors, product):
-        return _evaluate_side(factors, chk.ambient, source, product)
-
-    if chk.expect == "zero":
-        return _check_equal(chk.check_id, source.regime, lambda: (
-            side(chk.lhs, compose), side(chk.rhs, compose)))
-    return _check_nonzero(chk.check_id, source.regime, lambda: (
-        side(chk.lhs, lazy_compose) - side(chk.rhs, lazy_compose)),
-        "nonzero as expected")
+    return run_rows((chk,), source.regime, source)[0]
 
 
 def _scale(*bounds: np.ndarray) -> float:
@@ -522,89 +553,59 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
 # Suites
 # --------------------------------------------------------------------------
 
-def _moves_catalog() -> list[MatrixIdentity]:
-    out = [
-        MatrixIdentity(
-            "moves/Xi.M.X", (U, B, U),
-            (Factor("X^-1", (1, 2)), Factor("M", (2, 3)), Factor("X", (1, 2))),
-            (Factor("X", (2, 3)), Factor("M", (1, 2)), Factor("X^-1", (2, 3)))),
-        MatrixIdentity(
-            "moves/M.Xi.Xi", (B, U, U),
-            (Factor("M", (1, 2)), Factor("X^-1", (2, 3)), Factor("X^-1", (1, 2))),
-            (Factor("X^-1", (2, 3)), Factor("X^-1", (1, 2)), Factor("M", (2, 3)))),
-        _x_x_m("moves/X.X.M", "X"),
-    ]
-    for sign, k in (("+", "K"), ("-", "K^-1")):
-        out += [
-            MatrixIdentity(
-                f"moves/Xi.Xi.K{sign}", (B, B, U),
-                (Factor("X^-1", (1, 2)), Factor("X^-1", (2, 3)), Factor(k, (1, 2))),
-                (Factor(k, (2, 3)), Factor("X^-1", (1, 2)), Factor("X^-1", (2, 3)))),
-            MatrixIdentity(
-                f"moves/K{sign}.X.X", (U, B, B),
-                (Factor(k, (1, 2)), Factor("X", (2, 3)), Factor("X", (1, 2))),
-                (Factor("X", (2, 3)), Factor("X", (1, 2)), Factor(k, (2, 3)))),
-            MatrixIdentity(
-                f"moves/X.K{sign}.Xi", (B, U, B),
-                (Factor("X", (1, 2)), Factor(k, (2, 3)), Factor("X^-1", (1, 2))),
-                (Factor("X^-1", (2, 3)), Factor(k, (1, 2)), Factor("X", (2, 3)))),
-        ]
-    return out
+def _slide(check_id: str, ambient: tuple[Leg, ...], a: str, b: str, c: str,
+           expect: str = "zero", p=(1, 2), q=(2, 3)) -> MatrixIdentity:
+    """The braid-type move a_p b_q c_p = c_q b_p a_q (at legs p and q)."""
+    return MatrixIdentity(check_id, ambient,
+                          (Factor(a, p), Factor(b, q), Factor(c, p)),
+                          (Factor(c, q), Factor(b, p), Factor(a, q)), expect)
 
 
 def _x_x_m(check_id: str, x: str, expect: str = "zero") -> MatrixIdentity:
-    return MatrixIdentity(
-        check_id, (U, U, B),
-        (Factor(x, (1, 2)), Factor(x, (2, 3)), Factor("M", (1, 2))),
-        (Factor("M", (2, 3)), Factor(x, (1, 2)), Factor(x, (2, 3))), expect)
+    return _slide(check_id, (U, U, B), x, x, "M", expect)
 
 
-_MOVE_PERTURBED = _x_x_m("moves/X.X.M!perturbed-x", "X!pert", "nonzero")
-
-
-def _braid_relation(check_id: str, name: str, expect: str = "zero") -> MatrixIdentity:
-    b12, b23 = (1, 2, 3, 4), (3, 4, 5, 6)
-    return MatrixIdentity(
-        check_id, (U, B, U, B, U, B),
-        (Factor(name, b12), Factor(name, b23), Factor(name, b12)),
-        (Factor(name, b23), Factor(name, b12), Factor(name, b23)), expect)
-
-
-def _braid_catalog(regime: Regime) -> list[MatrixIdentity]:
-    amb = (U, B, U, B, U, B)
-    b12, b23, b13 = (1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6)
-    out = [_braid_relation(f"braid/{name}", name)
-           for name in ("Rhat+", "Rhat-", "Rhat+^-1", "Rhat-^-1")]
-    if regime.kind is RegimeKind.UNIT_CIRCLE:
-        yb = ["Ryb+"]
-    elif regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
-        yb = ["Ryb-"]
-    else:
-        yb = ["Ryb+", "Ryb-"]
-    for name in yb:
-        out.append(MatrixIdentity(
-            f"braid/yang-baxter-{name[-1]}", amb,
-            (Factor(name, b12), Factor(name, b13), Factor(name, b23)),
-            (Factor(name, b23), Factor(name, b13), Factor(name, b12))))
+def _moves_catalog() -> list[MatrixIdentity]:
+    out = [_slide("moves/Xi.M.X", (U, B, U), "X^-1", "M", "X"),
+           _slide("moves/M.Xi.Xi", (B, U, U), "M", "X^-1", "X^-1"),
+           _x_x_m("moves/X.X.M", "X")]
+    for sign, k in (("+", "K"), ("-", "K^-1")):
+        out += [_slide(f"moves/Xi.Xi.K{sign}", (B, B, U), "X^-1", "X^-1", k),
+                _slide(f"moves/K{sign}.X.X", (U, B, B), k, "X", "X"),
+                _slide(f"moves/X.K{sign}.Xi", (B, U, B), "X", k, "X^-1")]
     return out
 
 
-_BRAID_PERTURBED = _braid_relation("braid/Rhat+!perturbed-x", "Rhat+!pert", "nonzero")
+_MOVES_CATALOG = tuple(_moves_catalog())
 
 
 def suite_moves(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    src = source or operator_source(regime)
-    reports = [run_matrix_identity(c, src) for c in _moves_catalog()]
-    reports.append(run_matrix_identity(_MOVE_PERTURBED, src))
-    src.reports["moves"] = list(reports)
-    return reports
+    return run_suite("moves", _MOVES_CATALOG + (
+        _x_x_m("moves/X.X.M!perturbed-x", "X!pert", "nonzero"),), regime, source)
+
+
+_AMB6 = (U, B, U, B, U, B)
+_B12, _B23, _B13 = (1, 2, 3, 4), (3, 4, 5, 6), (1, 2, 5, 6)
+
+
+def _braid_relation(check_id: str, name: str, expect: str = "zero") -> MatrixIdentity:
+    return _slide(check_id, _AMB6, name, name, name, expect, _B12, _B23)
+
+
+_BRAID_CATALOG = tuple(
+    _braid_relation(f"braid/{name}", name)
+    for name in ("Rhat+", "Rhat-", "Rhat+^-1", "Rhat-^-1")) + tuple(
+    MatrixIdentity(f"braid/yang-baxter-{name[-1]}", _AMB6,
+                   (Factor(name, _B12), Factor(name, _B13), Factor(name, _B23)),
+                   (Factor(name, _B23), Factor(name, _B13), Factor(name, _B12)),
+                   kinds=kinds)
+    for name, kinds in (("Ryb+", ON_GENERIC | ON_UNIT_CIRCLE),
+                        ("Ryb-", ON_GENERIC | ON_REAL_Q)))
 
 
 def suite_braid(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    src = source or operator_source(regime)
-    reports = [run_matrix_identity(c, src) for c in _braid_catalog(regime)]
-    reports.append(run_matrix_identity(_BRAID_PERTURBED, src))
-    return reports
+    return run_suite("braid", _BRAID_CATALOG + (_braid_relation(
+        "braid/Rhat+!perturbed-x", "Rhat+!pert", "nonzero"),), regime, source)
 
 
 def _spectral_combination(src: OperatorSource, coeffs: tuple[Scalar, ...]) -> TMap:
@@ -618,34 +619,11 @@ def _spectral_combination(src: OperatorSource, coeffs: tuple[Scalar, ...]) -> TM
 
 
 def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    src = source or operator_source(regime)
-    reports = []
-    qi = Q ** -1
-    qbi = QB ** -1
-    generic = {
-        "Rhat+": (Q * QB, qi * qbi, -(Q * qbi), -(qi * QB)),
-        "Rhat-": (Q * qbi, qi * QB, -(Q * QB), -(qi * qbi)),
-    }
-    tables = {"decomp": generic}
-    if regime.kind is RegimeKind.UNIT_CIRCLE:
-        tables["display"] = {"Rhat+": (ONE, ONE, -(Q ** 2), -(Q ** -2)),
-                             "Rhat-": (Q ** 2, Q ** -2, -ONE, -ONE)}
-    elif regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
-        tables["display"] = {"Rhat+": (Q ** 2, Q ** -2, -ONE, -ONE),
-                             "Rhat-": (ONE, ONE, -(Q ** 2), -(Q ** -2))}
-    for kind, table in tables.items():
-        for name, coeffs in table.items():
-            reports.append(_check_equal(
-                f"spectral/{kind}-{name[-1]}", regime,
-                lambda name=name, coeffs=coeffs: (
-                    src.get(name), _spectral_combination(src, coeffs))))
+    def decomposition(kind, name, coeffs, kinds=None):
+        return Row(f"spectral/{kind}-{name[-1]}", lambda regime, src: (
+            src.get(name), _spectral_combination(src, coeffs)), "equal", kinds)
 
-    def idem():
-        pm = src.get("Pminus")
-        return compose(pm, pm), pm
-    reports.append(_check_equal("spectral/pminus-idempotent", regime, idem))
-
-    def traces():
+    def ranks(regime, src):
         want = {"Pminus": 6, "Pi9": 9, "Pi1": 1}
         bad = []
         for name, k in want.items():
@@ -659,96 +637,101 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
             if not compose(src.get(a), src.get(b)).is_zero_map():
                 bad.append(f"{a}{b} != 0")
         return bad
-    reports.append(_check_empty("spectral/projector-ranks", regime, traces,
-                                "ranks 9 + 1 + 6"))
 
-    if regime.kind is RegimeKind.UNIT_CIRCLE:
-        def wsum():
-            q1 = Q.specialize(regime)
-            w = src.get("What")
-            combo = src.get("Pi9").scale(q1) + src.get("Pi1").scale(q1 ** -3) \
-                - src.get("Pminus").scale(q1 ** -1)
-            return w, combo
-        reports.append(_check_equal(
-            "spectral/w-spectral-sum", regime, wsum,
-            "eigenvalues q, q^-3, -q^-1 with multiplicities 9, 1, 6"))
+    def wsum(regime, src):
+        q1 = Q.specialize(regime)
+        return src.get("What"), src.get("Pi9").scale(q1) \
+            + src.get("Pi1").scale(q1 ** -3) - src.get("Pminus").scale(q1 ** -1)
 
-        def won():
-            q1 = Q.specialize(regime)
-            pm = src.get("Pminus")
-            w = src.get("What")
-            r1 = compose(pm, w) + pm.scale(q1 ** -1)
-            r2 = compose(w, pm) + pm.scale(q1 ** -1)
-            residual = _residual_str(r1) or _residual_str(r2)
-            return residual is None, residual, None
-        reports.append(_timed("spectral/w-on-pminus", regime, "expect-zero", won))
-    src.reports["spectral"] = list(reports)
-    return reports
+    def won(regime, src):
+        q1 = Q.specialize(regime)
+        pm = src.get("Pminus")
+        w = src.get("What")
+        r1 = compose(pm, w) + pm.scale(q1 ** -1)
+        r2 = compose(w, pm) + pm.scale(q1 ** -1)
+        residual = _residual_str(r1) or _residual_str(r2)
+        return residual is None, residual, None
+
+    # the displayed coefficients of Rhat+ and Rhat- on the unit circle;
+    # real q swaps them
+    plus, minus = (ONE, ONE, -(Q ** 2), -(Q ** -2)), (Q ** 2, Q ** -2, -ONE, -ONE)
+    return run_suite("spectral", (
+        decomposition("decomp", "Rhat+", (Q * QB, Q ** -1 * QB ** -1,
+                                           -(Q * QB ** -1), -(Q ** -1 * QB))),
+        decomposition("decomp", "Rhat-", (Q * QB ** -1, Q ** -1 * QB,
+                                           -(Q * QB), -(Q ** -1 * QB ** -1))),
+        decomposition("display", "Rhat+", plus, ON_UNIT_CIRCLE),
+        decomposition("display", "Rhat-", minus, ON_UNIT_CIRCLE),
+        decomposition("display", "Rhat+", minus, ON_REAL_Q),
+        decomposition("display", "Rhat-", plus, ON_REAL_Q),
+        Row("spectral/pminus-idempotent", lambda regime, src: (
+            compose(src.get("Pminus"), src.get("Pminus")), src.get("Pminus")), "equal"),
+        Row("spectral/projector-ranks", ranks, "empty", detail="ranks 9 + 1 + 6"),
+        Row("spectral/w-spectral-sum", wsum, "equal", ON_UNIT_CIRCLE,
+            detail="eigenvalues q, q^-3, -q^-1 with multiplicities 9, 1, 6"),
+        Row("spectral/w-on-pminus", won, kinds=ON_UNIT_CIRCLE),
+    ), regime, source)
+
+
+_SIGMA_ONE = "Pminus(What+1)"
 
 
 def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    src = source or operator_source(regime)
-    reports = []
-    if regime.kind is RegimeKind.GENERIC:
-        return [CheckReport("compat/skip", regime.label, "skip", "info",
-                            detail="translation compatibility is regime-specific")]
-    pm = src.get("Pminus")
-    w = src.get("What")
-    ident = identity((U, B, U, B))
-    q1 = Q.specialize(regime)
-    sigma_one = "Pminus(What+1)"
+    def one_case(regime, src):
+        resid = src.get(_SIGMA_ONE)
+        if resid.is_zero_map():
+            return False, "residual is zero", None
+        qsq_minus_1 = Q ** 2 - ONE
+        divisible = any(
+            v.numerator_divisible_by(qsq_minus_1)
+            for row in resid.rows for v in row.values())
+        at_q1 = resid.map_entries(
+            lambda s: s.subst_half(GR_ONE, GR_ONE, None))
+        vanishes = at_q1.is_zero_map()
+        ok = divisible and vanishes
+        note = "nonzero; a nonzero entry numerator is divisible by q^2-1; " \
+               "all entries vanish at q = 1"
+        return ok, None if ok else _residual_str(resid), note
 
-    if regime.kind is RegimeKind.UNIT_CIRCLE:
-        reports.append(_check_zero(
-            "compat/braiding-scalar-zero", regime,
-            lambda: compose(pm, w + ident.scale(q1 ** -1)), "sigma = 1/q annihilates"))
+    def divis(regime, src):
+        resid = src.get(_SIGMA_ONE)
+        fac = Q ** 2 - ONE
+        bad = [
+            f"entry[{i}][{j}]"
+            for i, row in enumerate(resid.rows)
+            for j, v in row.items()
+            if not v.numerator_divisible_by(fac)]
+        ok = not bad and not resid.is_zero_map()
+        return ok, "; ".join(bad[:4]) or None, \
+            "all residual entries divisible by q^2-1"
 
-        def one_case():
-            resid = src.get(sigma_one)
-            if resid.is_zero_map():
-                return False, "residual is zero", None
-            qsq_minus_1 = Q ** 2 - ONE
-            divisible = any(
-                v.numerator_divisible_by(qsq_minus_1)
-                for row in resid.rows for v in row.values())
-            at_q1 = resid.map_entries(
-                lambda s: s.subst_half(GR_ONE, GR_ONE, None))
-            vanishes = at_q1.is_zero_map()
-            ok = divisible and vanishes
-            note = "nonzero; a nonzero entry numerator is divisible by q^2-1; " \
-                   "all entries vanish at q = 1"
-            return ok, None if ok else _residual_str(resid), note
-        reports.append(_timed("compat/sigma-one-obstructed", regime,
-                              "expect-nonzero", one_case))
-    else:
-        for label, sigma in (("one", ONE), ("q", Q), ("qinv", Q ** -1)):
-            reports.append(_check_nonzero(
-                f"compat/sigma-{label}-nonzero", regime,
-                lambda sigma=sigma: lazy_compose(
-                    pm, w + ident.scale(sigma.specialize(regime))),
-                "no constant braiding scalar works for real q"))
+    def braiding(src, sigma, product=compose):
+        # Pminus (What + sigma): zero exactly when sigma braids the square
+        return product(src.get("Pminus"),
+                       src.get("What") + identity((U, B, U, B)).scale(sigma))
 
-        def divis():
-            resid = src.get(sigma_one)
-            fac = Q ** 2 - ONE
-            bad = [
-                f"entry[{i}][{j}]"
-                for i, row in enumerate(resid.rows)
-                for j, v in row.items()
-                if not v.numerator_divisible_by(fac)]
-            ok = not bad and not resid.is_zero_map()
-            return ok, "; ".join(bad[:4]) or None, \
-                "all residual entries divisible by q^2-1"
-        reports.append(_timed("compat/sigma-one-divisibility", regime,
-                              "expect-zero", divis))
+    def sigma_nonzero(label, sigma):
+        return Row(f"compat/sigma-{label}-nonzero", lambda regime, src: braiding(
+            src, sigma.specialize(regime), lazy_compose), "nonzero", ON_REAL_Q,
+            detail="no constant braiding scalar works for real q")
 
-    reports.append(_check_zero(
-        "compat/classical-limit-zero", regime,
-        lambda: classical_limit(src.get(sigma_one)), "q = t = 1 limit"))
-    return reports
+    return run_suite("compat", (
+        Row("compat/braiding-scalar-zero", lambda regime, src: braiding(
+            src, Q.specialize(regime) ** -1), "zero", ON_UNIT_CIRCLE,
+            detail="sigma = 1/q annihilates"),
+        Row("compat/sigma-one-obstructed", one_case, kinds=ON_UNIT_CIRCLE,
+            mode="expect-nonzero"),
+        sigma_nonzero("one", ONE),
+        sigma_nonzero("q", Q),
+        sigma_nonzero("qinv", Q ** -1),
+        Row("compat/sigma-one-divisibility", divis, kinds=ON_REAL_Q),
+        Row("compat/classical-limit-zero",
+            lambda regime, src: classical_limit(src.get(_SIGMA_ONE)), "zero",
+            SPECIALIZED, detail="q = t = 1 limit"),
+    ), regime, source, "translation compatibility is regime-specific")
 
 
-def _crossed_catalog(regime: Regime) -> list[MatrixIdentity]:
+def _crossed_catalog() -> list[MatrixIdentity]:
     out = []
     for variant in ("first", "second"):
         s = f"S:{variant}"
@@ -788,43 +771,43 @@ def _crossed_catalog(regime: Regime) -> list[MatrixIdentity]:
         (Factor("E'", (2, 3), ()), Factor("X", (1, 2)), Factor("X", (2, 3))),
         (Factor.s(T ** -1), Factor("E'", (1, 2), ()))))
 
-    # commutation matrix between translations and the 4-dim representation
-    if regime.kind is RegimeKind.GENERIC:
-        scalars = {"first": (Q_HALF ** -1) * QB_HALF, "second": Q_HALF * (QB_HALF ** -1)}
-    else:
-        wf = (Q ** -1) if regime.kind is RegimeKind.UNIT_CIRCLE else ONE
-        scalars = {"first": wf, "second": wf ** -1}
-    for variant, sc in scalars.items():
-        rname = "Rhat-" if variant == "first" else "Rhat-^-1"
-        out.append(MatrixIdentity(
-            f"crossed/xh-matrix:{variant}", (U, B, U, B),
-            (Factor("X", (2, 3)), Factor(f"S:{variant}", (1, 2)),
-             Factor(f"tauSbarInvTau:{variant}", (3, 4)), Factor("X^-1", (2, 3))),
-            (Factor.s(sc), Factor(rname, (1, 2, 3, 4)))))
+    # commutation matrix between translations and the 4-dim representation:
+    # the scalar of each variant, by regime kind
+    wf = Q ** -1
+    scalars = ((ON_GENERIC, (Q_HALF ** -1) * QB_HALF, Q_HALF * (QB_HALF ** -1)),
+               (ON_UNIT_CIRCLE, wf, wf ** -1),
+               (ON_REAL_Q, ONE, ONE ** -1))
+    for kinds, first, second in scalars:
+        for variant, sc in (("first", first), ("second", second)):
+            rname = "Rhat-" if variant == "first" else "Rhat-^-1"
+            out.append(MatrixIdentity(
+                f"crossed/xh-matrix:{variant}", (U, B, U, B),
+                (Factor("X", (2, 3)), Factor(f"S:{variant}", (1, 2)),
+                 Factor(f"tauSbarInvTau:{variant}", (3, 4)), Factor("X^-1", (2, 3))),
+                (Factor.s(sc), Factor(rname, (1, 2, 3, 4))), kinds=kinds))
     return out
 
 
-def _sse_scan_matrices(src: OperatorSource):
-    """The four bilinear pieces of S12 S23 E12 with S = a*I + b*EE'."""
-    amb = (U,)
-    e12 = place(src.get("E"), (), amb, (1, 2))
-    e23 = place(src.get("E"), (), amb, (2, 3))
-    ee = compose(src.get("E"), src.get("E'"))
-    sig3 = e12.out_sig
-    ee12 = place(ee, (1, 2), sig3)
-    ee23 = place(ee, (2, 3), sig3)
-    z_a2 = e12
-    z_ab = compose(ee12, e12) + compose(ee23, e12)
-    z_b2 = compose(ee12, compose(ee23, e12))
-    return z_a2, z_ab, z_b2, e23
+_CROSSED_CATALOG = tuple(_crossed_catalog())
 
 
 def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    src = source or operator_source(regime)
-    reports = [run_matrix_identity(c, src) for c in _crossed_catalog(regime)]
+    def scan_matrices(src):
+        """The four bilinear pieces of S12 S23 E12 with S = a*I + b*EE'."""
+        amb = (U,)
+        e12 = place(src.get("E"), (), amb, (1, 2))
+        e23 = place(src.get("E"), (), amb, (2, 3))
+        ee = compose(src.get("E"), src.get("E'"))
+        sig3 = e12.out_sig
+        ee12 = place(ee, (1, 2), sig3)
+        ee23 = place(ee, (2, 3), sig3)
+        z_a2 = e12
+        z_ab = compose(ee12, e12) + compose(ee23, e12)
+        z_b2 = compose(ee12, compose(ee23, e12))
+        return z_a2, z_ab, z_b2, e23
 
-    def scan():
-        z_a2, z_ab, z_b2, e23 = _sse_scan_matrices(src)
+    def scan(regime, src):
+        z_a2, z_ab, z_b2, e23 = scan_matrices(src)
         a2, ab, b2, e = (m.entries for m in (z_a2, z_ab, z_b2, e23))
         rows = []
         for i in range(len(a2)):
@@ -834,36 +817,40 @@ def suite_crossed(regime: Regime, source: OperatorSource | None = None) -> list[
                     rows.append(row)
         qq = (Q + Q ** -1).specialize(regime)
         return rows, [[ONE, -qq, ONE, ZERO], [ZERO, ONE, ZERO, -ONE]]
-    reports.append(_check_span(
-        "crossed/normalization-scan", regime, scan, "constraint span differs",
-        "constraints reduce to a*b = 1 and a^2 + b^2 = q + 1/q, "
-        "so a^2 is q or 1/q: exactly the two admissible normalizations"))
 
-    def nonsolution():
-        z_a2, z_ab, z_b2, e23 = _sse_scan_matrices(src)
+    def nonsolution(regime, src):
+        z_a2, z_ab, z_b2, e23 = scan_matrices(src)
         return z_a2 + z_ab + z_b2 - e23  # a = b = 1
-    reports.append(_check_nonzero("crossed/sse-nonsolution", regime, nonsolution,
-                                  "a = b = 1 violates the shuttle condition"))
 
     # bar(T') on the reversed legs undoes T: R bar(T') R T = id, where R
     # reverses the three legs
-    for variant in ("first", "second"):
-        def star_involution(variant=variant):
+    def star_involution(variant):
+        def sides(regime, src):
             tmat = src.get(f"T:{variant}")
             rev = permutation(tmat.out_sig, (3, 2, 1))
             back = bar_conjugate(src.get(f"T':{variant}"), regime)
             lhs = compose(permutation(back.out_sig, (3, 2, 1)),
                           compose(back, compose(rev, tmat)))
             return lhs, identity(tmat.in_sig)
-        reports.append(_check_equal(f"crossed/star-involution:{variant}", regime,
-                                    star_involution,
-                                    "double star-flip returns every generator pair"))
-    return reports
+        return Row(f"crossed/star-involution:{variant}", sides, "equal",
+                   detail="double star-flip returns every generator pair")
+
+    return run_suite("crossed", _CROSSED_CATALOG + (
+        Row("crossed/normalization-scan", scan, "span",
+            detail="constraints reduce to a*b = 1 and a^2 + b^2 = q + 1/q, "
+            "so a^2 is q or 1/q: exactly the two admissible normalizations",
+            residual="constraint span differs"),
+        Row("crossed/sse-nonsolution", nonsolution, "nonzero",
+            detail="a = b = 1 violates the shuttle condition"),
+        star_involution("first"),
+        star_involution("second"),
+    ), regime, source)
 
 
 def identity_catalog(regime: Regime) -> list[MatrixIdentity]:
     """Every declarative identity of the suites, for numeric mirroring."""
-    return _moves_catalog() + _braid_catalog(regime) + _crossed_catalog(regime)
+    return [c for c in _MOVES_CATALOG + _BRAID_CATALOG + _CROSSED_CATALOG
+            if c.kinds is None or regime.kind in c.kinds]
 
 
 def numeric_suite(regime: Regime, q: complex, t: float,

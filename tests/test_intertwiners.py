@@ -400,14 +400,12 @@ def _golden_checks(regime):
 def test_expect_nonzero_scans_stop_at_the_reported_row(monkeypatch, regime):
     from qmink import intertwiners
     judged = {}
-    check_nonzero = intertwiners._check_nonzero
+    nonzero = intertwiners._VERDICTS["nonzero"]
 
-    def spy(check_id, reg, resid, detail=None):
-        def capture():
-            judged[check_id] = m = resid()
-            return m
-        return check_nonzero(check_id, reg, capture, detail)
-    monkeypatch.setattr(intertwiners, "_check_nonzero", spy)
+    def spy(row, m):
+        judged[row.check_id] = m
+        return nonzero(row, m)
+    monkeypatch.setitem(intertwiners._VERDICTS, "nonzero", spy)
     src = OperatorSource(regime)
     reports = [r for suite in (suite_moves, suite_braid, suite_compat,
                                suite_crossed)

@@ -34,6 +34,15 @@ def test_reports_match_golden(regime):
     assert compare_reports.diff_reports(golden, fresh) == []
 
 
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+def test_every_check_is_timed(regime):
+    # a report's time covers building what its verdict judges, so only a
+    # skip report, which judges nothing, may carry no time
+    untimed = [r.check_id for r in run_suites(regime, "all")
+               if r.status != "skip" and not r.elapsed_ms > 0]
+    assert untimed == []
+
+
 def _write(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload))
     return path
