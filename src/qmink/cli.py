@@ -207,9 +207,9 @@ class _Parser:
     def expect(self, kind: str) -> str:
         k = self.k
         self.k = k + 1
-        if self.kinds[k] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {self.values[k]!r}",
-                                  self.starts[k])
+        if (found := self.kinds[k]) != kind:
+            found = "end of input" if found == "eof" else repr(self.values[k])
+            raise ExprSyntaxError(f"expected {kind!r}, found {found}", self.starts[k])
         return self.values[k]
 
     def parse_sum(self):

@@ -749,6 +749,8 @@ def test_nf_number_literal_budget(capsys):
     ("", "unexpected end of input", 0),
     ("   ", "unexpected end of input", 3),
     ("alpha +  ", "unexpected end of input", 9),
+    ("(alpha", "expected ')', found end of input", 6),
+    ("x[1,", "expected 'num', found end of input", 4),
     ("alpha \u00b2", "unexpected character '\u00b2'", 6),
     ("  " + "9" * 1001, "number too long: 1001 digits, budget 1000", 2),
 ])
