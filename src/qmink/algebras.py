@@ -661,7 +661,10 @@ def suite_delta(regime: Regime, source: OperatorSource | None = None) -> list[Ch
     return run_suite("delta", (
         Row("delta/braided-coproduct", lambda regime, src: nonzero_components(
             braided_delta_check(regime)[0]), "empty", ON_UNIT_CIRCLE,
-            detail="; ".join(_DELTA_STEPS)),
+            detail="; ".join((
+                "checks that delta(x) = x + h x' preserves the quadratic relations "
+                "of V in the braided square, not the RTT relations of H, delta on "
+                "the cross relations x h = W h x, or the antipode", *_DELTA_STEPS))),
         Row("delta/sigma-one-fails", sigma_one, kinds=ON_UNIT_CIRCLE,
             mode="expect-nonzero"),
         Row("delta/classical-sigma-one", lambda regime, src: nonzero_components(
