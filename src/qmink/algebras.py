@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import (CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q, Regime, RegimeKind,
-                    Scalar, T, UNIT_CIRCLE, ZERO, integer, rat)
+from .coeff import (CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q, MissingParameterError,
+                    Regime, RegimeKind, Scalar, T, UNIT_CIRCLE, ZERO, integer, rat)
 from .intertwiners import (ON_GENERIC, ON_REAL_Q, ON_UNIT_CIRCLE, SPECIALIZED,
-                           CheckReport, OperatorSource, Row,
+                           CheckReport, Row,
                            classical_limit, classical_value, operator_source,
                            run_rows, run_suite, suite_moves, suite_spectral,
                            vector_components)
@@ -285,7 +285,12 @@ def _quadratic_form_ratio(regime: Regime) -> Scalar | None:
     return ratios[0] if all(r == ratios[0] for r in ratios) else None
 
 
-def _length_rows() -> tuple[Row, ...]:
+_LENGTH_KINDS = ON_UNIT_CIRCLE | {RegimeKind.REAL_Q}
+
+
+def _length_element_rows(ratios: list) -> tuple[Row, ...]:
+    """The length element's own checks; the comparison row, on the unit
+    circle, appends the ratio it finds (or None) to ``ratios``."""
     def central(regime, src):
         sys = minkowski_system(regime).system
         ell = minkowski_length_poly(regime)
@@ -304,49 +309,48 @@ def _length_rows() -> tuple[Row, ...]:
 
     def comparison(regime, src):
         ratio = _quadratic_form_ratio(regime)
+        ratios.append(ratio)
         if ratio is None:
             return False, "not proportional", None
         return True, None, f"contraction = ({ratio}) * displayed form"
 
-    def mz_rows(regime, src):
-        alph = x_alphabet(regime)
-        z = Q * T ** -1
-        zbar = z.star(regime)
-        r1 = _rel_words(alph, regime, [(ONE, "alpha gamma"), (-z, "gamma alpha")])
-        r2 = _rel_words(alph, regime, [(ONE, "gamma delta"), (-z, "delta gamma")])
-        r3 = _rel_words(alph, regime, [(ONE, "alpha delta"), (-ONE, "delta alpha"),
-                                       (-(z - zbar), "beta gamma")])
-        normal = _rel_words(alph, regime, [(ONE, "beta gamma"),
-                                           (-ONE, "gamma beta")])
-        mz = [r1, r2, r3, r1.star(regime), r2.star(regime), normal]
-        return _relation_rows(mz), _relation_rows(table_relations(regime))
-
-    def classical(regime, src):
-        cl = _classical_poly(minkowski_length_poly(regime))
-        alph = minkowski_system(regime).system.alphabet
-        want = (NCPoly.word(alph, ("alpha", "delta"), integer(-2))
-                + NCPoly.word(alph, ("beta", "gamma"), integer(2)))
-        # compare modulo the classical (commutative) relations
-        csys = _classical_system(regime)
-        resid = csys.normal_form(cl - want)
-        return [] if resid.is_zero() else [str(resid)]
-
-    kinds = ON_UNIT_CIRCLE | {RegimeKind.REAL_Q}
-    return (
-        Row("length/centrality", central, "empty", kinds),
-        Row("length/star-fixed", star_fixed, "empty", kinds),
-        Row("length/quadratic-form-comparison", comparison, kinds=ON_UNIT_CIRCLE,
-            mode="info"),
-        Row("length/mz-presentation", mz_rows, "span", ON_UNIT_CIRCLE,
-            detail="three z-relations plus their stars and gamma* gamma = gamma gamma*",
-            residual="spans differ"),
-        Row("length/classical-quadratic-form", classical, "empty", ON_UNIT_CIRCLE,
-            detail="q = t = 1 length is -2 (alpha delta - beta gamma)"),
-    )
+    return (Row("length/centrality", central, "empty", _LENGTH_KINDS),
+            Row("length/star-fixed", star_fixed, "empty", _LENGTH_KINDS),
+            Row("length/quadratic-form-comparison", comparison, kinds=ON_UNIT_CIRCLE,
+                mode="info"))
 
 
-# the first three rows are the length element's own checks
-_LENGTH = _length_rows()
+def _mz_rows(regime, src):
+    alph = x_alphabet(regime)
+    z = Q * T ** -1
+    zbar = z.star(regime)
+    r1 = _rel_words(alph, regime, [(ONE, "alpha gamma"), (-z, "gamma alpha")])
+    r2 = _rel_words(alph, regime, [(ONE, "gamma delta"), (-z, "delta gamma")])
+    r3 = _rel_words(alph, regime, [(ONE, "alpha delta"), (-ONE, "delta alpha"),
+                                   (-(z - zbar), "beta gamma")])
+    normal = _rel_words(alph, regime, [(ONE, "beta gamma"),
+                                       (-ONE, "gamma beta")])
+    mz = [r1, r2, r3, r1.star(regime), r2.star(regime), normal]
+    return _relation_rows(mz), _relation_rows(table_relations(regime))
+
+
+def _classical_length(regime, src):
+    cl = _classical_poly(minkowski_length_poly(regime))
+    alph = minkowski_system(regime).system.alphabet
+    want = (NCPoly.word(alph, ("alpha", "delta"), integer(-2))
+            + NCPoly.word(alph, ("beta", "gamma"), integer(2)))
+    # compare modulo the classical (commutative) relations
+    csys = _classical_system(regime)
+    resid = csys.normal_form(cl - want)
+    return [] if resid.is_zero() else [str(resid)]
+
+
+_MZ = Row("length/mz-presentation", _mz_rows, "span", ON_UNIT_CIRCLE,
+          detail="three z-relations plus their stars and gamma* gamma = gamma gamma*",
+          residual="spans differ")
+_CLASSICAL_LENGTH = Row("length/classical-quadratic-form", _classical_length, "empty",
+                        ON_UNIT_CIRCLE,
+                        detail="q = t = 1 length is -2 (alpha delta - beta gamma)")
 
 
 def minkowski_length(regime: Regime):
@@ -354,16 +358,19 @@ def minkowski_length(regime: Regime):
 
     Returns (poly, reports, comparison_scalar); the scalar relates the
     contraction to alpha*delta/(2z) + delta*alpha/(2 zbar) - gamma* gamma
-    with z = q/t, and is only computed on the unit circle.
+    with z = q/t, and is only computed on the unit circle.  The checks run
+    on the unit circle and for real q; other regimes are refused.
     """
-    comparison = _quadratic_form_ratio(regime) \
-        if regime.kind is RegimeKind.UNIT_CIRCLE else None
-    return minkowski_length_poly(regime), run_rows(_LENGTH[:3], regime), comparison
+    if regime.kind not in _LENGTH_KINDS:
+        raise MissingParameterError("the length checks need |q|=1 or real q")
+    ratios: list = []
+    reports = run_rows(_length_element_rows(ratios), regime)
+    return minkowski_length_poly(regime), reports, ratios[0] if ratios else None
 
 
 def mz_presentation_check() -> CheckReport:
     """The one-parameter z = q/t presentation spans the same relations."""
-    return run_rows(_LENGTH[3:4], UNIT_CIRCLE)[0]
+    return run_rows((_MZ,), UNIT_CIRCLE)[0]
 
 
 # --------------------------------------------------------------------------
@@ -623,14 +630,16 @@ def braided_delta_check(regime: Regime = UNIT_CIRCLE,
     return residuals, list(_DELTA_STEPS), sq
 
 
-def suite_delta(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    # braided_delta_check reads its prerequisites from the recorded reports
+def suite_delta(regime: Regime) -> list[CheckReport]:
+    # the backing checks are read (or run) once, outside every row's time
+    prereq = certified_prerequisites(regime) if regime.kind in ON_UNIT_CIRCLE else None
+
     def nonzero_components(residuals):
         bad = sum(not v.is_zero() for v in residuals.values())
         return [f"{bad} nonzero components"] if bad else []
 
     def sigma_one(regime, src):
-        residuals, _, sq = braided_delta_check(regime, sigma=ONE)
+        residuals, _, sq = braided_delta_check(regime, sigma=ONE, prereq=prereq)
         nonzero = sum(not v.is_zero() for v in residuals.values())
         if not nonzero:
             return False, "no residual", None
@@ -660,7 +669,7 @@ def suite_delta(regime: Regime, source: OperatorSource | None = None) -> list[Ch
 
     return run_suite("delta", (
         Row("delta/braided-coproduct", lambda regime, src: nonzero_components(
-            braided_delta_check(regime)[0]), "empty", ON_UNIT_CIRCLE,
+            braided_delta_check(regime, prereq=prereq)[0]), "empty", ON_UNIT_CIRCLE,
             detail="; ".join((
                 "checks that delta(x) = x + h x' preserves the quadratic relations "
                 "of V in the braided square, not the RTT relations of H, delta on "
@@ -668,16 +677,16 @@ def suite_delta(regime: Regime, source: OperatorSource | None = None) -> list[Ch
         Row("delta/sigma-one-fails", sigma_one, kinds=ON_UNIT_CIRCLE,
             mode="expect-nonzero"),
         Row("delta/classical-sigma-one", lambda regime, src: nonzero_components(
-            braided_delta_check(regime, sigma=ONE, classical=True)[0]), "empty",
-            ON_UNIT_CIRCLE, detail="plain tensor square at q = t = 1"),
+            braided_delta_check(regime, sigma=ONE, classical=True, prereq=prereq)[0]),
+            "empty", ON_UNIT_CIRCLE, detail="plain tensor square at q = t = 1"),
         Row("delta/braiding-consistency", braid_consistency, "empty", ON_UNIT_CIRCLE,
             detail="x/x' rule set is locally confluent"),
-    ), regime, source, "the braided coproduct check runs on the unit circle")
+    ), regime, skip="the braided coproduct check runs on the unit circle")
 
 
-def suite_length(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
-    return run_suite("length", _LENGTH, regime, source,
-                     "length checks run on unit-circle and real-q")
+def suite_length(regime: Regime) -> list[CheckReport]:
+    return run_suite("length", _length_element_rows([]) + (_MZ, _CLASSICAL_LENGTH),
+                     regime, skip="length checks run on unit-circle and real-q")
 
 
 def _classical_system(regime: Regime) -> RewriteSystem:
@@ -695,7 +704,7 @@ def _classical_crossed_system() -> RewriteSystem:
                          UNIT_CIRCLE)
 
 
-def suite_pbw(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
+def suite_pbw(regime: Regime) -> list[CheckReport]:
     def integrity(regime, src):
         try:
             minkowski_system(regime)
@@ -768,7 +777,7 @@ def suite_pbw(regime: Regime, source: OperatorSource | None = None) -> list[Chec
         Row("pbw/star-closed", star_closed, "empty", SPECIALIZED),
         fixedpoint_span("Rhat+", ON_UNIT_CIRCLE),
         fixedpoint_span("Rhat-", ON_REAL_Q),
-    ), regime, source)
+    ), regime)
 
 
 def _commutes(sys: RewriteSystem, a: str, b: str) -> bool:
@@ -778,7 +787,7 @@ def _commutes(sys: RewriteSystem, a: str, b: str) -> bool:
     return sys.normal_form(ab - ba).is_zero()
 
 
-def suite_classical(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
+def suite_classical(regime: Regime) -> list[CheckReport]:
     """q = t = 1 degeneration: flips, antisymmetrizers, commutativity."""
     def operators(regime, src):
         tau_bold = permutation((U, B, U, B), (3, 4, 1, 2))
@@ -839,6 +848,6 @@ def suite_classical(regime: Regime, source: OperatorSource | None = None) -> lis
               "braided square collapses to the plain square at q = t = 1"),
         Row("classical/corner-term-survives", corner_survives, kinds=ON_GENERIC,
             mode="expect-nonzero"),
-    ), regime, source, "classical limit is taken from the generic build")
+    ), regime, skip="classical limit is taken from the generic build")
 
 

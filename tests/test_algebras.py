@@ -15,7 +15,8 @@ from qmink.algebras import (OracleUnverifiedError,
                             suite_delta, suite_length, suite_pbw,
                             table_relations, x_alphabet, x_order)
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, QB, REAL_Q,
-                         T, UNIT_CIRCLE, WorkBudget, integer, rat)
+                         T, UNIT_CIRCLE, MissingParameterError, WorkBudget,
+                         integer, rat)
 from qmink.intertwiners import CheckReport, operator_source, suite_moves
 from qmink.rewrite import NCPoly
 from qmink.tensor import TMap, compose, identity, U, B
@@ -191,6 +192,13 @@ def test_length_real_q_centrality():
     _, reports, comparison = minkowski_length(REAL_Q)
     assert all(r.status == "pass" for r in reports)
     assert comparison is None
+
+
+@pytest.mark.parametrize("regime", [GENERIC, CASE2_PLUS, CASE2_MINUS],
+                         ids=lambda r: r.label)
+def test_length_refuses_regimes_without_length_checks(regime):
+    with pytest.raises(MissingParameterError):
+        minkowski_length(regime)
 
 
 def test_length_suite_and_mz():
@@ -435,13 +443,24 @@ def test_braided_square_is_unit_circle_only():
         build_braided_square(REAL_Q)
 
 
-def test_delta_suite():
+def test_delta_suite(monkeypatch):
+    # the prerequisites are read once, before the rows run, so no row's
+    # time covers the backing suites
+    calls = []
+    real = algebras.certified_prerequisites
+
+    def spy(regime):
+        calls.append(regime.label)
+        return real(regime)
+
+    monkeypatch.setattr(algebras, "certified_prerequisites", spy)
     reports = suite_delta(UNIT_CIRCLE)
     assert all(r.status == "pass" for r in reports)
     assert {r.check_id for r in reports} == {
         "delta/braided-coproduct", "delta/sigma-one-fails",
         "delta/classical-sigma-one", "delta/braiding-consistency"}
     assert suite_delta(GENERIC)[0].status == "skip"
+    assert calls == ["unit-circle"]
 
 
 # ---------------------------------------------------------------------------
