@@ -1027,19 +1027,14 @@ def test_no_operator_entry_stores_a_dividing_denominator():
 
 
 def test_no_normal_form_stores_a_dividing_denominator():
-    import importlib.util
-    from pathlib import Path
+    import golden
     from qmink.cli import ParseContext, nf_system, parse_expr
     from qmink.coeff import regime_from_label
-    path = Path(__file__).resolve().parents[1] / "scripts" / "nf_digest.py"
-    spec = importlib.util.spec_from_file_location("nf_digest", path)
-    nf_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(nf_digest)
     multi = 0
-    for q in nf_digest.workloads.nf_queries(nf_digest.SEED, nf_digest.QUERIES):
-        regime = regime_from_label(q["regime"])
+    for label, text in golden.nf_queries():
+        regime = regime_from_label(label)
         alph, system = nf_system(regime)
-        poly = parse_expr(nf_digest.workloads.query_text(q), ParseContext(alph, regime))
+        poly = parse_expr(text, ParseContext(alph, regime))
         for v in system.normal_form(poly).terms.values():
             _assert_no_dividing_denominator(v)
             multi += len(v.d.terms) > 1

@@ -1,24 +1,20 @@
 """Every named operator stores exactly the committed entries.
 
-``tests/data/operators.json`` holds what ``scripts/operator_digest.py``
-writes: per regime, branch flip and operator name, a SHA-256 of the
-stored numerator and denominator terms of every entry.  ``Scalar`` has no
+``tests/data/operators.json`` holds what ``scripts/golden.py write`` writes
+there: per regime, branch flip and operator name, a SHA-256 of the stored
+numerator and denominator terms of every entry.  ``Scalar`` has no
 canonical form, so a recipe that computes the same map in a different
 order can store, and print, an entry differently; this shows up here
 even where no report or transcript prints that entry.
 """
 
-import importlib.util
+import hashlib
 import json
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "data" / "operators.json"
+import golden
 
-_spec = importlib.util.spec_from_file_location(
-    "operator_digest", ROOT / "scripts" / "operator_digest.py")
-operator_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(operator_digest)
+GOLDEN = Path(__file__).resolve().parent / "data" / "operators.json"
 
 
 def _flat(tree: dict) -> dict:
@@ -29,19 +25,22 @@ def _flat(tree: dict) -> dict:
 
 
 def test_operator_digest_matches_golden():
-    golden = _flat(json.loads(GOLDEN.read_text()))
-    fresh = _flat(operator_digest.digests())
-    assert sorted(fresh) == sorted(golden)
-    assert [k for k in golden if fresh[k] != golden[k]] == []
+    golden_tree = _flat(json.loads(GOLDEN.read_text()))
+    fresh = _flat(json.loads(golden.digest_files("operators", golden.operator_lines())[
+        "operators.json"]))
+    assert sorted(fresh) == sorted(golden_tree)
+    assert [k for k in golden_tree if fresh[k] != golden_tree[k]] == []
+    assert golden_tree["generic", "none", "What"] == "MissingParameterError"
 
 
-def test_digest_script_writes_the_digest(tmp_path, monkeypatch):
-    tree = {"generic": {"none": {"E": "abc"}}}
-    monkeypatch.setattr(operator_digest, "digests", lambda: tree)
-    out = tmp_path / "ops.json"
-    assert operator_digest.main([str(out)]) == 0
-    assert json.loads(out.read_text()) == tree
-    assert operator_digest.main([]) == 2
+def test_digest_script_writes_the_digest():
+    files = golden.digest_files("operators", {("generic", "none", "E"): ["[1]"],
+                                              ("generic", "none", "W"): "MissingParameterError"})
+    assert json.loads(files["operators.json"]) == {"generic": {"none": {
+        "E": hashlib.sha256(b"[1]").hexdigest(), "W": "MissingParameterError"}}}
+    assert files["operators.lines"] == \
+        "generic/none/E\t[1]\ngeneric/none/W\tMissingParameterError\n"
+    assert golden.main(["diff", "a"]) == 2
 
 
 def test_digest_sees_storage_not_only_value():
@@ -53,4 +52,4 @@ def test_digest_sees_storage_not_only_value():
     f = (T + Q).num
     restated = TMap((U,), (U,), [[Scalar(v.num * f, v.den * f), ONE], [ONE, Q]])
     assert plain.equals(restated)
-    assert operator_digest.digest(plain) != operator_digest.digest(restated)
+    assert golden.operator_line(plain) != golden.operator_line(restated)
