@@ -1041,6 +1041,12 @@ class Scalar:
         """True when factor's numerator divides this numerator exactly."""
         return exact_divide(self.n, factor.n) is not None
 
+    def numerator_is_one_term_times(self, factor: "Scalar") -> bool:
+        """True when this numerator is factor's numerator times one term, a
+        monomial times a constant: then both vanish at the same points."""
+        quot = exact_divide(self.n, factor.n)
+        return quot is not None and len(quot._terms) == 1
+
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:

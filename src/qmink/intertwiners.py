@@ -676,6 +676,18 @@ def suite_spectral(regime: Regime, source: OperatorSource | None = None) -> list
 _SIGMA_ONE = "Pminus(What+1)"
 
 
+def _witness(resid: TMap, factor: Scalar, name: str, zeros: str) -> str | None:
+    """The first entry whose numerator is factor times one term, named with
+    the zero set it pins: with every entry divisible by factor, the entries
+    vanish together exactly where factor does.  None when no entry is."""
+    for i, row in enumerate(resid.rows):
+        for j, v in row.items():
+            if v.numerator_is_one_term_times(factor):
+                return f"witness entry[{i}][{j}] = {v} is {name} times one term, " \
+                       f"so the entries vanish together exactly at {zeros}"
+    return None
+
+
 def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[CheckReport]:
     def one_case(regime, src):
         resid = src.get(_SIGMA_ONE)
@@ -688,9 +700,11 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
         at_q1 = resid.map_entries(
             lambda s: s.subst_half(GR_ONE, GR_ONE, None))
         vanishes = at_q1.is_zero_map()
-        ok = divisible and vanishes
+        witness = _witness(resid, Q - ONE, "q - 1", "q = 1")
+        ok = divisible and vanishes and witness is not None
         note = "nonzero; a nonzero entry numerator is divisible by q^2-1; " \
-               "all entries vanish at q = 1"
+               "all entries vanish at q = 1; " \
+               f"{witness or 'no entry numerator is q - 1 times one term'}"
         return ok, None if ok else _residual_str(resid), note
 
     def divis(regime, src):
@@ -701,9 +715,11 @@ def suite_compat(regime: Regime, source: OperatorSource | None = None) -> list[C
             for i, row in enumerate(resid.rows)
             for j, v in row.items()
             if not v.numerator_divisible_by(fac)]
-        ok = not bad and not resid.is_zero_map()
-        return ok, "; ".join(bad[:4]) or None, \
-            "all residual entries divisible by q^2-1"
+        witness = _witness(resid, fac, "q^2 - 1", "q^2 = 1")
+        ok = not bad and not resid.is_zero_map() and witness is not None
+        return ok, "; ".join(bad[:4]) or (None if ok else _residual_str(resid)), \
+            "all residual entries divisible by q^2-1; " \
+            f"{witness or 'no entry numerator is q^2 - 1 times one term'}"
 
     def braiding(src, sigma, product=compose):
         # Pminus (What + sigma): zero exactly when sigma braids the square

@@ -163,6 +163,24 @@ def test_crossed_suite(regime):
     assert all(r.status == "pass" for r in suite_crossed(regime))
 
 
+@pytest.mark.parametrize("regime", [UNIT_CIRCLE, REAL_Q, CASE2_PLUS, CASE2_MINUS],
+                         ids=lambda r: r.label)
+def test_sigma_one_checks_fail_on_a_stray_factor(regime):
+    # every entry of the sigma = 1 residual times q + 2: still divisible by
+    # the claimed factor and still zero at q = 1, but now the entries also
+    # vanish together at q = -2, so no entry is the factor times one term
+    src = OperatorSource(regime)
+    resid = src.get("Pminus(What+1)")
+    src._cache["Pminus(What+1)"] = resid.scale((Q + integer(2)).specialize(regime))
+    cid = "compat/sigma-one-obstructed" if regime is UNIT_CIRCLE \
+        else "compat/sigma-one-divisibility"
+    fresh = {r.check_id: r for r in suite_compat(regime)}[cid]
+    stray = {r.check_id: r for r in suite_compat(regime, src)}[cid]
+    assert fresh.status == "pass" and "witness entry[" in fresh.detail
+    assert stray.status == "fail"
+    assert stray.detail.endswith(" times one term") and "no entry numerator" in stray.detail
+
+
 def test_normalization_constraint_factorization():
     # the scan reduces the shuttle condition to a*b = 1 and
     # a^2 + b^2 = q + 1/q, i.e. u^2 - (q + 1/q)u + 1 = 0 for u = a^2;
