@@ -195,7 +195,8 @@ def nf_lines() -> dict:
     for label, text in nf_queries():
         regime = regime_from_label(label)
         alph, system = nf_system(regime)
-        out[(label,)].append(str(system.normal_form(parse_expr(text, ParseContext(alph, regime)))))
+        poly = parse_expr(text, ParseContext(alph, regime))
+        out[(label,)].append(str(system.normal_form(poly)))
     return out
 
 
@@ -289,7 +290,7 @@ def digest_files(name: str, lines: dict) -> dict[str, str]:
 
 
 def artifacts():
-    """(label, {path under the tree: text}) per artifact, computed lazily."""
+    """(label, function computing {path under the tree: text}) per artifact."""
     yield "reports", reports
     yield "cli", transcripts
     for name, lines in zip(DIGESTS, (operator_lines, nf_lines, parse_lines, numeric_lines)):
@@ -408,13 +409,13 @@ def _operator_entries(line: str) -> tuple:
 
 
 def _parse_terms(line: str):
-    """(terms repr, units, {word: (num, den)}) of an accepted parse line,
-    None for a refusal."""
-    body, sep, units = line.rpartition(" units=")
+    """(terms repr, {word: (num, den)}) of an accepted parse line, None for
+    a refusal."""
+    body, sep, _ = line.rpartition(" units=")
     if not sep or not body.startswith("["):
         return None
     terms = _literal(ast.parse(body, mode="eval").body)
-    return body, units, {w: (LaurentPoly(dict(n)), LaurentPoly(dict(d))) for w, n, d in terms}
+    return body, {w: (LaurentPoly(dict(n)), LaurentPoly(dict(d))) for w, n, d in terms}
 
 
 def _nf_poly(text: str, label: str):
@@ -433,7 +434,7 @@ def classify(name: str, key: str, a: list[str], b: list[str]) -> list[tuple[str,
         out = [("form-only" if _same_value({e: ea[e]}, {e: eb[e]}) else "value change",
                 f"{key} entry[{e[0]}][{e[1]}]")
                for e in sorted(ea.keys() | eb.keys()) if ea.get(e) != eb.get(e)]
-        return out or [("form-only", f"{key} entry order")]
+        return out or [("form-only", f"{key} term order")]
     if name == "numeric_digest":
         ra, rb = ({tuple(x.split()[:2]): float.fromhex(x.split()[2]) for x in side}
                   for side in (a, b))
@@ -458,7 +459,7 @@ def classify(name: str, key: str, a: list[str], b: list[str]) -> list[tuple[str,
             elif pa[0] == pb[0]:
                 out.append(("charge change", entry))
             else:
-                out.append(("form-only" if _same_value(pa[2], pb[2]) else "value change", entry))
+                out.append(("form-only" if _same_value(pa[1], pb[1]) else "value change", entry))
     return out
 
 
