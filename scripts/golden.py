@@ -116,7 +116,8 @@ def strip_timing(obj):
     return obj
 
 
-def _json(obj) -> str:
+def json_text(obj) -> str:
+    """JSON as the golden files hold it: indented, ``elapsed_ms`` stripped."""
     return json.dumps(strip_timing(obj), indent=2) + "\n"
 
 
@@ -124,7 +125,7 @@ def _json(obj) -> str:
 
 def reports() -> dict[str, str]:
     return {f"reports/{FILE_NAMES.get(r.label, r.label)}.json":
-            _json(_report_json(r, run_suites(r, "all"))) for r in ALL_REGIMES}
+            json_text(_report_json(r, run_suites(r, "all"))) for r in ALL_REGIMES}
 
 
 def run(argv: list[str], json_stdout: bool = False) -> str:
@@ -132,7 +133,7 @@ def run(argv: list[str], json_stdout: bool = False) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = qmink_main(argv)
-    stdout = _json(json.loads(out.getvalue())) if json_stdout else out.getvalue()
+    stdout = json_text(json.loads(out.getvalue())) if json_stdout else out.getvalue()
     lines = [f"$ qmink {shlex.join(argv)}", stdout.rstrip("\n")]
     lines += [f"[stderr] {line}" for line in err.getvalue().splitlines()]
     lines.append(f"[exit {code}]")

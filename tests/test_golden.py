@@ -47,7 +47,7 @@ def test_usage_on_wrong_arguments(monkeypatch, capsys, argv):
 
 def _fake_artifacts(failed=0):
     summary = {"passed": 2, "failed": failed, "skipped": 1}
-    yield "reports", lambda: {"reports/generic.json": golden._json({"summary": summary})}
+    yield "reports", lambda: {"reports/generic.json": golden.json_text({"summary": summary})}
     yield "cli", lambda: {"cli/nf-generic.txt": "$ qmink nf\n[exit 0]\n"}
     yield "nf_digest.json", lambda: golden.digest_files("nf_digest", {("generic",): ["a"]})
 

@@ -20,7 +20,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
 def test_reports_match_golden(regime):
-    fresh = golden._json(_report_json(regime, run_suites(regime, "all")))
+    fresh = golden.json_text(_report_json(regime, run_suites(regime, "all")))
     path = DATA / "reports" / f"{golden.FILE_NAMES.get(regime.label, regime.label)}.json"
     assert golden.diff_reports(json.loads(path.read_text()), json.loads(fresh)) == []
     assert fresh == path.read_text()
@@ -39,7 +39,7 @@ def test_compare_reports_ignores_only_timing():
     check = {"check_id": "a", "status": "pass", "elapsed_ms": 1.0}
     base = {"regime": "generic", "checks": [check]}
     slower = {"regime": "generic", "checks": [dict(check, elapsed_ms=9.5)]}
-    assert golden._json(base) == golden._json(slower)
+    assert golden.json_text(base) == golden.json_text(slower)
     a = golden.strip_timing(base)
 
     changed = {"regime": "generic", "checks": [dict(check, residual="entry[0][1] = q")]}
@@ -51,7 +51,7 @@ def test_compare_reports_ignores_only_timing():
 
 def _write(path: Path, payload) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(golden._json(payload))
+    path.write_text(golden.json_text(payload))
     return path
 
 
