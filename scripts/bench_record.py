@@ -11,9 +11,14 @@ each workload it also lists the pair wins: on the seeds run on both
 sides, how often the change did better than the parent on each metric,
 in the direction ``BENCHMARK.json`` gives.  ``--trace 1`` records, when
 there are any, add the traced per-layer metrics of each side by seed.
+``sources`` gives, per side, the SHA-256 of the ``src/qmink/*.py`` files
+of the checkout that holds that ``perfbench/out`` (null when the
+directory is not a checkout's ``perfbench/out``); a warning line is
+printed when both sides hash the same, as two runs of one source do.
 Exits 2 when an argument cannot be read or no run was made on both sides.
 """
 
+import hashlib
 import json
 import statistics
 import sys
@@ -32,6 +37,21 @@ def load_records(out_dir: Path, trace: int) -> dict:
         prov = rec["provenance"]
         found.setdefault(prov["workload"], {})[prov["seed"]] = rec
     return found
+
+
+def source_hash(out_dir: Path) -> str | None:
+    """SHA-256 over the name and bytes of each ``src/qmink/*.py`` file, in
+    name order, of the checkout whose ``perfbench/out`` is out_dir."""
+    out_dir = out_dir.resolve()
+    if out_dir.name != "out" or out_dir.parent.name != "perfbench":
+        return None
+    files = sorted((out_dir.parent.parent / "src" / "qmink").glob("*.py"))
+    if not files:
+        return None
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def summary(values: list[float]) -> dict:
@@ -86,7 +106,8 @@ def build(parent_out: Path, change_out: Path, benchmark: dict) -> dict:
         workloads[name] = entry
     if not any(w["pairs"]["seeds"] for w in workloads.values()):
         raise ValueError(f"no seed of a workload was run in both {parent_out} and {change_out}")
-    return {"workloads": workloads}
+    return {"sources": {"parent": source_hash(parent_out), "change": source_hash(change_out)},
+            "workloads": workloads}
 
 
 def main(argv: list[str]) -> int:
@@ -101,6 +122,10 @@ def main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     bench_file.write_text(json.dumps(out, indent=1) + "\n")
+    sources = out["sources"]
+    if sources["parent"] is not None and sources["parent"] == sources["change"]:
+        print(f"warning: both sides measured the same source, sha256 {sources['parent']}",
+              file=sys.stderr)
     for name, entry in out["workloads"].items():
         for metric, row in entry["pairs"]["metrics"].items():
             print(f"{name:12s} {metric:14s} {row['parent_median']:.6g} -> "

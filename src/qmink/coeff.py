@@ -81,6 +81,7 @@ num/den that ``Scalar.from_poly`` builds for it.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from math import gcd, lcm
 from dataclasses import dataclass
@@ -815,11 +816,12 @@ class Scalar:
     """Element of the rational-function field in Laurent form n/d, with
     read-only views ``num``/``den`` (module docstring)."""
 
-    __slots__ = ("n", "d")
+    __slots__ = ("n", "d", "_id")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
+        self._id = 0
         if num.is_zero:
             self.n, self.d = num, _POLY_ONE
             return
@@ -865,6 +867,27 @@ class Scalar:
 
     num = property(lambda self: self._views()[0])
     den = property(lambda self: self._views()[1])
+
+    def form_id(self, ids: dict) -> int:
+        """A small int naming this exact stored pair, kept on the Scalar.
+
+        On first use it is looked up in ``ids``, which interns the pair
+        (``n``'s terms in stored order, ``d``'s terms, ``d is _POLY_ONE``).
+        Ids come from one process-wide counter and are never reused, so an
+        id names one stored pair also after ``ids`` is dropped.  It is
+        about storage, not value: equal values stored differently get
+        different ids.
+        """
+        i = self._id
+        if not i:
+            d = self.d
+            key = (tuple(self.n._terms.items()), tuple(d._terms.items()),
+                   d is _POLY_ONE)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = next(_form_ids)
+            self._id = i
+        return i
 
     # -- predicates --------------------------------------------------------
 
@@ -1070,7 +1093,11 @@ def _scalar(n: LaurentPoly, d: LaurentPoly) -> Scalar:
     out = _new(Scalar)
     out.n = n
     out.d = d
+    out._id = 0
     return out
+
+
+_form_ids = itertools.count(1)  # the ids of Scalar.form_id; 0 is "none yet"
 
 
 def _map_pair(num: LaurentPoly, den: LaurentPoly, fn) -> Scalar:

@@ -21,9 +21,9 @@ from . import coeff
 from .coeff import (GENERIC, ONE, Q, Q_HALF, QB, QB_HALF, Regime, RegimeKind,
                     Scalar, T, T_HALF, ZERO, GaussianRational, integer,
                     MissingParameterError)
-from .tensor import (B, Leg, TMap, U, bar_conjugate, compose, identity, invert,
-                     lazy_compose, permutation, place, placement, span_equal,
-                     tau_conjugate, tensor_product)
+from .tensor import (B, Leg, ProductTable, TMap, U, bar_conjugate, compose,
+                     identity, invert, lazy_compose, permutation, place,
+                     placement, span_equal, tau_conjugate, tensor_product)
 
 __all__ = [
     "CheckReport", "UnknownNameError", "Row", "run_rows", "run_suite",
@@ -168,9 +168,12 @@ def run_suite(name: str, rows, regime: Regime, source: "OperatorSource | None" =
               skip: str | None = None) -> list[CheckReport]:
     """Run a suite's table in the regime and record its reports on the
     source; a suite none of whose rows runs there reports ``<name>/skip``
-    with the detail ``skip``."""
+    with the detail ``skip``.  The suite shares its entry products in one
+    ``ProductTable``."""
     src = source or operator_source(regime)
-    reports = run_rows(rows, regime, src) or [
+    with ProductTable():
+        reports = run_rows(rows, regime, src)
+    reports = reports or [
         CheckReport(f"{name}/skip", regime.label, "skip", "info", detail=skip)]
     src.reports[name] = list(reports)
     return reports
@@ -502,19 +505,32 @@ def _scale(*bounds: np.ndarray) -> float:
     return max(1.0, *(float(np.max(b)) for b in bounds))
 
 
+def _point_matrix(name: str, source: OperatorSource, q: complex, t: float,
+                  qbar: complex | None, values: dict) -> np.ndarray:
+    """The operator's matrix at the point, kept in ``values`` by name."""
+    a = values.get(name)
+    if a is None:
+        a = values[name] = source.get(name).to_numpy(q, t, source.regime, qbar, values)
+        a.flags.writeable = False
+    return a
+
+
 def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
                      q: complex, t: float, qbar: complex | None = None,
-                     values: dict[str, np.ndarray] | None = None,
+                     values: dict | None = None,
                      scales: dict[str, float] | None = None) -> float:
     """Re-run an identity with floating point matrix products.
 
     Each operator is evaluated once per sample point, as its own small
     matrix, and the result is scattered into every placed copy through
-    the same index map that exact placement uses.  ``values`` holds the
-    matrices already evaluated at this point, keyed by operator name; it
-    is filled as operators are evaluated, so callers that check several
-    identities at one point can share it.  When ``scales`` is given, the
-    identity's scale (see ``_scale``) is stored in it under its check id.
+    the same index map that exact placement uses.  ``values`` holds what
+    is already evaluated at this point: each operator's matrix under its
+    name, each entry value under its stored-form id (``TMap.to_numpy``)
+    and each placed matrix under (name, placement).  It is filled as
+    things are evaluated, so callers that check several identities at one
+    point can share it; it must not be shared between points.  When
+    ``scales`` is given, the identity's scale (see ``_scale``) is stored in
+    it under its check id.
     """
     if values is None:
         values = {}
@@ -530,11 +546,12 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
                     q, t, source.regime, qbar)
                 continue
             op = source.get(f.name)
-            a = values.get(f.name)
-            if a is None:
-                a = values[f.name] = op.to_numpy(q, t, source.regime, qbar)
             pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
-            a = pl.scatter(a)
+            a = values.get((f.name, pl))
+            if a is None:
+                a = pl.scatter(_point_matrix(f.name, source, q, t, qbar, values))
+                a.flags.writeable = False
+                values[(f.name, pl)] = a
             acc = a if acc is None else a @ acc
             if scales is not None:
                 bound = abs(a) if bound is None else abs(a) @ bound
@@ -880,14 +897,14 @@ def numeric_suite(regime: Regime, q: complex, t: float,
     """
     src = operator_source(regime)
     out = {}
-    values: dict[str, np.ndarray] = {}
+    values: dict = {}
     with np.errstate(over="raise", invalid="raise"):
         for chk in identity_catalog(regime):
             out[chk.check_id] = numeric_residual(chk, src, q, t, qbar, values,
                                                  scales)
         if regime.kind is RegimeKind.UNIT_CIRCLE:
-            pm = src.get("Pminus").to_numpy(q, t, regime)
-            w = src.get("What").to_numpy(q, t, regime)
+            pm = _point_matrix("Pminus", src, q, t, qbar, values)
+            w = _point_matrix("What", src, q, t, qbar, values)
             ident = np.eye(16)
             lhs = pm @ (w + ident / q)
             if scales is not None:

@@ -11,14 +11,20 @@ composition, sums and placement cost is proportional to the nonzeros (a
 placed 64x64 crossing has about 100 of 4096).  ``entries`` is a read-only
 dense view for code that wants a plain matrix.  Every operation combines
 entries in the same order as the dense matrix loops would (in ``compose``:
-inner index ascending, then column ascending), so each Scalar is built by
-the same sequence of operations and printed results do not depend on the
-storage.
+inner index ascending, then column ascending), so printed results do not
+depend on the storage.
 
 ``compose`` builds every row of a product; ``lazy_compose`` builds each
 row the first time it is read, with the same row function, so a check
 that only needs the first nonzero row of a product (or of a sum or
 difference of products) builds no row past it.
+
+Both read each entry product ``fv * gv`` from a ``ProductTable`` under
+the stored-form ids of fv and gv (``Scalar.form_id``): a repeated product
+is built once and shared, with the stored form building it again gives.
+``run_suite`` puts one table in force per suite; outside one, each call
+has its own, and a lazy product keeps the table it was made under.
+``to_numpy`` likewise evaluates each entry form once per sample point.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .coeff import GENERIC, ONE, ZERO, Regime, Scalar
 __all__ = [
     "Leg", "U", "B", "TMap",
     "TypeMismatchError", "ArityMismatchError", "SignatureMismatchError",
-    "compose", "lazy_compose", "place", "placement", "Placement",
+    "compose", "lazy_compose", "ProductTable", "place", "placement", "Placement",
     "tensor_product", "bar_conjugate", "tau_conjugate",
     "permutation", "flip", "identity",
     "row_echelon", "annihilator_basis", "nullspace_basis", "span_equal",
@@ -123,17 +129,58 @@ def _row_neg(row: Row) -> Row:
     return {j: -v for j, v in row.items()}
 
 
-def _product_row(frow: Row, g_rows) -> Row:
+class ProductTable:
+    """Entry products fv * gv, each built once, keyed by the stored-form
+    ids of fv and gv (``Scalar.form_id``, interned in ``ids``).
+
+    ``with ProductTable():`` puts a table in force for its block, as
+    ``coeff.WorkBudget`` does for a budget; exit restores the one before.
+    """
+
+    __slots__ = ("ids", "products", "outer")
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.products: dict[int, dict[int, Scalar]] = {}
+        self.outer: ProductTable | None = None
+
+    def __enter__(self):
+        global active_table
+        self.outer, active_table = active_table, self
+        return self
+
+    def __exit__(self, *exc):
+        global active_table
+        active_table = self.outer
+
+
+active_table: ProductTable | None = None  # the one in force, if any
+
+
+def _product_row(frow: Row, g_rows, table: ProductTable) -> Row:
     """Row of the product f after g, from f's row and g's rows.
 
     Products are summed into each output entry in the dense order, inner
     index k ascending, then column j ascending; zero sums are dropped.
+    Each product is read from the table, or built and kept there.
     """
+    ids, products = table.ids, table.products
     acc: Row = {}
     for k, fv in frow.items():
-        for j, gv in g_rows[k].items():
+        grow = g_rows[k]
+        if not grow:
+            continue
+        fi = fv.form_id(ids)
+        by_g = products.get(fi)
+        if by_g is None:
+            by_g = products[fi] = {}
+        for j, gv in grow.items():
+            gi = gv.form_id(ids)
+            p = by_g.get(gi)
+            if p is None:
+                p = by_g[gi] = fv * gv
             s = acc.get(j)
-            acc[j] = fv * gv if s is None else s + fv * gv
+            acc[j] = p if s is None else s + p
     return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
 
 
@@ -295,11 +342,21 @@ class TMap:
         return self.map_entries(lambda v: v.specialize(regime))
 
     def to_numpy(self, q: complex, t: float, regime: Regime = GENERIC,
-                 qbar: complex | None = None) -> np.ndarray:
+                 qbar: complex | None = None,
+                 values: dict | None = None) -> np.ndarray:
+        """The matrix of entry values at the point; ``values``, a table of
+        this one point, keeps each under its stored-form id."""
+        if values is None:
+            values = {}
+        ids = active_table.ids if active_table is not None else {}
         out = np.zeros((_dim(self.out_sig), _dim(self.in_sig)), dtype=complex)
         for i, row in enumerate(self.rows):
             for j, v in row.items():
-                out[i, j] = v.eval(q, t, regime, qbar)
+                key = v.form_id(ids)
+                x = values.get(key)
+                if x is None:
+                    x = values[key] = v.eval(q, t, regime, qbar)
+                out[i, j] = x
         return out
 
     def __repr__(self) -> str:
@@ -318,11 +375,13 @@ def _check_composable(f: TMap, g: TMap) -> None:
 
 
 def compose(f: TMap, g: TMap) -> TMap:
-    """Matrix product f after g, every row built now."""
+    """Matrix product f after g, every row built now; a repeated entry
+    product is built once and shared, with the same stored form."""
     _check_composable(f, g)
     g_rows = g.rows
+    table = active_table or ProductTable()
     return TMap._of(g.in_sig, f.out_sig,
-                    [_product_row(frow, g_rows) for frow in f.rows])
+                    [_product_row(frow, g_rows, table) for frow in f.rows])
 
 
 def lazy_compose(f: TMap, g: TMap) -> TMap:
@@ -331,12 +390,15 @@ def lazy_compose(f: TMap, g: TMap) -> TMap:
     Row i is built from f's row i and the rows of g it names, so when g
     is lazy too only those rows of g are built.  Sums, negations and
     scalings of the result are lazy in turn, and each row they build
-    holds what the same operation on ``compose(f, g)`` holds.
+    holds what the same operation on ``compose(f, g)`` holds.  Rows read
+    the table in force now, also when built after its block ends.
     """
     _check_composable(f, g)
     f_rows, g_rows = f.rows, g.rows
+    table = active_table or ProductTable()
     return TMap._of(g.in_sig, f.out_sig,
-                    _LazyRows(len(f_rows), lambda i: _product_row(f_rows[i], g_rows)))
+                    _LazyRows(len(f_rows),
+                              lambda i: _product_row(f_rows[i], g_rows, table)))
 
 
 def tensor_product(f: TMap, g: TMap) -> TMap:

@@ -57,3 +57,52 @@ def test_bench_record_refuses_what_it_cannot_pair(tmp_path, capsys):
     assert bench_record.main([str(parent), str(tmp_path / "missing"), str(bench)]) == 2
     assert "missing is not a directory" in capsys.readouterr().err
     assert not bench.exists()
+
+
+def _checkout(root: Path, source: str) -> Path:
+    """A checkout with one source file; returns its perfbench/out."""
+    (root / "src" / "qmink").mkdir(parents=True)
+    (root / "src" / "qmink" / "coeff.py").write_text(source)
+    (root / "perfbench").mkdir()
+    return root / "perfbench" / "out"
+
+
+def test_bench_record_hashes_each_side_source(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", "x = 1\n")
+    change = _checkout(tmp_path / "change", "x = 2\n")
+    _record(parent, 7, 0, "aaa", dict.fromkeys(_METRICS, 2.0))
+    _record(change, 7, 0, "bbb", dict.fromkeys(_METRICS, 1.0))
+    bench = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), str(bench)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    sources = json.loads(bench.read_text())["sources"]
+    assert sources == {"parent": bench_record.source_hash(parent),
+                       "change": bench_record.source_hash(change)}
+    assert len(sources["parent"]) == 64 and sources["parent"] != sources["change"]
+    # the same hash for the same files, wherever the checkout is
+    again = _checkout(tmp_path / "again", "x = 1\n")
+    assert bench_record.source_hash(again) == sources["parent"]
+
+
+def test_bench_record_warns_when_both_sides_hash_the_same(tmp_path, capsys):
+    out = _checkout(tmp_path / "repo", "x = 1\n")
+    _record(out, 7, 0, "aaa", dict.fromkeys(_METRICS, 2.0))
+    bench = tmp_path / "BENCH.json"
+    assert bench_record.main([str(out), str(out), str(bench)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    digest = bench_record.source_hash(out)
+    assert err == [f"warning: both sides measured the same source, sha256 {digest}"]
+
+
+def test_bench_record_has_no_hash_outside_a_checkout(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _record(parent, 7, 0, "aaa", dict.fromkeys(_METRICS, 2.0))
+    _record(change, 7, 0, "bbb", dict.fromkeys(_METRICS, 1.0))
+    bench = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), str(bench)]) == 0
+    assert json.loads(bench.read_text())["sources"] == {"parent": None, "change": None}
+    # a perfbench/out whose checkout has no src/qmink/*.py
+    bare = tmp_path / "bare" / "perfbench" / "out"
+    bare.parent.mkdir(parents=True)
+    assert bench_record.source_hash(bare) is None
+    assert "warning" not in capsys.readouterr().err

@@ -18,6 +18,7 @@ from qmink.coeff import (ALL_REGIMES, ONE, Q, T, UNIT_CIRCLE, ZERO,
                          GaussianRational, LaurentPoly, Scalar, WorkBudget,
                          WorkBudgetExceeded, exact_divide)
 from qmink.rewrite import NCPoly
+from qmink.tensor import ProductTable
 
 UC_ALPH = x_alphabet(UNIT_CIRCLE)
 CTX = ParseContext(UC_ALPH, UNIT_CIRCLE)
@@ -502,6 +503,22 @@ def test_nf_input_budget_leaves_room_for_ordinary_queries():
     # the power's k-th product charges 4^k * (k + 1): 589 824 for k = 8
     with pytest.raises(WorkBudgetExceeded, match="too large"), WorkBudget(MAX_WORK):
         parse_expr("(alpha+beta+gamma+delta)^8", ctx)
+
+
+def test_the_budgeted_nf_path_reads_no_product_table():
+    # a product read from a table would skip the charges of building it
+    alph, system = nf_system(UNIT_CIRCLE)
+    ctx = ParseContext(alph, UNIT_CIRCLE)
+
+    def query():
+        with WorkBudget(MAX_WORK) as budget:
+            nf = system.normal_form(parse_expr("(q*alpha + t*beta)^3*(gamma - i*delta)", ctx))
+        return str(nf), budget.units - budget.left
+
+    plain = query()
+    with ProductTable() as table:
+        assert query() == plain
+    assert not table.ids and not table.products
 
 
 @pytest.mark.parametrize("expr", [

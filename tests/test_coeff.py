@@ -665,6 +665,39 @@ def test_numerator_divisibility_does_not_depend_on_representation():
 
 
 # ---------------------------------------------------------------------------
+# stored-form ids: one id per stored pair, never one for two
+# ---------------------------------------------------------------------------
+
+def test_equal_stored_forms_share_an_id():
+    ids = {}
+    a, b = (Q + T) / (Q - ONE), (Q + T) / (Q - ONE)
+    assert a is not b and a.form_id(ids) == b.form_id(ids)
+    assert (Q * T).form_id(ids) == (T * Q).form_id(ids)
+    assert a.form_id(ids) != (-a).form_id(ids)
+    assert (ONE / (Q + ONE)).form_id(ids) != (ONE / (Q - ONE)).form_id(ids)
+    # kept on the Scalar: a later table does not change it
+    assert a.form_id({}) == b.form_id(ids)
+
+
+def test_equal_values_stored_differently_get_different_ids():
+    ids = {}
+    unreduced = Scalar(((Q ** 2 - ONE) * (T + ONE)).num, ((Q + ONE) * (T + Q)).num)
+    reduced = Scalar(((Q - ONE) * (T + ONE)).num, (T + Q).num)
+    assert unreduced == reduced
+    assert unreduced.form_id(ids) != reduced.form_id(ids)
+    # one term over the shared 1 against the same term over a copy of 1
+    spare_one = Scalar.from_poly(Q.n)
+    spare_one.d = LaurentPoly.const(1)
+    assert spare_one.d is not _POLY_ONE and spare_one.d == Q.d
+    assert Scalar.from_poly(Q.n).form_id(ids) != spare_one.form_id(ids)
+
+
+def test_a_scalar_is_still_unhashable():
+    with pytest.raises(TypeError):
+        hash(Q + T)
+
+
+# ---------------------------------------------------------------------------
 # products by exactly +-1 return the other factor (or its negation), and
 # products by any other unit keep the other factor's stored denominator, as
 # the general path would build them

@@ -1,13 +1,16 @@
 import cmath
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
+import golden
 import pytest
 
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, REAL_Q,
-                         RegimeKind, T, UNIT_CIRCLE, ZERO, GaussianRational,
-                         integer, rat, MissingParameterError)
+                         RegimeKind, T, UNIT_CIRCLE, ZERO, DomainError,
+                         GaussianRational, integer, rat, MissingParameterError)
 from qmink.intertwiners import (Factor, MatrixIdentity,
                                 OperatorSource, UnknownNameError,
                                 classical_limit, identity_catalog,
@@ -451,3 +454,67 @@ def test_a_vanishing_difference_fails_without_a_residual():
                               operator_source(UNIT_CIRCLE))
     assert rep.mode == "expect-nonzero"
     assert rep.status == "fail" and rep.residual is None
+
+
+# ---------------------------------------------------------------------------
+# shared tables: a product table per suite, a value table per sample point
+# ---------------------------------------------------------------------------
+
+def test_no_table_outlives_its_suite(monkeypatch):
+    from qmink import intertwiners, tensor
+
+    class Tracked(tensor.ProductTable):
+        made = []
+
+        def __init__(self):
+            super().__init__()
+            Tracked.made.append(weakref.ref(self))
+
+    monkeypatch.setattr(intertwiners, "ProductTable", Tracked)
+    for suite in (suite_moves, suite_braid, suite_compat):
+        suite(CASE2_PLUS, OperatorSource(CASE2_PLUS))
+        assert tensor.active_table is None
+    numeric_suite(UNIT_CIRCLE, *SAMPLE_POINTS[UNIT_CIRCLE])
+    assert tensor.active_table is None
+    gc.collect()
+    assert len(Tracked.made) == 3 and all(ref() is None for ref in Tracked.made)
+
+
+def _operators(regime):
+    src = OperatorSource(regime)
+    for name in golden.OPERATOR_NAMES:
+        try:
+            yield name, src.get(name)
+        except MissingParameterError:
+            pass
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+def test_shared_entry_values_are_the_entrywise_values(regime):
+    ops = list(_operators(regime))
+    for q, t, qbar in golden.POINTS[regime.kind]:
+        values = {}
+        entries = 0
+        for name, op in ops:
+            got = op.to_numpy(q, t, regime, qbar, values)
+            for i, row in enumerate(op.entries):
+                for j, v in enumerate(row):
+                    want = 0j if v.is_zero() else v.eval(q, t, regime, qbar)
+                    assert (float.hex(got[i, j].real), float.hex(got[i, j].imag)) == \
+                        (float.hex(want.real), float.hex(want.imag)), (name, i, j)
+                    entries += not v.is_zero()
+        # forms repeat across the operators: each was evaluated once
+        assert len([k for k in values if type(k) is int]) < entries
+
+
+def test_shared_entry_values_keep_the_errors():
+    x = TMap((U,), (U,), [[ONE / (Q - ONE), ZERO], [ZERO, Q]])
+    with pytest.raises(DomainError) as exc:
+        x.to_numpy(1j, 0.5, GENERIC, None, {})
+    with pytest.raises(DomainError) as want:
+        Q.eval(1j, 0.5)
+    assert str(exc.value) == str(want.value) == "q = 1j is excluded"
+    values = {}
+    with pytest.raises(ZeroDivisionError):
+        x.to_numpy(1 + 0j, 0.5, GENERIC, None, values)
+    assert list(values.values()) == []

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, Scalar, integer
+from qmink import tensor
+from qmink.coeff import _POLY_ONE, GENERIC, I, ONE, Q, T, ZERO, Scalar, integer, rat
 from qmink.intertwiners import operator_source
 from qmink.tensor import (ArityMismatchError, B, SignatureMismatchError, TMap,
-                          TypeMismatchError, U, annihilator_basis,
+                          ProductTable, TypeMismatchError, U, annihilator_basis,
                           bar_conjugate, compose, flip, identity, invert,
                           lazy_compose, nullspace_basis, permutation, place, placement,
                           row_echelon, span_equal, tau_conjugate,
@@ -254,13 +255,13 @@ entry_values = st.sampled_from([ONE, -ONE, integer(2), I, Q, T ** -1, Q - T,
 
 
 @st.composite
-def sparse_maps(draw, in_sig=None, out_sig=None):
+def sparse_maps(draw, in_sig=None, out_sig=None, values=entry_values, cells=6):
     in_sig = draw(leg_sigs) if in_sig is None else in_sig
     out_sig = draw(leg_sigs) if out_sig is None else out_sig
     n_in, n_out = 1 << len(in_sig), 1 << len(out_sig)
     cells = draw(st.dictionaries(
         st.tuples(st.integers(0, n_out - 1), st.integers(0, n_in - 1)),
-        entry_values, max_size=6))
+        values, max_size=cells))
     dense = [[ZERO] * n_in for _ in range(n_out)]
     for (i, j), v in cells.items():
         dense[i][j] = v
@@ -544,3 +545,104 @@ def test_a_scan_stops_at_the_first_nonzero_row():
     assert diff.first_nonzero() == (1, 0, ONE - Q)
     assert built(diff) == {0, 1} and diff.rows[0] == {}
     assert (lazy_compose(f, g) - compose(f, g)).first_nonzero() is None
+
+
+# ---------------------------------------------------------------------------
+# a product table builds each repeated entry product once, in the stored
+# form that building it again gives
+# ---------------------------------------------------------------------------
+
+# a small pool, so products repeat: +-1, units, one numerator over two
+# denominators, and one value stored two ways
+_UNREDUCED = Scalar(((Q ** 2 - ONE) * (T + ONE)).num, ((Q + ONE) * (T + Q)).num)
+_REDUCED = Scalar(((Q - ONE) * (T + ONE)).num, (T + Q).num)
+pool_values = st.sampled_from([ONE, -ONE, I, rat(1, 2) * Q, T ** -1, Q - T,
+                               (Q + ONE) ** -1, (Q - ONE) ** -1, _UNREDUCED, _REDUCED])
+
+
+def reference_rows(f, g):
+    """f after g with every product built where it is used: no table."""
+    rows = []
+    for frow in f.rows:
+        acc = {}
+        for k, fv in frow.items():
+            for j, gv in g.rows[k].items():
+                s = acc.get(j)
+                acc[j] = fv * gv if s is None else s + fv * gv
+        rows.append({j: acc[j] for j in sorted(acc) if not acc[j].is_zero()})
+    return rows
+
+
+def stored_forms(rows):
+    return [[(j, list(v.n._terms.items()), list(v.d._terms.items()), v.d is _POLY_ONE)
+             for j, v in row.items()] for row in rows]
+
+
+@st.composite
+def pool_chains(draw):
+    """Three composable maps on two legs, outermost first, with entries
+    from the pool."""
+    sigs = [draw(st.sampled_from([(U, U), (U, B)])) for _ in range(4)]
+    return [draw(sparse_maps(in_sig=sigs[k + 1], out_sig=sigs[k],
+                             values=pool_values, cells=10)) for k in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_chains(), st.booleans())
+def test_shared_products_match_the_table_free_product(maps, in_scope):
+    f, g, h = maps
+    want_gh = reference_rows(g, h)
+    want = reference_rows(f, TMap._of(h.in_sig, g.out_sig, want_gh))
+    if in_scope:
+        with ProductTable():
+            eager = compose(f, compose(g, h))
+            lazy = lazy_compose(f, lazy_compose(g, h))
+            first = lazy.rows[0]
+    else:
+        eager = compose(f, compose(g, h))
+        lazy = lazy_compose(f, lazy_compose(g, h))
+        first = lazy.rows[0]
+    assert tensor.active_table is None
+    # the lazy rows past the first are built after the scope closed
+    assert stored_forms(eager.rows) == stored_forms(want)
+    assert stored_forms([first] + list(lazy.rows)[1:]) == stored_forms(want)
+    assert stored_forms(compose(g, h).rows) == stored_forms(want_gh)
+
+
+def test_a_repeated_product_is_built_once(monkeypatch):
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    x = (Q + ONE) ** -1
+    f = TMap((U,), (U,), [[x, x], [x, ZERO]])
+    g = TMap((U,), (U,), [[Q - T, ZERO], [Q - T, Q - T]])
+    out = compose(f, g)
+    assert len(calls) == 1   # four products of x and q - t
+    with ProductTable():
+        compose(f, g)
+        compose(f, g)
+    assert len(calls) == 2
+    assert stored_forms(out.rows) == stored_forms(reference_rows(f, g))
+
+
+def test_a_lazy_product_keeps_its_table():
+    x = (Q + ONE) ** -1
+    f = TMap((U,), (U,), [[x, ZERO], [ZERO, x]])
+    with ProductTable() as table:
+        lazy = lazy_compose(f, f)
+    assert not table.products
+    assert lazy.rows[1] == {1: x * x}
+    assert [len(by_g) for by_g in table.products.values()] == [1]
+
+
+def test_ids_are_not_handed_out_again_after_a_scope():
+    with ProductTable() as table:
+        a = (Q + T) / (Q - ONE)
+        compose(TMap((U,), (), [[a, ONE]]), identity((U,)))
+    taken = set(table.ids.values())
+    assert a.form_id({}) in taken
+    with ProductTable() as later:
+        b = (Q + T) / (Q - ONE)
+        compose(TMap((U,), (), [[b, Q - T]]), identity((U,)))
+    assert b.form_id({}) not in taken and not taken & set(later.ids.values())
+    assert a.form_id({}) in taken   # kept on the Scalar
