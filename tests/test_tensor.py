@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink import tensor
-from qmink.coeff import _POLY_ONE, GENERIC, I, ONE, Q, T, ZERO, Scalar, integer, rat
+from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, Scalar, integer, rat
+from qmink.coeff import _POLY_ONE, _scalar
 from qmink.intertwiners import operator_source
 from qmink.tensor import (ArityMismatchError, B, SignatureMismatchError, TMap,
                           ProductTable, TypeMismatchError, U, annihilator_basis,
@@ -553,29 +554,19 @@ def test_a_scan_stops_at_the_first_nonzero_row():
 # ---------------------------------------------------------------------------
 
 # a small pool, so products repeat: +-1, units, one numerator over two
-# denominators, and one value stored two ways
+# denominators, and one value stored two ways; each draw is a new Scalar
+# with no id yet, so ids are taken afresh in every example
 _UNREDUCED = Scalar(((Q ** 2 - ONE) * (T + ONE)).num, ((Q + ONE) * (T + Q)).num)
 _REDUCED = Scalar(((Q - ONE) * (T + ONE)).num, (T + Q).num)
 pool_values = st.sampled_from([ONE, -ONE, I, rat(1, 2) * Q, T ** -1, Q - T,
-                               (Q + ONE) ** -1, (Q - ONE) ** -1, _UNREDUCED, _REDUCED])
+                               (Q + ONE) ** -1, (Q - ONE) ** -1, _UNREDUCED, _REDUCED]
+                              ).map(lambda v: _scalar(v.n, v.d))
 
 
-def reference_rows(f, g):
-    """f after g with every product built where it is used: no table."""
-    rows = []
-    for frow in f.rows:
-        acc = {}
-        for k, fv in frow.items():
-            for j, gv in g.rows[k].items():
-                s = acc.get(j)
-                acc[j] = fv * gv if s is None else s + fv * gv
-        rows.append({j: acc[j] for j in sorted(acc) if not acc[j].is_zero()})
-    return rows
-
-
-def stored_forms(rows):
-    return [[(j, list(v.n._terms.items()), list(v.d._terms.items()), v.d is _POLY_ONE)
-             for j, v in row.items()] for row in rows]
+def stored_forms(dense):
+    """Each entry's stored pair, and whether its d is the shared 1."""
+    return [[(list(v.n._terms.items()), list(v.d._terms.items()), v.d is _POLY_ONE)
+             for v in row] for row in dense]
 
 
 @st.composite
@@ -591,22 +582,23 @@ def pool_chains(draw):
 @given(pool_chains(), st.booleans())
 def test_shared_products_match_the_table_free_product(maps, in_scope):
     f, g, h = maps
-    want_gh = reference_rows(g, h)
-    want = reference_rows(f, TMap._of(h.in_sig, g.out_sig, want_gh))
+    # dense_compose builds every product where it is used: no table
+    want_gh = dense_compose(g, h)
+    want = stored_forms(dense_compose(f, TMap(h.in_sig, g.out_sig, want_gh)))
     if in_scope:
         with ProductTable():
             eager = compose(f, compose(g, h))
             lazy = lazy_compose(f, lazy_compose(g, h))
-            first = lazy.rows[0]
+            lazy.rows[0]
     else:
         eager = compose(f, compose(g, h))
         lazy = lazy_compose(f, lazy_compose(g, h))
-        first = lazy.rows[0]
+        lazy.rows[0]
     assert tensor.active_table is None
     # the lazy rows past the first are built after the scope closed
-    assert stored_forms(eager.rows) == stored_forms(want)
-    assert stored_forms([first] + list(lazy.rows)[1:]) == stored_forms(want)
-    assert stored_forms(compose(g, h).rows) == stored_forms(want_gh)
+    assert stored_forms(eager.entries) == want
+    assert stored_forms(lazy.entries) == want
+    assert stored_forms(compose(g, h).entries) == stored_forms(want_gh)
 
 
 def test_a_repeated_product_is_built_once(monkeypatch):
@@ -622,7 +614,7 @@ def test_a_repeated_product_is_built_once(monkeypatch):
         compose(f, g)
         compose(f, g)
     assert len(calls) == 2
-    assert stored_forms(out.rows) == stored_forms(reference_rows(f, g))
+    assert stored_forms(out.entries) == stored_forms(dense_compose(f, g))
 
 
 def test_a_lazy_product_keeps_its_table():
