@@ -21,9 +21,10 @@ from . import coeff
 from .coeff import (GENERIC, ONE, Q, Q_HALF, QB, QB_HALF, Regime, RegimeKind,
                     Scalar, T, T_HALF, ZERO, GaussianRational, integer,
                     MissingParameterError)
-from .tensor import (B, Leg, ProductTable, TMap, U, bar_conjugate, compose,
-                     identity, invert, lazy_compose, permutation, place,
-                     placement, span_equal, tau_conjugate, tensor_product)
+from .tensor import (B, Leg, Placement, ProductTable, TMap, U, bar_conjugate,
+                     compose, identity, invert, lazy_compose, permutation,
+                     place, placement, span_equal, tau_conjugate,
+                     tensor_product)
 
 __all__ = [
     "CheckReport", "UnknownNameError", "Row", "run_rows", "run_suite",
@@ -333,6 +334,7 @@ class OperatorSource:
         self.regime = regime
         self.flip_atoms = tuple(flip_atoms)
         self._cache: dict[str, TMap] = {}
+        self._steps: dict[int, tuple] = {}
         self.reports: dict[str, list[CheckReport]] = {}
 
     def get(self, name: str) -> TMap:
@@ -341,6 +343,28 @@ class OperatorSource:
             m = self._build(name)
             self._cache[name] = m
         return m
+
+    def steps(self, chk: "MatrixIdentity"):
+        """Each side of chk as (operator steps, scalar prefactors), right
+        to left: a step is (name, Placement).  Resolved on first use and
+        kept; the numeric mirror reads them at every sample point."""
+        got = self._steps.get(id(chk))
+        if got is None or got[0] is not chk:  # keeps chk, so its id stays
+            got = self._steps[id(chk)] = chk, tuple(
+                self._side_steps(side, chk.ambient) for side in (chk.lhs, chk.rhs))
+        return got[1]
+
+    def _side_steps(self, factors: tuple["Factor", ...], sig: tuple[Leg, ...]):
+        ops, prefactors = [], []
+        for f in reversed(factors):
+            if f.name == "#":
+                prefactors.append(f.scalar.specialize(self.regime))
+                continue
+            op = self.get(f.name)
+            pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
+            ops.append((f.name, pl))
+            sig = pl.out_sig
+        return tuple(ops), tuple(prefactors)
 
     def _build(self, name: str) -> TMap:
         if name in _GENERIC:
@@ -502,7 +526,7 @@ def _scale(*bounds: np.ndarray) -> float:
     products, entrywise absolute values): what a residual is judged against.
     The rounding error of a product grows with these (the forward error
     bound), which count the terms that cancel in the finished product."""
-    return max(1.0, *(float(np.max(b)) for b in bounds))
+    return max(1.0, *(float(b.max()) for b in bounds))
 
 
 def _point_matrix(name: str, source: OperatorSource, q: complex, t: float,
@@ -521,49 +545,55 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
                      scales: dict[str, float] | None = None) -> float:
     """Re-run an identity with floating point matrix products.
 
-    Each operator is evaluated once per sample point, as its own small
-    matrix, and the result is scattered into every placed copy through
-    the same index map that exact placement uses.  ``values`` holds what
-    is already evaluated at this point: each operator's matrix under its
-    name, each entry value under its stored-form id (``TMap.to_numpy``)
-    and each placed matrix under (name, placement).  It is filled as
-    things are evaluated, so callers that check several identities at one
-    point can share it; it must not be shared between points.  When
-    ``scales`` is given, the identity's scale (see ``_scale``) is stored in
-    it under its check id.
+    Each side is its placed operators taken right to left, as the side's
+    steps (``OperatorSource.steps``) list them.  The first is scattered
+    into the ambient matrix; each later one is contracted on its own legs
+    (``Placement.apply``), so every product is with the operator's own
+    matrix, at most 16x16, never with a placed ambient one.  A side with
+    no operator is the identity.  The side's scalar prefactors multiply
+    the finished product.
+
+    ``values`` holds what is already evaluated at this point: each
+    operator's matrix under its name and each entry value under its
+    stored-form id (``TMap.to_numpy``).  It is filled as things are
+    evaluated, so callers that check several identities at one point can
+    share it; it must not be shared between points.  When ``scales`` is
+    given, the identity's scale (see ``_scale``; each side's bound takes
+    the same steps with entrywise absolute values, ``_bound_step``) is
+    stored in it under its check id.
     """
     if values is None:
         values = {}
     bounds = []
 
-    def side(factors):
-        acc = bound = None
-        sig = chk.ambient
+    def side(ops, prefactors):
         pending = 1.0 + 0j
-        for f in reversed(factors):
-            if f.name == "#":
-                pending *= f.scalar.specialize(source.regime).eval(
-                    q, t, source.regime, qbar)
-                continue
-            op = source.get(f.name)
-            pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
-            a = values.get((f.name, pl))
-            if a is None:
-                a = pl.scatter(_point_matrix(f.name, source, q, t, qbar, values))
-                a.flags.writeable = False
-                values[(f.name, pl)] = a
-            acc = a if acc is None else a @ acc
+        for sc in prefactors:
+            pending *= sc.eval(q, t, source.regime, qbar)
+        acc = bound = None
+        for name, pl in ops:
+            a = _point_matrix(name, source, q, t, qbar, values)
+            acc = pl.scatter(a) if acc is None else pl.apply(a, acc)
             if scales is not None:
-                bound = abs(a) if bound is None else abs(a) @ bound
-            sig = pl.out_sig
+                bound = _bound_step(pl, a, bound)
+        if acc is None:  # no operator: the identity
+            acc = bound = np.eye(1 << len(chk.ambient))
         if scales is not None:
             bounds.append(bound * abs(pending))
         return acc * pending
 
-    lhs, rhs = side(chk.lhs), side(chk.rhs)
+    lhs, rhs = (side(*steps) for steps in source.steps(chk))
     if scales is not None:
         scales[chk.check_id] = _scale(*bounds)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.abs(lhs - rhs).max())
+
+
+def _bound_step(pl: Placement, a: np.ndarray, bound: np.ndarray | None) -> np.ndarray:
+    """|a|, placed by pl, after the bound so far (entrywise absolute
+    values); the first step of a side (bound None) scatters it."""
+    if bound is None:
+        return pl.scatter(abs(a))
+    return pl.apply(abs(a), bound)
 
 
 # --------------------------------------------------------------------------
@@ -910,5 +940,5 @@ def numeric_suite(regime: Regime, q: complex, t: float,
             if scales is not None:
                 scales["compat/braiding-scalar-zero"] = _scale(
                     abs(pm) @ (abs(w) + ident / abs(q)))
-            out["compat/braiding-scalar-zero"] = float(np.max(np.abs(lhs)))
+            out["compat/braiding-scalar-zero"] = float(np.abs(lhs).max())
     return out

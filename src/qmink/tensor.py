@@ -64,6 +64,10 @@ class Leg(Enum):
     U = "u"   # unbarred C^2
     B = "b"   # barred (conjugate) copy
 
+    # by identity, in C: Enum's own hash runs Python code on every key of
+    # a signature; no output iterates a set of legs
+    __hash__ = object.__hash__
+
     def bar(self) -> "Leg":
         return Leg.B if self is Leg.U else Leg.U
 
@@ -233,7 +237,7 @@ class TMap:
     tuples, built on each access.
     """
 
-    __slots__ = ("in_sig", "out_sig", "rows")
+    __slots__ = ("in_sig", "out_sig", "rows", "_plan")
 
     def __init__(self, in_sig: Signature, out_sig: Signature,
                  entries: list[list[Scalar]]):
@@ -245,6 +249,7 @@ class TMap:
         self.out_sig = out_sig
         self.rows = [{j: v for j, v in enumerate(r) if not v.is_zero()}
                      for r in entries]
+        self._plan = None
 
     @staticmethod
     def _of(in_sig: Signature, out_sig: Signature, rows: list[Row]) -> "TMap":
@@ -253,6 +258,7 @@ class TMap:
         m.in_sig = in_sig
         m.out_sig = out_sig
         m.rows = rows
+        m._plan = None
         return m
 
     @staticmethod
@@ -345,19 +351,42 @@ class TMap:
                  qbar: complex | None = None,
                  values: dict | None = None) -> np.ndarray:
         """The matrix of entry values at the point; ``values``, a table of
-        this one point, keeps each under its stored-form id."""
+        this one point, keeps each under its stored-form id.
+
+        The first call builds the map's plan, kept on it: the distinct
+        stored forms in row-major order of first use, and for each nonzero
+        entry its flat position and its form.  Each form is evaluated once
+        per point, in that order.
+        """
         if values is None:
             values = {}
+        if self._plan is None:
+            self._plan = self._point_plan()
+        forms, flat, slot = self._plan
+        xs = []
+        for key, v in forms:
+            x = values.get(key)
+            if x is None:
+                x = values[key] = v.eval(q, t, regime, qbar)
+            xs.append(x)
+        out = np.zeros(_dim(self.out_sig) * _dim(self.in_sig), dtype=complex)
+        out[flat] = np.array(xs, dtype=complex)[slot]
+        return out.reshape(_dim(self.out_sig), -1)
+
+    def _point_plan(self):
         ids = active_table.ids if active_table is not None else {}
-        out = np.zeros((_dim(self.out_sig), _dim(self.in_sig)), dtype=complex)
+        n = _dim(self.in_sig)
+        forms, flat, slot, seen = [], [], [], {}
         for i, row in enumerate(self.rows):
             for j, v in row.items():
                 key = v.form_id(ids)
-                x = values.get(key)
-                if x is None:
-                    x = values[key] = v.eval(q, t, regime, qbar)
-                out[i, j] = x
-        return out
+                k = seen.get(key)
+                if k is None:
+                    k = seen[key] = len(forms)
+                    forms.append((key, v))
+                flat.append(i * n + j)
+                slot.append(k)
+        return tuple(forms), np.array(flat, dtype=np.intp), np.array(slot, dtype=np.intp)
 
     def __repr__(self) -> str:
         return f"TMap {sig_str(self.in_sig)} -> {sig_str(self.out_sig)}"
@@ -420,7 +449,7 @@ class Placement:
     """
 
     __slots__ = ("ambient", "out_sig", "rows", "cols", "spect_rows",
-                 "spect_cols", "_ix")
+                 "spect_cols", "_ix", "_gather", "_scatter")
 
     def __init__(self, ambient: Signature, out_sig: Signature,
                  rows: tuple[int, ...], cols: tuple[int, ...],
@@ -431,15 +460,31 @@ class Placement:
         self.cols = cols
         self.spect_rows = spect_rows
         self.spect_cols = spect_cols
-        # broadcastable (operator row, operator column, spectator) indices
-        self._ix = (np.add.outer(rows, spect_rows)[:, None, :],
-                    np.add.outer(cols, spect_cols)[None, :, :])
+        # flat ambient position of each (operator row, operator column,
+        # spectator), in that order
+        self._ix = (np.add.outer(rows, spect_rows)[:, None, :] * _dim(ambient)
+                    + np.add.outer(cols, spect_cols)[None, :, :]).ravel()
+        # ambient rows in (operator column, spectator) order, and the
+        # (operator row, spectator) position that lands on each output row
+        self._gather = np.add.outer(cols, spect_cols).ravel()
+        self._scatter = np.argsort(np.add.outer(rows, spect_rows).ravel())
 
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """The ambient matrix of a placed operator, from its numeric matrix."""
-        out = np.zeros((_dim(self.out_sig), _dim(self.ambient)), dtype=a.dtype)
-        out[self._ix] = a[:, :, None]
-        return out
+        out = np.zeros(_dim(self.out_sig) * _dim(self.ambient), dtype=a.dtype)
+        out[self._ix] = a.repeat(len(self.spect_rows))
+        return out.reshape(_dim(self.out_sig), -1)
+
+    def apply(self, a: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        """``scatter(a) @ acc``, contracted on the operator's own legs.
+
+        The rows of acc are gathered by (operator column, spectator) into
+        one block per operator column, a takes one product with the
+        blocks, and the rows of that product are put in ambient order.
+        """
+        n = acc.shape[1]
+        g = acc.take(self._gather, 0).reshape(len(self.cols), -1)
+        return a.dot(g).reshape(-1, n).take(self._scatter, 0)
 
 
 @functools.lru_cache(maxsize=512)

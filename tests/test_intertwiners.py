@@ -1,18 +1,20 @@
 import cmath
 import gc
 import json
+import random
 import re
 import weakref
 from pathlib import Path
 
 import golden
+import numpy as np
 import pytest
 
 from qmink.coeff import (CASE2_MINUS, CASE2_PLUS, GENERIC, ONE, Q, REAL_Q,
                          RegimeKind, T, UNIT_CIRCLE, ZERO, DomainError,
                          GaussianRational, integer, rat, MissingParameterError)
 from qmink.intertwiners import (Factor, MatrixIdentity,
-                                OperatorSource, UnknownNameError,
+                                OperatorSource, UnknownNameError, _bound_step,
                                 classical_limit, identity_catalog,
                                 numeric_residual, numeric_suite,
                                 operator_source, pauli_basis,
@@ -381,6 +383,129 @@ def test_numeric_suite_scales_leave_the_residuals_alone():
     assert all(s >= 1.0 for s in scales.values())
     assert any(r >= 1e-9 for r in res.values())
     assert all(r < 1e-9 * scales[k] for k, r in res.items())
+
+
+def _catalog_placements(regime):
+    """(name, Placement) of every operator factor of the regime's catalog."""
+    src = operator_source(regime)
+    for chk in identity_catalog(regime):
+        for ops, _ in src.steps(chk):
+            yield from ops
+
+
+def _random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_contraction_equals_the_dense_product():
+    """Placement.apply, and the mirror's bound step with |A|, against the
+    dense product with the scattered matrix: every placed operator of the
+    five catalogs, at its regime's sample point, and placements that
+    change the number of legs."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for regime in ALL_REGIMES:
+        q, t, qbar = SAMPLE_POINTS[regime]
+        src = operator_source(regime)
+        cases += [(pl, src.get(name).to_numpy(q, t, regime, qbar))
+                  for name, pl in _catalog_placements(regime)]
+    assert len({id(pl) for pl, _ in cases}) > 20
+    shaped = [((U, B), (B, U, U), (2, 3), (U, U, B), (1, 2, 4)),  # out_legs
+              ((), (U, B), (), (B, U), (2, 3)),                  # a vector
+              ((U, B), (), (3, 1), (B, U, U), None),             # a functional
+              ((U,), (U, B, U), (2,), (B, U, B), (1, 2, 4))]
+    for in_sig, out_sig, legs, ambient, out_legs in shaped:
+        pl = placement(in_sig, out_sig, legs, ambient, out_legs)
+        cases.append((pl, _random_complex(rng, (1 << len(out_sig), 1 << len(in_sig)))))
+    for pl, a in cases:
+        acc = _random_complex(rng, (1 << len(pl.ambient), 5))
+        want = pl.scatter(a) @ acc
+        want_bound = pl.scatter(abs(a)) @ abs(acc)
+        scale = max(1.0, want_bound.max())
+        assert np.abs(pl.apply(a, acc) - want).max() <= 1e-13 * scale
+        assert np.abs(_bound_step(pl, a, abs(acc)) - want_bound).max() <= 1e-13 * scale
+        assert (_bound_step(pl, a, None) == pl.scatter(abs(a))).all()
+
+
+def dense_residual(chk, source, q, t, qbar=None, scales=None):
+    """The float mirror as scatter-then-matmul: each placed operator's
+    ambient matrix, multiplied in densely (the reference for the
+    contraction on the operator's legs)."""
+    bounds = []
+
+    def side(factors):
+        acc = bound = None
+        sig = chk.ambient
+        pending = 1.0 + 0j
+        for f in reversed(factors):
+            if f.name == "#":
+                pending *= f.scalar.specialize(source.regime).eval(
+                    q, t, source.regime, qbar)
+                continue
+            op = source.get(f.name)
+            pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
+            a = pl.scatter(op.to_numpy(q, t, source.regime, qbar))
+            acc = a if acc is None else a @ acc
+            bound = abs(a) if bound is None else abs(a) @ bound
+            sig = pl.out_sig
+        bounds.append(bound * abs(pending))
+        return acc * pending
+
+    lhs, rhs = side(chk.lhs), side(chk.rhs)
+    if scales is not None:
+        scales[chk.check_id] = max(1.0, *(float(np.max(b)) for b in bounds))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def _seeded_points(regime, n=3):
+    """n points of the regime's domain, as ``qmink eval`` samples them."""
+    rng = random.Random(f"dense-reference:{regime.label}")
+    out = []
+    while len(out) < n:
+        t = 0.5 + 1.5 * rng.random()
+        if regime.kind in (RegimeKind.REAL_Q, RegimeKind.CASE2):
+            out.append((complex(0.5 + 1.5 * rng.random()), t, None))
+        elif regime.kind is RegimeKind.UNIT_CIRCLE:
+            theta = rng.uniform(0.08, cmath.pi - 0.08)
+            if abs(theta - cmath.pi / 2) >= 0.1:
+                out.append((cmath.exp(1j * theta), t, None))
+        else:
+            q, qbar = (cmath.exp(1j * rng.uniform(0.1, 3.0)) * (0.5 + rng.random())
+                       for _ in range(2))
+            out.append((q, t, qbar))
+    return out
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+def test_residuals_and_scales_match_the_dense_reference(regime):
+    src = operator_source(regime)
+    points = list(golden.POINTS[regime.kind]) + _seeded_points(regime)
+    for q, t, qbar in points:
+        scales = {}
+        res = numeric_suite(regime, q, t, qbar, scales)
+        for chk in identity_catalog(regime):
+            want_scales = {}
+            want = dense_residual(chk, src, q, t, qbar, want_scales)
+            s = want_scales[chk.check_id]
+            assert abs(res[chk.check_id] - want) <= 1e-12 * s, (chk.check_id, q, t)
+            assert abs(scales[chk.check_id] - s) <= 1e-12 * s, (chk.check_id, q, t)
+
+
+@pytest.mark.parametrize("rhs, status", [((), "pass"), ((Factor.s(T),), "fail")])
+def test_an_operator_free_side_is_the_identity(rhs, status):
+    """A side with no operator is the identity times its prefactors, in
+    the float mirror as in the exact engine, and the verdicts agree."""
+    probe = MatrixIdentity("probe", (U, B),
+                           (Factor("X^-1", (1, 2)), Factor("X", (1, 2))), rhs)
+    for regime in ALL_REGIMES:
+        q, t, qbar = SAMPLE_POINTS[regime]
+        src = operator_source(regime)
+        assert run_matrix_identity(probe, src).status == status
+        scales = {}
+        resid = numeric_residual(probe, src, q, t, qbar, {}, scales)
+        assert ("pass" if resid < 1e-9 * scales["probe"] else "fail") == status
+        if status == "fail":  # t is q in case 2
+            assert resid == pytest.approx(abs(1 - T.specialize(regime).eval(q, t, regime)))
 
 
 # ---------------------------------------------------------------------------
