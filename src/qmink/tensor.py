@@ -449,7 +449,7 @@ class Placement:
     """
 
     __slots__ = ("ambient", "out_sig", "rows", "cols", "spect_rows",
-                 "spect_cols", "_ix", "_gather", "_scatter")
+                 "spect_cols", "_maps")
 
     def __init__(self, ambient: Signature, out_sig: Signature,
                  rows: tuple[int, ...], cols: tuple[int, ...],
@@ -460,19 +460,25 @@ class Placement:
         self.cols = cols
         self.spect_rows = spect_rows
         self.spect_cols = spect_cols
-        # flat ambient position of each (operator row, operator column,
-        # spectator), in that order
-        self._ix = (np.add.outer(rows, spect_rows)[:, None, :] * _dim(ambient)
-                    + np.add.outer(cols, spect_cols)[None, :, :]).ravel()
-        # ambient rows in (operator column, spectator) order, and the
-        # (operator row, spectator) position that lands on each output row
-        self._gather = np.add.outer(cols, spect_cols).ravel()
-        self._scatter = np.argsort(np.add.outer(rows, spect_rows).ravel())
+        self._maps = None
+
+    def _index_maps(self):
+        """The numeric index maps, built on first use (exact placement
+        needs none): the flat ambient position of each (operator row,
+        operator column, spectator); the ambient rows in (operator column,
+        spectator) order; and the (operator row, spectator) position that
+        lands on each output row."""
+        if self._maps is None:
+            rows = np.add.outer(self.rows, self.spect_rows)
+            cols = np.add.outer(self.cols, self.spect_cols)
+            self._maps = ((rows[:, None, :] * _dim(self.ambient) + cols[None, :, :]).ravel(),
+                          cols.ravel(), np.argsort(rows.ravel()))
+        return self._maps
 
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """The ambient matrix of a placed operator, from its numeric matrix."""
         out = np.zeros(_dim(self.out_sig) * _dim(self.ambient), dtype=a.dtype)
-        out[self._ix] = a.repeat(len(self.spect_rows))
+        out[self._index_maps()[0]] = a.repeat(len(self.spect_rows))
         return out.reshape(_dim(self.out_sig), -1)
 
     def apply(self, a: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -482,9 +488,10 @@ class Placement:
         one block per operator column, a takes one product with the
         blocks, and the rows of that product are put in ambient order.
         """
+        _, gather, order = self._index_maps()
         n = acc.shape[1]
-        g = acc.take(self._gather, 0).reshape(len(self.cols), -1)
-        return a.dot(g).reshape(-1, n).take(self._scatter, 0)
+        g = acc.take(gather, 0).reshape(len(self.cols), -1)
+        return a.dot(g).reshape(-1, n).take(order, 0)
 
 
 @functools.lru_cache(maxsize=512)
