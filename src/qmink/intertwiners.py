@@ -344,6 +344,13 @@ class OperatorSource:
             self._cache[name] = m
         return m
 
+    def scalar(self, s: Scalar) -> Scalar:
+        """s in this regime, its half-power signs flipped as the operators' are."""
+        s = s.specialize(self.regime)
+        for a in self.flip_atoms:
+            s = s.flip_half(a)
+        return s
+
     def steps(self, chk: "MatrixIdentity"):
         """Each side of chk as (operator steps, scalar prefactors), right
         to left: a step is (name, Placement).  Resolved on first use and
@@ -358,7 +365,7 @@ class OperatorSource:
         ops, prefactors = [], []
         for f in reversed(factors):
             if f.name == "#":
-                prefactors.append(f.scalar.specialize(self.regime))
+                prefactors.append(self.scalar(f.scalar))
                 continue
             op = self.get(f.name)
             pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
@@ -504,10 +511,7 @@ def _evaluate_side(factors: tuple[Factor, ...], ambient: tuple[Leg, ...],
     pending = ONE
     for f in reversed(factors):
         if f.name == "#":
-            sc = f.scalar.specialize(source.regime)
-            for a in source.flip_atoms:
-                sc = sc.flip_half(a)
-            pending = pending * sc
+            pending = pending * source.scalar(f.scalar)
             continue
         placed = place(source.get(f.name), f.legs, sig, f.out_legs)
         acc = placed if acc is None else product(placed, acc)

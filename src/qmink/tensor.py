@@ -471,8 +471,8 @@ class Placement:
         if self._maps is None:
             rows = np.add.outer(self.rows, self.spect_rows)
             cols = np.add.outer(self.cols, self.spect_cols)
-            self._maps = ((rows[:, None, :] * _dim(self.ambient) + cols[None, :, :]).ravel(),
-                          cols.ravel(), np.argsort(rows.ravel()))
+            flat = rows[:, None, :] * _dim(self.ambient) + cols[None, :, :]
+            self._maps = flat.ravel(), cols.ravel(), np.argsort(rows.ravel())
         return self._maps
 
     def scatter(self, a: np.ndarray) -> np.ndarray:

@@ -385,6 +385,17 @@ def test_numeric_suite_scales_leave_the_residuals_alone():
     assert all(r < 1e-9 * scales[k] for k, r in res.items())
 
 
+def test_float_prefactors_flip_with_the_operators():
+    """On a source whose half-power signs are flipped, the float mirror
+    flips the scalar prefactors too, as the exact engine does."""
+    q, t, qbar = SAMPLE_POINTS[GENERIC]
+    src = OperatorSource(GENERIC, (0,))
+    for chk in identity_catalog(GENERIC):
+        if chk.check_id.startswith("crossed/xh-matrix"):
+            assert run_matrix_identity(chk, src).status == "pass"
+            assert numeric_residual(chk, src, q, t, qbar) < 1e-12
+
+
 def _catalog_placements(regime):
     """(name, Placement) of every operator factor of the regime's catalog."""
     src = operator_source(regime)
@@ -505,7 +516,8 @@ def test_an_operator_free_side_is_the_identity(rhs, status):
         resid = numeric_residual(probe, src, q, t, qbar, {}, scales)
         assert ("pass" if resid < 1e-9 * scales["probe"] else "fail") == status
         if status == "fail":  # t is q in case 2
-            assert resid == pytest.approx(abs(1 - T.specialize(regime).eval(q, t, regime)))
+            t_value = T.specialize(regime).eval(q, t, regime)
+            assert resid == pytest.approx(abs(1 - t_value))
 
 
 # ---------------------------------------------------------------------------
