@@ -469,7 +469,8 @@ def dense_residual(chk, source, q, t, qbar=None, scales=None):
 
 
 def _seeded_points(regime, n=3):
-    """n points of the regime's domain, as ``qmink eval`` samples them."""
+    """n seeded points of the regime's domain: q (and qbar) drawn as
+    ``qmink eval`` draws them, t uniform in [0.5, 2]."""
     rng = random.Random(f"dense-reference:{regime.label}")
     out = []
     while len(out) < n:
