@@ -9,7 +9,11 @@ read.  For each workload and side the output lists the seeds, every run's
 end-to-end metrics, and the median and quartiles of each metric.  For
 each workload it also lists the pair wins: on the seeds run on both
 sides, how often the change did better than the parent on each metric,
-in the direction ``BENCHMARK.json`` gives.  ``--trace 1`` records, when
+in the direction ``BENCHMARK.json`` gives.  Each run keeps the record's
+``reference_ms`` (the median reference-kernel time, the host's speed) and
+``unscaled_wall_s``, and each side the median of its ``reference_ms``;
+when the two sides' medians differ by more than 0.5 %, a line says so, as
+that alone moves every scaled time by about as much.  ``--trace 1`` records, when
 there are any, add the traced per-layer metrics of each side by seed.
 ``sources`` gives, per side, the SHA-256 of the ``src/qmink/*.py`` files
 of the checkout that holds that ``perfbench/out`` (null when the
@@ -63,14 +67,35 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+HOST_SPEED_TOLERANCE = 0.005  # reference medians further apart are reported
+
+
 def side(records: dict) -> dict:
     seeds = sorted(records)
-    runs = [{"seed": s, "commit": records[s]["provenance"]["git_commit"],
-             "attempted": records[s]["attempted"], "failed": records[s]["failed"],
-             "metrics": records[s]["metrics"]} for s in seeds]
+    runs = []
+    for s in seeds:
+        rec = records[s]
+        detail = rec.get("detail", {})
+        runs.append({"seed": s, "commit": rec["provenance"]["git_commit"],
+                     "attempted": rec["attempted"], "failed": rec["failed"],
+                     "metrics": rec["metrics"],
+                     "reference_ms": detail.get("reference_ms"),
+                     "unscaled_wall_s": detail.get("unscaled_wall_s")})
     names = list(runs[0]["metrics"])
+    refs = [r["reference_ms"] for r in runs if r["reference_ms"] is not None]
     return {"seeds": seeds, "runs": runs,
+            "reference_ms_median": statistics.median(refs) if refs else None,
             "summary": {k: summary([r["metrics"][k] for r in runs]) for k in names}}
+
+
+def host_speed_note(name: str, entry: dict) -> str | None:
+    """A line when the sides' median reference times differ by more than
+    ``HOST_SPEED_TOLERANCE``, else None."""
+    p, c = entry["parent"]["reference_ms_median"], entry["change"]["reference_ms_median"]
+    if p is None or c is None or abs(c - p) <= HOST_SPEED_TOLERANCE * p:
+        return None
+    return (f"{name:12s} reference_ms   {p:.6g} -> {c:.6g}  {(c - p) / p:+.1%}: the "
+            "hosts ran at different speeds, which alone moves every scaled time")
 
 
 def pair_wins(parent: dict, change: dict, better: dict) -> dict:
@@ -130,6 +155,9 @@ def main(argv: list[str]) -> int:
         for metric, row in entry["pairs"]["metrics"].items():
             print(f"{name:12s} {metric:14s} {row['parent_median']:.6g} -> "
                   f"{row['change_median']:.6g}  wins {row['change_wins']}/{row['pairs']}")
+        note = host_speed_note(name, entry)
+        if note is not None:
+            print(note)
     return 0
 
 

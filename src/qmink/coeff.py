@@ -13,7 +13,7 @@ moves monomials out of the denominator and makes it monic.  That keeps
 representations small without a multivariate gcd engine, and zero testing
 stays exact because the numerator of a zero value is the zero polynomial.
 Most of these speculative divisions fail: the one in construction, and the
-cross-cancellations of ``Scalar.__mul__``.  ``exact_divide`` rejects most
+cross-cancellations of a product (``_mul``).  ``exact_divide`` rejects most
 misses by exponent spans before any long division (its docstring).  The
 multi-term denominators of the generic rewriting are powers of qb^2 + 1,
 which lack q and t, so there the span test runs column by column.
@@ -98,7 +98,7 @@ __all__ = [
     "ALL_REGIMES", "regime_from_label",
     "ZERO", "ONE", "I", "Q", "QB", "T", "Q_HALF", "QB_HALF", "T_HALF",
     "integer", "rat", "gauss", "exact_divide",
-    "WorkBudget", "WorkBudgetExceeded",
+    "WorkBudget", "WorkBudgetExceeded", "ScalarTable",
 ]
 
 
@@ -127,20 +127,22 @@ class WorkBudget:
     they write.  Outside
     any budget each of these sites costs one ``is None`` test.  A budget
     entered inside another passes its charges on to it, and exit restores
-    the budget before."""
+    the budget before.  A ``ScalarTable`` is out of force in the block, so
+    all charged work runs and is charged."""
 
     def __init__(self, units: int):
         self.units = self.left = units
-        self.outer = None
+        self.outer = self.table = None
 
     def __enter__(self):
-        global active_budget
+        global active_budget, active_table
         self.outer, active_budget = active_budget, self
+        self.table, active_table = active_table, None
         return self
 
     def __exit__(self, *exc):
-        global active_budget
-        active_budget = self.outer
+        global active_budget, active_table
+        active_budget, active_table = self.outer, self.table
 
     def charge(self, units: int) -> None:
         self.left -= units
@@ -153,6 +155,42 @@ class WorkBudget:
 
 
 active_budget: WorkBudget | None = None  # the one in force, if any
+
+
+class ScalarTable:
+    """Each result of ``Scalar`` ``*`` and ``+`` (so ``-``) and of
+    ``exact_divide`` in its ``with`` block, built once and shared.
+
+    Operands are keyed by their stored forms: a ``Scalar`` by its
+    ``form_id`` (interned in ``ids``), a polynomial by its terms.  Each
+    operation is a pure function of its operands' stored pairs, so a
+    shared result has the stored form building it again gives.  Entered
+    and left as a ``WorkBudget`` is; none is in force under a budget, so
+    every charge is paid.  Outside one each operation costs one ``is
+    None`` test.
+    """
+
+    __slots__ = ("ids", "products", "sums", "quotients", "outer")
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.products: dict[tuple[int, int], Scalar] = {}
+        self.sums: dict[tuple[int, int], Scalar] = {}
+        self.quotients: dict[tuple, LaurentPoly | None] = {}
+        self.outer: ScalarTable | None = None
+
+    def __enter__(self):
+        global active_table
+        self.outer = active_table
+        active_table = self if active_budget is None else None
+        return self
+
+    def __exit__(self, *exc):
+        global active_table
+        active_table = self.outer
+
+
+active_table: ScalarTable | None = None  # the one in force, if any
 
 
 # --------------------------------------------------------------------------
@@ -637,6 +675,24 @@ def _short_column(terms, sd: Mono) -> bool:
 
 
 def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
+    """Return p/d when d divides p exactly, else None (``_exact_divide``);
+    in a ``ScalarTable``, each pair of stored terms is divided once.  The
+    key lists them flat, as ``Scalar.pair_id`` does, with None between."""
+    table = active_table
+    if table is None:
+        return _exact_divide(p, d)
+    pt, dt = p._terms, d._terms
+    key = (*pt, *pt.values(), None, *dt, *dt.values())
+    out = table.quotients.get(key, _UNSET)
+    if out is _UNSET:
+        out = table.quotients[key] = _exact_divide(p, d)
+    return out
+
+
+_UNSET = object()
+
+
+def _exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """Return p/d when d divides p exactly, else None.
 
     Works up to monomial units: both arguments are shifted to honest
@@ -869,24 +925,30 @@ class Scalar:
     den = property(lambda self: self._views()[1])
 
     def form_id(self, ids: dict) -> int:
-        """A small int naming this exact stored pair, kept on the Scalar.
-
-        On first use it is looked up in ``ids``, which interns the pair
-        (``n``'s terms in stored order, ``d``'s terms, ``d is _POLY_ONE``).
-        Ids come from one process-wide counter and are never reused, so an
-        id names one stored pair also after ``ids`` is dropped.  It is
-        about storage, not value: equal values stored differently get
-        different ids.
+        """A small int naming this exact stored pair, kept on the Scalar:
+        ``pair_id(ids)`` on first use.  Ids come from one process-wide
+        counter and are never reused, so an id names one stored pair also
+        after ``ids`` is dropped.  It is about storage, not value: equal
+        values stored differently get different ids.
         """
         i = self._id
         if not i:
-            d = self.d
-            key = (tuple(self.n._terms.items()), tuple(d._terms.items()),
-                   d is _POLY_ONE)
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = next(_form_ids)
-            self._id = i
+            i = self._id = self.pair_id(ids)
+        return i
+
+    def pair_id(self, ids: dict) -> int:
+        """The id of this stored pair in ``ids``, interned there on first
+        sight; not kept, so pairs with two ``form_id``s meet in one ``ids``.
+        The key is one flat tuple, few objects for the collector to trace:
+        ``n``'s monomials, then its coefficients, in stored order, ``d is
+        _POLY_ONE``, then ``d``'s.  A monomial (a tuple) never equals a
+        coefficient, so equal keys mean equal terms."""
+        d = self.d
+        nt, dt = self.n._terms, d._terms
+        key = (*nt, *nt.values(), d is _POLY_ONE, *dt, *dt.values())
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = next(_form_ids)
         return i
 
     # -- predicates --------------------------------------------------------
@@ -909,24 +971,15 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        n1, n2 = self.n, other.n
-        if not n1._terms:
-            return other
-        if not n2._terms:
-            return self
-        d1, d2 = self.d, other.d
-        if d1 is d2 or d1 == d2:
-            if d1 is _POLY_ONE:  # a sum that cancels is stored as ZERO is
-                return _scalar(n1 + n2, _POLY_ONE)
-            return Scalar(n1 + n2, d1)
-        # when one denominator divides the other, keep the larger one
-        quot = exact_divide(d1, d2)
-        if quot is not None:
-            return Scalar(n1 + n2 * quot, d1)
-        quot = exact_divide(d2, d1)
-        if quot is not None:
-            return Scalar(n1 * quot + n2, d2)
-        return Scalar(n1 * d2 + n2 * d1, d1 * d2)
+        table = active_table
+        if table is None:
+            return _add(self, other)
+        ids = table.ids
+        key = (self._id or self.form_id(ids), other._id or other.form_id(ids))
+        out = table.sums.get(key)
+        if out is None:
+            out = table.sums[key] = _add(self, other)
+        return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -935,38 +988,15 @@ class Scalar:
         return _scalar(-self.n, self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        n1, n2 = self.n, other.n
-        if not n1._terms or not n2._terms:
-            return ZERO
-        d1, d2 = self.d, other.d
-        # a factor of exactly +-1 (the one constant term, the int +-1, over
-        # the denominator 1) gives the other factor or its negation
-        t = n2._terms
-        if d2 is _POLY_ONE and len(t) == 1 and _MONO_ONE in t:
-            c = t[_MONO_ONE]
-            if c.__class__ is int and (c == 1 or c == -1):
-                return self if c == 1 else -self
-        if d1 is _POLY_ONE:
-            t = n1._terms
-            if len(t) == 1 and _MONO_ONE in t:
-                c = t[_MONO_ONE]
-                if c.__class__ is int and (c == 1 or c == -1):
-                    return other if c == 1 else -other
-            # over 1 both, or a unit (one term over 1) times n2/d2
-            if d2 is _POLY_ONE or len(t) == 1:
-                return _scalar(n1 * n2, d2)
-        elif d2 is _POLY_ONE and len(n2._terms) == 1:
-            return _scalar(n1 * n2, d1)
-        # cross-cancel before multiplying to slow denominator growth
-        if d2 is not _POLY_ONE:
-            quot = exact_divide(n1, d2)
-            if quot is not None:
-                n1, d2 = quot, _POLY_ONE
-        if d1 is not _POLY_ONE:
-            quot = exact_divide(n2, d1)
-            if quot is not None:
-                n2, d1 = quot, _POLY_ONE
-        return Scalar(n1 * n2, d1 * d2)
+        table = active_table
+        if table is None:
+            return _mul(self, other)
+        ids = table.ids
+        key = (self._id or self.form_id(ids), other._id or other.form_id(ids))
+        out = table.products.get(key)
+        if out is None:
+            out = table.products[key] = _mul(self, other)
+        return out
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not other.n._terms:
@@ -1095,6 +1125,64 @@ def _scalar(n: LaurentPoly, d: LaurentPoly) -> Scalar:
     out.d = d
     out._id = 0
     return out
+
+
+def _add(a: Scalar, b: Scalar) -> Scalar:
+    """a + b, built (``Scalar.__add__`` reads it from a table in force)."""
+    n1, n2 = a.n, b.n
+    if not n1._terms:
+        return b
+    if not n2._terms:
+        return a
+    d1, d2 = a.d, b.d
+    if d1 is d2 or d1 == d2:
+        if d1 is _POLY_ONE:  # a sum that cancels is stored as ZERO is
+            return _scalar(n1 + n2, _POLY_ONE)
+        return Scalar(n1 + n2, d1)
+    # when one denominator divides the other, keep the larger one
+    quot = exact_divide(d1, d2)
+    if quot is not None:
+        return Scalar(n1 + n2 * quot, d1)
+    quot = exact_divide(d2, d1)
+    if quot is not None:
+        return Scalar(n1 * quot + n2, d2)
+    return Scalar(n1 * d2 + n2 * d1, d1 * d2)
+
+
+def _mul(a: Scalar, b: Scalar) -> Scalar:
+    """a * b, built (``Scalar.__mul__`` reads it from a table in force)."""
+    n1, n2 = a.n, b.n
+    if not n1._terms or not n2._terms:
+        return ZERO
+    d1, d2 = a.d, b.d
+    # a factor of exactly +-1 (the one constant term, the int +-1, over
+    # the denominator 1) gives the other factor or its negation
+    t = n2._terms
+    if d2 is _POLY_ONE and len(t) == 1 and _MONO_ONE in t:
+        c = t[_MONO_ONE]
+        if c.__class__ is int and (c == 1 or c == -1):
+            return a if c == 1 else -a
+    if d1 is _POLY_ONE:
+        t = n1._terms
+        if len(t) == 1 and _MONO_ONE in t:
+            c = t[_MONO_ONE]
+            if c.__class__ is int and (c == 1 or c == -1):
+                return b if c == 1 else -b
+        # over 1 both, or a unit (one term over 1) times n2/d2
+        if d2 is _POLY_ONE or len(t) == 1:
+            return _scalar(n1 * n2, d2)
+    elif d2 is _POLY_ONE and len(n2._terms) == 1:
+        return _scalar(n1 * n2, d1)
+    # cross-cancel before multiplying to slow denominator growth
+    if d2 is not _POLY_ONE:
+        quot = exact_divide(n1, d2)
+        if quot is not None:
+            n1, d2 = quot, _POLY_ONE
+    if d1 is not _POLY_ONE:
+        quot = exact_divide(n2, d1)
+        if quot is not None:
+            n2, d1 = quot, _POLY_ONE
+    return Scalar(n1 * n2, d1 * d2)
 
 
 _form_ids = itertools.count(1)  # the ids of Scalar.form_id; 0 is "none yet"

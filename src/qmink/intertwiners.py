@@ -19,9 +19,9 @@ import numpy as np
 
 from . import coeff
 from .coeff import (GENERIC, ONE, Q, Q_HALF, QB, QB_HALF, Regime, RegimeKind,
-                    Scalar, T, T_HALF, ZERO, GaussianRational, integer,
-                    MissingParameterError)
-from .tensor import (B, Leg, Placement, ProductTable, TMap, U, bar_conjugate,
+                    Scalar, ScalarTable, T, T_HALF, ZERO, GaussianRational,
+                    integer, MissingParameterError)
+from .tensor import (B, Leg, Placement, TMap, U, bar_conjugate,
                      compose, identity, invert, lazy_compose, permutation,
                      place, placement, span_equal, tau_conjugate,
                      tensor_product)
@@ -169,10 +169,10 @@ def run_suite(name: str, rows, regime: Regime, source: "OperatorSource | None" =
               skip: str | None = None) -> list[CheckReport]:
     """Run a suite's table in the regime and record its reports on the
     source; a suite none of whose rows runs there reports ``<name>/skip``
-    with the detail ``skip``.  The suite shares its entry products in one
-    ``ProductTable``."""
+    with the detail ``skip``.  The suite builds each scalar result once, in
+    one ``ScalarTable``."""
     src = source or operator_source(regime)
-    with ProductTable():
+    with ScalarTable():
         reports = run_rows(rows, regime, src)
     reports = reports or [
         CheckReport(f"{name}/skip", regime.label, "skip", "info", detail=skip)]
@@ -328,6 +328,8 @@ class OperatorSource:
     ``reports`` holds the latest reports of each suite run on this source,
     by suite name; checks that rest on the moves and spectral suites (the
     braided coproduct) read them instead of running them again.
+    ``form_keys`` interns the entry forms of the float mirror's plans
+    (``TMap.to_numpy``), so equal stored forms share one value per point.
     """
 
     def __init__(self, regime: Regime, flip_atoms: tuple[int, ...] = ()):
@@ -335,6 +337,7 @@ class OperatorSource:
         self.flip_atoms = tuple(flip_atoms)
         self._cache: dict[str, TMap] = {}
         self._steps: dict[int, tuple] = {}
+        self.form_keys: dict = {}
         self.reports: dict[str, list[CheckReport]] = {}
 
     def get(self, name: str) -> TMap:
@@ -353,7 +356,8 @@ class OperatorSource:
 
     def steps(self, chk: "MatrixIdentity"):
         """Each side of chk as (operator steps, scalar prefactors), right
-        to left: a step is (name, Placement).  Resolved on first use and
+        to left: a step is (name, Placement), a prefactor (its key in
+        ``form_keys``, Scalar).  Resolved on first use and
         kept; the numeric mirror reads them at every sample point."""
         got = self._steps.get(id(chk))
         if got is None or got[0] is not chk:  # keeps chk, so its id stays
@@ -365,7 +369,8 @@ class OperatorSource:
         ops, prefactors = [], []
         for f in reversed(factors):
             if f.name == "#":
-                prefactors.append(self.scalar(f.scalar))
+                sc = self.scalar(f.scalar)
+                prefactors.append((sc.pair_id(self.form_keys), sc))
                 continue
             op = self.get(f.name)
             pl = placement(op.in_sig, op.out_sig, f.legs, sig, f.out_legs)
@@ -538,7 +543,8 @@ def _point_matrix(name: str, source: OperatorSource, q: complex, t: float,
     """The operator's matrix at the point, kept in ``values`` by name."""
     a = values.get(name)
     if a is None:
-        a = values[name] = source.get(name).to_numpy(q, t, source.regime, qbar, values)
+        a = values[name] = source.get(name).to_numpy(q, t, source.regime, qbar, values,
+                                                     source.form_keys)
         a.flags.writeable = False
     return a
 
@@ -559,7 +565,7 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
 
     ``values`` holds what is already evaluated at this point: each
     operator's matrix under its name and each entry value under its
-    stored-form id (``TMap.to_numpy``).  It is filled as things are
+    form's key in ``source.form_keys`` (``TMap.to_numpy``).  It is filled as things are
     evaluated, so callers that check several identities at one point can
     share it; it must not be shared between points.  When ``scales`` is
     given, the identity's scale (see ``_scale``; each side's bound takes
@@ -572,8 +578,11 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
 
     def side(ops, prefactors):
         pending = 1.0 + 0j
-        for sc in prefactors:
-            pending *= sc.eval(q, t, source.regime, qbar)
+        for key, sc in prefactors:
+            x = values.get(key)
+            if x is None:
+                x = values[key] = sc.eval(q, t, source.regime, qbar)
+            pending *= x
         acc = bound = None
         for name, pl in ops:
             a = _point_matrix(name, source, q, t, qbar, values)

@@ -19,12 +19,9 @@ row the first time it is read, with the same row function, so a check
 that only needs the first nonzero row of a product (or of a sum or
 difference of products) builds no row past it.
 
-Both read each entry product ``fv * gv`` from a ``ProductTable`` under
-the stored-form ids of fv and gv (``Scalar.form_id``): a repeated product
-is built once and shared, with the stored form building it again gives.
-``run_suite`` puts one table in force per suite; outside one, each call
-has its own, and a lazy product keeps the table it was made under.
-``to_numpy`` likewise evaluates each entry form once per sample point.
+Inside a suite, ``coeff.ScalarTable`` builds each repeated entry product
+and sum once.  ``to_numpy`` evaluates each entry form once per sample
+point.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .coeff import GENERIC, ONE, ZERO, Regime, Scalar
 __all__ = [
     "Leg", "U", "B", "TMap",
     "TypeMismatchError", "ArityMismatchError", "SignatureMismatchError",
-    "compose", "lazy_compose", "ProductTable", "place", "placement", "Placement",
+    "compose", "lazy_compose", "place", "placement", "Placement",
     "tensor_product", "bar_conjugate", "tau_conjugate",
     "permutation", "flip", "identity",
     "row_echelon", "annihilator_basis", "nullspace_basis", "span_equal",
@@ -133,58 +130,17 @@ def _row_neg(row: Row) -> Row:
     return {j: -v for j, v in row.items()}
 
 
-class ProductTable:
-    """Entry products fv * gv, each built once, keyed by the stored-form
-    ids of fv and gv (``Scalar.form_id``, interned in ``ids``).
-
-    ``with ProductTable():`` puts a table in force for its block, as
-    ``coeff.WorkBudget`` does for a budget; exit restores the one before.
-    """
-
-    __slots__ = ("ids", "products", "outer")
-
-    def __init__(self):
-        self.ids: dict = {}
-        self.products: dict[int, dict[int, Scalar]] = {}
-        self.outer: ProductTable | None = None
-
-    def __enter__(self):
-        global active_table
-        self.outer, active_table = active_table, self
-        return self
-
-    def __exit__(self, *exc):
-        global active_table
-        active_table = self.outer
-
-
-active_table: ProductTable | None = None  # the one in force, if any
-
-
-def _product_row(frow: Row, g_rows, table: ProductTable) -> Row:
+def _product_row(frow: Row, g_rows) -> Row:
     """Row of the product f after g, from f's row and g's rows.
 
     Products are summed into each output entry in the dense order, inner
     index k ascending, then column j ascending; zero sums are dropped.
-    Each product is read from the table, or built and kept there.
     """
-    ids, products = table.ids, table.products
     acc: Row = {}
     for k, fv in frow.items():
-        grow = g_rows[k]
-        if not grow:
-            continue
-        fi = fv.form_id(ids)
-        by_g = products.get(fi)
-        if by_g is None:
-            by_g = products[fi] = {}
-        for j, gv in grow.items():
-            gi = gv.form_id(ids)
-            p = by_g.get(gi)
-            if p is None:
-                p = by_g[gi] = fv * gv
+        for j, gv in g_rows[k].items():
             s = acc.get(j)
-            acc[j] = p if s is None else s + p
+            acc[j] = fv * gv if s is None else s + fv * gv
     return {j: acc[j] for j in sorted(acc) if not acc[j].is_zero()}
 
 
@@ -348,21 +304,24 @@ class TMap:
         return self.map_entries(lambda v: v.specialize(regime))
 
     def to_numpy(self, q: complex, t: float, regime: Regime = GENERIC,
-                 qbar: complex | None = None,
-                 values: dict | None = None) -> np.ndarray:
+                 qbar: complex | None = None, values: dict | None = None,
+                 keys: dict | None = None) -> np.ndarray:
         """The matrix of entry values at the point; ``values``, a table of
-        this one point, keeps each under its stored-form id.
+        this one point, keeps each under its form's key.
 
-        The first call builds the map's plan, kept on it: the distinct
-        stored forms in row-major order of first use, and for each nonzero
-        entry its flat position and its form.  Each form is evaluated once
+        The map keeps a plan per ``keys`` (the last one asked for): the
+        distinct stored forms in row-major order of first use, each with
+        its key (``Scalar.pair_id`` in ``keys``, so maps planned with one
+        ``keys`` give equal stored forms one key), and for each nonzero
+        entry its flat position and its form.  Each key is evaluated once
         per point, in that order.
         """
         if values is None:
             values = {}
-        if self._plan is None:
-            self._plan = self._point_plan()
-        forms, flat, slot = self._plan
+        plan = self._plan
+        if plan is None or plan[0] is not keys:
+            plan = self._plan = self._point_plan(keys)
+        _, forms, flat, slot = plan
         xs = []
         for key, v in forms:
             x = values.get(key)
@@ -373,20 +332,21 @@ class TMap:
         out[flat] = np.array(xs, dtype=complex)[slot]
         return out.reshape(_dim(self.out_sig), -1)
 
-    def _point_plan(self):
-        ids = active_table.ids if active_table is not None else {}
+    def _point_plan(self, keys: dict | None):
+        ids = {} if keys is None else keys
         n = _dim(self.in_sig)
         forms, flat, slot, seen = [], [], [], {}
         for i, row in enumerate(self.rows):
             for j, v in row.items():
-                key = v.form_id(ids)
+                key = v.pair_id(ids)
                 k = seen.get(key)
                 if k is None:
                     k = seen[key] = len(forms)
                     forms.append((key, v))
                 flat.append(i * n + j)
                 slot.append(k)
-        return tuple(forms), np.array(flat, dtype=np.intp), np.array(slot, dtype=np.intp)
+        return (keys, tuple(forms), np.array(flat, dtype=np.intp),
+                np.array(slot, dtype=np.intp))
 
     def __repr__(self) -> str:
         return f"TMap {sig_str(self.in_sig)} -> {sig_str(self.out_sig)}"
@@ -404,13 +364,10 @@ def _check_composable(f: TMap, g: TMap) -> None:
 
 
 def compose(f: TMap, g: TMap) -> TMap:
-    """Matrix product f after g, every row built now; a repeated entry
-    product is built once and shared, with the same stored form."""
+    """Matrix product f after g, every row built now."""
     _check_composable(f, g)
     g_rows = g.rows
-    table = active_table or ProductTable()
-    return TMap._of(g.in_sig, f.out_sig,
-                    [_product_row(frow, g_rows, table) for frow in f.rows])
+    return TMap._of(g.in_sig, f.out_sig, [_product_row(frow, g_rows) for frow in f.rows])
 
 
 def lazy_compose(f: TMap, g: TMap) -> TMap:
@@ -419,15 +376,12 @@ def lazy_compose(f: TMap, g: TMap) -> TMap:
     Row i is built from f's row i and the rows of g it names, so when g
     is lazy too only those rows of g are built.  Sums, negations and
     scalings of the result are lazy in turn, and each row they build
-    holds what the same operation on ``compose(f, g)`` holds.  Rows read
-    the table in force now, also when built after its block ends.
+    holds what the same operation on ``compose(f, g)`` holds.
     """
     _check_composable(f, g)
     f_rows, g_rows = f.rows, g.rows
-    table = active_table or ProductTable()
     return TMap._of(g.in_sig, f.out_sig,
-                    _LazyRows(len(f_rows),
-                              lambda i: _product_row(f_rows[i], g_rows, table)))
+                    _LazyRows(len(f_rows), lambda i: _product_row(f_rows[i], g_rows)))
 
 
 def tensor_product(f: TMap, g: TMap) -> TMap:

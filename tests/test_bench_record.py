@@ -106,3 +106,37 @@ def test_bench_record_has_no_hash_outside_a_checkout(tmp_path, capsys):
     bare.parent.mkdir(parents=True)
     assert bench_record.source_hash(bare) is None
     assert "warning" not in capsys.readouterr().err
+
+
+def test_bench_record_keeps_reference_times_and_flags_a_host_speed_gap(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (p_ref, c_ref) in enumerate([(3.70, 3.74), (3.72, 3.76), (3.74, 3.78)]):
+        for out, ref, wall in ((parent, p_ref, 0.35), (change, c_ref, 0.33)):
+            _record(out, seed, 0, "c", dict.fromkeys(_METRICS, 1.0))
+            path = out / f"verify-all-seed{seed}-trace0.json"
+            rec = json.loads(path.read_text())
+            rec["detail"] = {"reference_ms": ref, "unscaled_wall_s": wall}
+            path.write_text(json.dumps(rec))
+    bench = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), str(bench)]) == 0
+    entry = json.loads(bench.read_text())["workloads"]["verify-all"]
+    assert entry["parent"]["runs"][0]["reference_ms"] == 3.70
+    assert entry["change"]["runs"][2]["unscaled_wall_s"] == 0.33
+    assert entry["parent"]["reference_ms_median"] == 3.72
+    assert entry["change"]["reference_ms_median"] == 3.76
+    # 3.72 -> 3.76 is 1.1 %, past the 0.5 % that is let through
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("verify-all   reference_ms   3.72 -> 3.76  +1.1%: ")
+
+    # within 0.5 %: no line; records without a detail keep None
+    for seed in range(3):
+        path = change / f"verify-all-seed{seed}-trace0.json"
+        rec = json.loads(path.read_text())
+        rec["detail"]["reference_ms"] = 3.73
+        path.write_text(json.dumps(rec))
+    _record(parent, 9, 0, "c", dict.fromkeys(_METRICS, 1.0))
+    assert bench_record.main([str(parent), str(change), str(bench)]) == 0
+    assert "reference_ms" not in capsys.readouterr().out
+    entry = json.loads(bench.read_text())["workloads"]["verify-all"]
+    assert entry["parent"]["runs"][-1]["reference_ms"] is None
+    assert entry["parent"]["reference_ms_median"] == 3.72

@@ -15,10 +15,9 @@ from qmink.cli import (MAX_WORK, ExprSyntaxError, NoncommutativeDivisionError,
                        ParseContext, UnknownSymbolError, main, nf_system,
                        parse_expr, run_suites)
 from qmink.coeff import (ALL_REGIMES, ONE, Q, T, UNIT_CIRCLE, ZERO,
-                         GaussianRational, LaurentPoly, Scalar, WorkBudget,
-                         WorkBudgetExceeded, exact_divide)
+                         GaussianRational, LaurentPoly, Scalar, ScalarTable,
+                         WorkBudget, WorkBudgetExceeded, exact_divide)
 from qmink.rewrite import NCPoly
-from qmink.tensor import ProductTable
 
 UC_ALPH = x_alphabet(UNIT_CIRCLE)
 CTX = ParseContext(UC_ALPH, UNIT_CIRCLE)
@@ -516,9 +515,14 @@ def test_the_budgeted_nf_path_reads_no_product_table():
         return str(nf), budget.units - budget.left
 
     plain = query()
-    with ProductTable() as table:
+    with ScalarTable() as table:
         assert query() == plain
-    assert not table.ids and not table.products
+        assert coeff.active_table is table
+    assert not table.ids and not table.products and not table.sums
+    assert not table.quotients
+    # a table entered under a budget is not put in force either
+    with WorkBudget(MAX_WORK), ScalarTable():
+        assert coeff.active_table is None
 
 
 @pytest.mark.parametrize("expr", [

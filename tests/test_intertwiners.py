@@ -595,25 +595,25 @@ def test_a_vanishing_difference_fails_without_a_residual():
 
 
 # ---------------------------------------------------------------------------
-# shared tables: a product table per suite, a value table per sample point
+# shared tables: a scalar table per suite, a value table per sample point
 # ---------------------------------------------------------------------------
 
 def test_no_table_outlives_its_suite(monkeypatch):
-    from qmink import intertwiners, tensor
+    from qmink import coeff, intertwiners
 
-    class Tracked(tensor.ProductTable):
+    class Tracked(coeff.ScalarTable):
         made = []
 
         def __init__(self):
             super().__init__()
             Tracked.made.append(weakref.ref(self))
 
-    monkeypatch.setattr(intertwiners, "ProductTable", Tracked)
+    monkeypatch.setattr(intertwiners, "ScalarTable", Tracked)
     for suite in (suite_moves, suite_braid, suite_compat):
         suite(CASE2_PLUS, OperatorSource(CASE2_PLUS))
-        assert tensor.active_table is None
+        assert coeff.active_table is None
     numeric_suite(UNIT_CIRCLE, *SAMPLE_POINTS[UNIT_CIRCLE])
-    assert tensor.active_table is None
+    assert coeff.active_table is None
     gc.collect()
     assert len(Tracked.made) == 3 and all(ref() is None for ref in Tracked.made)
 
@@ -643,6 +643,47 @@ def test_shared_entry_values_are_the_entrywise_values(regime):
                     entries += not v.is_zero()
         # forms repeat across the operators: each was evaluated once
         assert len([k for k in values if type(k) is int]) < entries
+
+
+def test_equal_stored_forms_from_two_tables_share_one_value(monkeypatch):
+    from qmink.coeff import Scalar, ScalarTable
+    forms = []
+    with ScalarTable() as first:
+        a = (Q + T) / (Q - ONE) * ONE
+        forms.append(a.form_id(first.ids))
+    with ScalarTable() as second:
+        b = (Q + T) / (Q - ONE) * ONE
+        forms.append(b.form_id(second.ids))
+    assert a is not b and forms[0] != forms[1]   # one stored pair, two ids
+    f = TMap((U,), (U,), [[a, ZERO], [ZERO, Q]])
+    g = TMap((U,), (U,), [[ONE, b], [ZERO, ZERO]])
+    calls = []
+    ev = Scalar.eval
+    monkeypatch.setattr(Scalar, "eval", lambda v, *a: calls.append(v) or ev(v, *a))
+    keys, values = {}, {}
+    fa = f.to_numpy(0.9 + 0.1j, 0.5, GENERIC, None, values, keys)
+    gb = g.to_numpy(0.9 + 0.1j, 0.5, GENERIC, None, values, keys)
+    assert len(calls) == 3 and fa[0, 0] == gb[0, 1]   # a or b once, q, 1
+    # planned without shared keys, each map evaluates its own forms
+    values = {}
+    f.to_numpy(0.9 + 0.1j, 0.5, GENERIC, None, values)
+    g.to_numpy(0.9 + 0.1j, 0.5, GENERIC, None, values)
+    assert len(calls) == 3 + 4
+
+
+@pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
+def test_the_float_mirror_evaluates_each_stored_form_once_per_point(monkeypatch, regime):
+    from qmink.coeff import Scalar
+    seen = []
+    ev = Scalar.eval
+    monkeypatch.setattr(Scalar, "eval", lambda v, *a: seen.append(
+        (tuple(v.n._terms.items()), tuple(v.d._terms.items()))) or ev(v, *a))
+    # a plan made without the source's keys is replaced, not reused
+    src = operator_source(regime)
+    src.get("P").to_numpy(*SAMPLE_POINTS[regime][:2], regime, SAMPLE_POINTS[regime][2])
+    del seen[:]
+    numeric_suite(regime, *SAMPLE_POINTS[regime])
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_shared_entry_values_keep_the_errors():

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink import tensor
-from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, Scalar, integer, rat
+from qmink import coeff
+from qmink.coeff import GENERIC, I, ONE, Q, T, ZERO, Scalar, ScalarTable, integer, rat
 from qmink.coeff import _POLY_ONE, _scalar
 from qmink.intertwiners import operator_source
 from qmink.tensor import (ArityMismatchError, B, SignatureMismatchError, TMap,
-                          ProductTable, TypeMismatchError, U, annihilator_basis,
+                          TypeMismatchError, U, annihilator_basis,
                           bar_conjugate, compose, flip, identity, invert,
                           lazy_compose, nullspace_basis, permutation, place, placement,
                           row_echelon, span_equal, tau_conjugate,
@@ -549,7 +549,7 @@ def test_a_scan_stops_at_the_first_nonzero_row():
 
 
 # ---------------------------------------------------------------------------
-# a product table builds each repeated entry product once, in the stored
+# a scalar table builds each repeated entry product once, in the stored
 # form that building it again gives
 # ---------------------------------------------------------------------------
 
@@ -586,7 +586,7 @@ def test_shared_products_match_the_table_free_product(maps, in_scope):
     want_gh = dense_compose(g, h)
     want = stored_forms(dense_compose(f, TMap(h.in_sig, g.out_sig, want_gh)))
     if in_scope:
-        with ProductTable():
+        with ScalarTable():
             eager = compose(f, compose(g, h))
             lazy = lazy_compose(f, lazy_compose(g, h))
             lazy.rows[0]
@@ -594,7 +594,7 @@ def test_shared_products_match_the_table_free_product(maps, in_scope):
         eager = compose(f, compose(g, h))
         lazy = lazy_compose(f, lazy_compose(g, h))
         lazy.rows[0]
-    assert tensor.active_table is None
+    assert coeff.active_table is None
     # the lazy rows past the first are built after the scope closed
     assert stored_forms(eager.entries) == want
     assert stored_forms(lazy.entries) == want
@@ -603,38 +603,86 @@ def test_shared_products_match_the_table_free_product(maps, in_scope):
 
 def test_a_repeated_product_is_built_once(monkeypatch):
     calls = []
-    mul = Scalar.__mul__
-    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    mul = coeff._mul
+    monkeypatch.setattr(coeff, "_mul", lambda a, b: calls.append(1) or mul(a, b))
     x = (Q + ONE) ** -1
     f = TMap((U,), (U,), [[x, x], [x, ZERO]])
     g = TMap((U,), (U,), [[Q - T, ZERO], [Q - T, Q - T]])
     out = compose(f, g)
-    assert len(calls) == 1   # four products of x and q - t
-    with ProductTable():
+    assert len(calls) == 4   # no table: each product of x and q - t is built
+    with ScalarTable():
         compose(f, g)
         compose(f, g)
-    assert len(calls) == 2
+    assert len(calls) == 5   # in one: the four are one product, built once
     assert stored_forms(out.entries) == stored_forms(dense_compose(f, g))
 
 
-def test_a_lazy_product_keeps_its_table():
+def test_a_lazy_row_built_after_its_table_reads_none():
     x = (Q + ONE) ** -1
     f = TMap((U,), (U,), [[x, ZERO], [ZERO, x]])
-    with ProductTable() as table:
+    with ScalarTable() as table:
         lazy = lazy_compose(f, f)
-    assert not table.products
+        lazy.rows[0]
+    assert len(table.products) == 1
+    # row 1 is built now: it reads no table and keeps none alive
     assert lazy.rows[1] == {1: x * x}
-    assert [len(by_g) for by_g in table.products.values()] == [1]
+    assert len(table.products) == 1
+    assert stored_forms(lazy.entries) == stored_forms(dense_compose(f, f))
 
 
 def test_ids_are_not_handed_out_again_after_a_scope():
-    with ProductTable() as table:
+    with ScalarTable() as table:
         a = (Q + T) / (Q - ONE)
         compose(TMap((U,), (), [[a, ONE]]), identity((U,)))
     taken = set(table.ids.values())
     assert a.form_id({}) in taken
-    with ProductTable() as later:
+    with ScalarTable() as later:
         b = (Q + T) / (Q - ONE)
         compose(TMap((U,), (), [[b, Q - T]]), identity((U,)))
     assert b.form_id({}) not in taken and not taken & set(later.ids.values())
     assert a.form_id({}) in taken   # kept on the Scalar
+
+
+# each step (op, i, j) applies op to values i and j (taken modulo the list
+# length), and a +, - or * result joins the values, so later steps reuse
+# it; "/" is exact_divide of the two numerators
+_STEP = st.tuples(st.sampled_from("*+-/"), st.integers(0, 63), st.integers(0, 63))
+
+
+def _run_steps(values, steps):
+    values = list(values)
+    out = []
+    for op, i, j in steps:
+        a, b = values[i % len(values)], values[j % len(values)]
+        if op == "/":
+            quot = None if b.is_zero() else coeff.exact_divide(a.n, b.n)
+            out.append(None if quot is None else list(quot._terms.items()))
+            continue
+        r = a * b if op == "*" else a + b if op == "+" else a - b
+        values.append(r)
+        out.append(stored_forms([[r]])[0][0])
+    return out, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(pool_values, min_size=2, max_size=5), st.lists(_STEP, max_size=24),
+       st.integers(0, 24), st.integers(0, 24))
+def test_table_results_have_the_table_free_stored_forms(pool, steps, cut, back):
+    fresh = [_scalar(v.n, v.d) for v in pool]
+    want, _ = _run_steps(pool, steps)
+    lo, hi = sorted((cut, back))
+    # the outer table, a nested one, then the outer one again
+    with ScalarTable() as outer:
+        got, values = _run_steps(fresh, steps[:lo])
+        with ScalarTable():
+            more, values = _run_steps(values, steps[lo:hi])
+            assert coeff.active_table is not outer
+        rest, values = _run_steps(values, steps[hi:])
+        assert coeff.active_table is outer
+        cells = (values * 4)[:4]
+        f = TMap((U,), (U,), [cells[:2], cells[2:]])
+        lazy = lazy_compose(f, f)
+    assert coeff.active_table is None
+    assert got + more + rest == want
+    # a lazy product's rows, built after its table closed
+    assert stored_forms(lazy.entries) == stored_forms(dense_compose(f, f))
