@@ -357,8 +357,8 @@ class OperatorSource:
     def steps(self, chk: "MatrixIdentity"):
         """Each side of chk as (operator steps, scalar prefactors), right
         to left: a step is (name, Placement), a prefactor (its key in
-        ``form_keys``, Scalar).  Resolved on first use and
-        kept; the numeric mirror reads them at every sample point."""
+        ``form_keys``, Scalar).  Resolved on first use and kept; the
+        numeric mirror reads them at every sample point."""
         got = self._steps.get(id(chk))
         if got is None or got[0] is not chk:  # keeps chk, so its id stays
             got = self._steps[id(chk)] = chk, tuple(
@@ -564,10 +564,11 @@ def numeric_residual(chk: MatrixIdentity, source: OperatorSource,
     the finished product.
 
     ``values`` holds what is already evaluated at this point: each
-    operator's matrix under its name and each entry value under its
-    form's key in ``source.form_keys`` (``TMap.to_numpy``).  It is filled as things are
-    evaluated, so callers that check several identities at one point can
-    share it; it must not be shared between points.  When ``scales`` is
+    operator's matrix under its name and each entry or prefactor value
+    under its form's key in ``source.form_keys`` (``TMap.to_numpy``).  It
+    is filled as things are evaluated, so callers that check several
+    identities at one point can share it; it must not be shared between
+    points.  When ``scales`` is
     given, the identity's scale (see ``_scale``; each side's bound takes
     the same steps with entrywise absolute values, ``_bound_step``) is
     stored in it under its check id.
