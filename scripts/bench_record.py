@@ -5,11 +5,15 @@ Usage: python scripts/bench_record.py PARENT_OUT CHANGE_OUT BENCH_FILE
 
 PARENT_OUT and CHANGE_OUT are the ``perfbench/out`` directories of two
 checkouts after runs of ``perfbench/run.py``.  Only their records are
-read.  For each workload and side the output lists the seeds, every run's
-end-to-end metrics, and the median and quartiles of each metric.  For
-each workload it also lists the pair wins: on the seeds run on both
-sides, how often the change did better than the parent on each metric,
-in the direction ``BENCHMARK.json`` gives.  Each run keeps the record's
+read.  ``run.py`` names a record by workload, seed and trace, so a later
+run of one seed replaces it; renamed with a round, as
+``<workload>-seed<S>-trace<T>-r<K>.json``, a record is kept as run K of
+that seed (the plain name is round 0).  For each workload and side the
+output lists the seeds, every run's end-to-end metrics, and the median
+and quartiles of each metric.  For each workload it also lists the pair
+wins: on the (seed, round) runs made on both sides, how often the change
+did better than the parent on each metric, in the direction
+``BENCHMARK.json`` gives.  Each run keeps the record's
 ``reference_ms`` (the median reference-kernel time, the host's speed) and
 ``unscaled_wall_s``, and each side the median of its ``reference_ms``;
 when the two sides' medians differ by more than 0.5 %, a line says so, as
@@ -32,14 +36,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_records(out_dir: Path, trace: int) -> dict:
-    """{workload: {seed: record}} from the ``*-trace<trace>.json`` files."""
+    """{workload: {(seed, round): record}} from the ``*-trace<trace>.json``
+    files (round 0) and the ``*-trace<trace>-r<round>.json`` files."""
     if not out_dir.is_dir():
         raise ValueError(f"{out_dir} is not a directory")
     found: dict = {}
-    for path in sorted(out_dir.glob(f"*-trace{trace}.json")):
+    for path in sorted(out_dir.glob(f"*-trace{trace}*.json")):
+        rest = path.stem.rpartition(f"-trace{trace}")[2]
+        if rest and not (rest.startswith("-r") and rest[2:].isdigit()):
+            continue
         rec = json.loads(path.read_text())
         prov = rec["provenance"]
-        found.setdefault(prov["workload"], {})[prov["seed"]] = rec
+        found.setdefault(prov["workload"], {})[prov["seed"], int(rest[2:] or 0)] = rec
     return found
 
 
@@ -71,19 +79,18 @@ HOST_SPEED_TOLERANCE = 0.005  # reference medians further apart are reported
 
 
 def side(records: dict) -> dict:
-    seeds = sorted(records)
     runs = []
-    for s in seeds:
-        rec = records[s]
+    for s, k in sorted(records):
+        rec = records[s, k]
         detail = rec.get("detail", {})
-        runs.append({"seed": s, "commit": rec["provenance"]["git_commit"],
+        runs.append({"seed": s, "round": k, "commit": rec["provenance"]["git_commit"],
                      "attempted": rec["attempted"], "failed": rec["failed"],
                      "metrics": rec["metrics"],
                      "reference_ms": detail.get("reference_ms"),
                      "unscaled_wall_s": detail.get("unscaled_wall_s")})
     names = list(runs[0]["metrics"])
     refs = [r["reference_ms"] for r in runs if r["reference_ms"] is not None]
-    return {"seeds": seeds, "runs": runs,
+    return {"seeds": sorted({s for s, _ in records}), "runs": runs,
             "reference_ms_median": statistics.median(refs) if refs else None,
             "summary": {k: summary([r["metrics"][k] for r in runs]) for k in names}}
 
@@ -100,20 +107,21 @@ def host_speed_note(name: str, entry: dict) -> str | None:
 
 def pair_wins(parent: dict, change: dict, better: dict) -> dict:
     """Per metric: pairs the change won, and the median gap against the
-    parent's interquartile range, over the seeds both sides ran."""
-    seeds = sorted(parent.keys() & change.keys())
+    parent's interquartile range, over the (seed, round) runs both sides
+    made."""
+    keys = sorted(parent.keys() & change.keys())
     out = {}
-    for name, direction in (better.items() if seeds else ()):
-        p = [parent[s]["metrics"][name] for s in seeds]
-        c = [change[s]["metrics"][name] for s in seeds]
+    for name, direction in (better.items() if keys else ()):
+        p = [parent[k]["metrics"][name] for k in keys]
+        c = [change[k]["metrics"][name] for k in keys]
         sign = 1 if direction == "lower" else -1
         ps, cs = summary(p), summary(c)
-        out[name] = {"better": direction, "pairs": len(seeds),
+        out[name] = {"better": direction, "pairs": len(keys),
                      "change_wins": sum(1 for a, b in zip(p, c) if sign * (a - b) > 0),
                      "parent_median": ps["median"], "change_median": cs["median"],
                      "median_gap": sign * (ps["median"] - cs["median"]),
                      "parent_iqr": ps["q3"] - ps["q1"]}
-    return {"seeds": seeds, "metrics": out}
+    return {"seeds": sorted({s for s, _ in keys}), "metrics": out}
 
 
 def build(parent_out: Path, change_out: Path, benchmark: dict) -> dict:
@@ -124,7 +132,8 @@ def build(parent_out: Path, change_out: Path, benchmark: dict) -> dict:
         entry = {"parent": side(parent[name]), "change": side(change[name]),
                  "pairs": pair_wins(parent[name], change[name], better)}
         traced = {label: {seed: rec["metrics"]
-                          for seed, rec in sorted(load_records(d, 1).get(name, {}).items())}
+                          for (seed, k), rec in sorted(load_records(d, 1).get(name, {}).items())
+                          if k == 0}
                   for label, d in (("parent", parent_out), ("change", change_out))}
         if any(traced.values()):
             entry["per_layer"] = traced

@@ -68,14 +68,18 @@ class ParseContext:
 # ``coeff.WorkBudget(MAX_WORK)``, charged as the work runs per coefficient
 # product, division attempt and step, parsed product (1 plus its word's
 # length for one term; for polynomials, the word pairs plus the letters
-# they write) and rewrite step (1 + len(w) // 16 for the word w popped).
+# they write), word the rewriting scans (1 + len(w) // 16 for the word w:
+# a reducible word once, as each is reduced once, and an irreducible one
+# at each arrival) and reduction (half a unit per term of the word's
+# coefficient and term of its rule, as merged coefficients grow long).
 # No term count or word length is capped.  The heaviest honest queries
-# measured cost 242 450 units (unit-circle delta^6*alpha^6) and 209 469
-# ((q+qb+t+1)^32); the lightest refused blow-up, (q+qb+t+1)^-45, costs
-# 778 317.  400 000 lies near their geometric mean.  On one core of a
-# 2-core Xeon under varying load a unit costs up to about 4 us (a
-# unit-circle rewrite step), so the slowest refusal measured, unit-circle
-# (delta+alpha)^10, comes after 0.7-1.45 s.
+# measured cost 395 194 units (unit-circle delta^14*alpha^14, 0.3 s),
+# 383 912 (unit-circle (delta+alpha)^13, 0.5 s), 253 900 (generic
+# delta^5*alpha^5) and 209 469 ((q+qb+t+1)^32); the lightest refused
+# blow-up, (q+qb+t+1)^-45, costs 778 317.  400 000 lies between them.  On
+# one core of a 2-core Xeon under varying load a unit costs up to about
+# 1.6 us (a unit-circle reduction of a 128-letter word), so the slowest
+# refusal measured, unit-circle delta^64*alpha^64, comes after 0.4-0.65 s.
 MAX_WORK = 400_000
 MAX_EXPONENT = 64
 MAX_DEPTH = 64

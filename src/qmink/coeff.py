@@ -13,7 +13,7 @@ moves monomials out of the denominator and makes it monic.  That keeps
 representations small without a multivariate gcd engine, and zero testing
 stays exact because the numerator of a zero value is the zero polynomial.
 Most of these speculative divisions fail: the one in construction, and the
-cross-cancellations of a product (``_mul``).  ``exact_divide`` rejects most
+cross-cancellations of a product (``Scalar.__mul__``).  ``exact_divide`` rejects most
 misses by exponent spans before any long division (its docstring).  The
 multi-term denominators of the generic rewriting are powers of qb^2 + 1,
 which lack q and t, so there the span test runs column by column.
@@ -121,10 +121,12 @@ class WorkBudget:
     ``len(p) + len(d)`` per ``exact_divide`` attempt with a divisor of two
     or more terms, and ``len(tail) + 1`` per step of ``_long_divide``;
     ``1 + len(w) // 16`` per word w that ``RewriteSystem.normal_form``
-    pops; per product that ``cli``'s parser builds, ``1 + len(w)`` for a
-    one-term product of word w (a power of one term at once), and for
-    polynomials a and b ``len(a) * len(b)`` word pairs plus the letters
-    they write.  Outside
+    scans, which is once per distinct reducible word and at each arrival
+    of an irreducible one, and per reduction of a word with coefficient c
+    by a rule of k terms ``k * c.num_terms() // 2``; per product that
+    ``cli``'s parser builds, ``1 + len(w)`` for a one-term product of word
+    w (a power of one term at once), and for polynomials a and b
+    ``len(a) * len(b)`` word pairs plus the letters they write.  Outside
     any budget each of these sites costs one ``is None`` test.  A budget
     entered inside another passes its charges on to it, and exit restores
     the budget before.  A ``ScalarTable`` is out of force in the block, so
@@ -158,8 +160,9 @@ active_budget: WorkBudget | None = None  # the one in force, if any
 
 
 class ScalarTable:
-    """Each result of ``Scalar`` ``*`` and ``+`` (so ``-``) and of
-    ``exact_divide`` in its ``with`` block, built once and shared.
+    """Each result of ``Scalar`` ``*`` and ``+`` and of ``exact_divide`` in
+    its ``with`` block, built once and shared; ``-`` adds the negation,
+    which is built once too.
 
     Operands are keyed by their stored forms: a ``Scalar`` by its
     ``form_id`` (interned in ``ids``), a polynomial by its terms.  Each
@@ -167,16 +170,17 @@ class ScalarTable:
     shared result has the stored form building it again gives.  Entered
     and left as a ``WorkBudget`` is; none is in force under a budget, so
     every charge is paid.  Outside one each operation costs one ``is
-    None`` test.
+    None`` test before its work and one after.
     """
 
-    __slots__ = ("ids", "products", "sums", "quotients", "outer")
+    __slots__ = ("ids", "products", "sums", "quotients", "negations", "outer")
 
     def __init__(self):
         self.ids: dict = {}
         self.products: dict[tuple[int, int], Scalar] = {}
         self.sums: dict[tuple[int, int], Scalar] = {}
         self.quotients: dict[tuple, LaurentPoly | None] = {}
+        self.negations: dict[int, Scalar] = {}
         self.outer: ScalarTable | None = None
 
     def __enter__(self):
@@ -675,70 +679,62 @@ def _short_column(terms, sd: Mono) -> bool:
 
 
 def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
-    """Return p/d when d divides p exactly, else None (``_exact_divide``);
-    in a ``ScalarTable``, each pair of stored terms is divided once.  The
-    key lists them flat, as ``Scalar.pair_id`` does, with None between."""
-    table = active_table
-    if table is None:
-        return _exact_divide(p, d)
-    pt, dt = p._terms, d._terms
-    key = (*pt, *pt.values(), None, *dt, *dt.values())
-    out = table.quotients.get(key, _UNSET)
-    if out is _UNSET:
-        out = table.quotients[key] = _exact_divide(p, d)
-    return out
-
-
-_UNSET = object()
-
-
-def _exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     """Return p/d when d divides p exactly, else None.
 
     Works up to monomial units: both arguments are shifted to honest
     polynomials first, so divisibility is decided in the Laurent ring.
 
-    Three necessary conditions are tested before any long division, and
-    all are exact because the Laurent ring is an integral domain:
+    Two necessary conditions are tested before any long division, and
+    both are exact because the Laurent ring is an integral domain:
 
     - a single term is a unit, so a divisor with two or more terms (not a
       unit) cannot divide it;
-    - in each atom the exponent span (largest minus smallest exponent) of
-      a product is the sum of the factors' spans, so a divisor whose span
-      exceeds p's in some atom cannot divide p;
     - when d has span 0 in some atoms (it lacks them, as (qb^2+1)^k lacks
-      q and t), each column of p must pass the span test on its own.  A
-      column is the sum of p's terms that share their exponents in the
-      atoms d lacks.  Write d = x^e * d' with d' free of those atoms and
-      p = sum_g x^g * p_g over its columns, each p_g nonzero and free of
-      them too.  Multiplying by d' keeps each column in place, so
-      d' * s has the columns d' * s_g, and d divides p exactly when d'
-      divides every p_g.  Then p_g = d' * s_g, and spans add under
-      products: span(p_g) >= span(d') = span(d) in each atom.
+      q and t), each column of p must span at least as much as d in every
+      other atom.  The span of a polynomial in an atom is its largest minus
+      its smallest exponent there, and spans add under products.  A column
+      is the sum of p's terms that share their exponents in the atoms d
+      lacks.  Write d = x^e * d' with d' free of those atoms and p = sum_g
+      x^g * p_g over its columns, each p_g nonzero and free of them too.
+      Multiplying by d' keeps each column in place, so d' * s has the
+      columns d' * s_g, and d divides p exactly when d' divides every p_g.
+      Then p_g = d' * s_g, and span(p_g) >= span(d') = span(d).
 
-    The third test replaces the second when d lacks an atom, since the
-    spans of p are at least those of any column.  Only a pair that passes
-    is divided out (``_long_divide``), which alone decides divisibility.
+    A divisor in all three atoms goes straight to the long division: the
+    same test on the whole of p rejected no pair in a pass of the suites
+    or of the golden nf queries.  Only a pair that passes is divided out
+    (``_long_divide``), which alone decides divisibility.
+
+    In a ``ScalarTable``, each pair of stored terms is divided once.  The
+    key lists them flat, as ``Scalar.pair_id`` does, with None between.
     """
+    table = active_table
+    if table is not None:
+        pt, dt = p._terms, d._terms
+        key = (*pt, *pt.values(), None, *dt, *dt.values())
+        out = table.quotients.get(key, _UNSET)
+        if out is not _UNSET:
+            return out
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
-        return LaurentPoly.zero()
-    if len(d._terms) > 1:  # a one-term divisor has span 0 and always divides
-        if len(p._terms) == 1:
-            return None
+        out = LaurentPoly.zero()
+    elif len(d._terms) == 1:  # a unit always divides
+        out = _long_divide(p, d)
+    elif len(p._terms) == 1:
+        out = None
+    else:
         budget = active_budget  # the spans, the shifts and the heap
         if budget is not None:
             budget.charge(len(p._terms) + len(d._terms))
         sd = _exp_spans(d._terms)
-        if 0 in sd:
-            if _short_column(p._terms, sd):
-                return None
-        else:
-            sp = _exp_spans(p._terms)
-            if sp[0] < sd[0] or sp[1] < sd[1] or sp[2] < sd[2]:
-                return None
-    return _long_divide(p, d)
+        out = None if 0 in sd and _short_column(p._terms, sd) else _long_divide(p, d)
+    if table is not None:
+        table.quotients[key] = out
+    return out
+
+
+_UNSET = object()
 
 
 def _long_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
@@ -956,6 +952,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.n._terms
 
+    def num_terms(self) -> int:
+        """The numerator's terms: the work of a product by one term."""
+        return len(self.n._terms)
+
     def is_one(self) -> bool:
         return self.n == self.d
 
@@ -972,30 +972,87 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         table = active_table
-        if table is None:
-            return _add(self, other)
-        ids = table.ids
-        key = (self._id or self.form_id(ids), other._id or other.form_id(ids))
-        out = table.sums.get(key)
-        if out is None:
-            out = table.sums[key] = _add(self, other)
+        if table is not None:
+            ids = table.ids
+            key = (self._id or self.form_id(ids), other._id or other.form_id(ids))
+            out = table.sums.get(key)
+            if out is not None:
+                return out
+        n1, n2 = self.n, other.n
+        d1, d2 = self.d, other.d
+        if not n1._terms:
+            out = other
+        elif not n2._terms:
+            out = self
+        elif d1 is d2 or d1 == d2:
+            # over 1, a sum that cancels is stored as ZERO is
+            out = _scalar(n1 + n2, d1) if d1 is _POLY_ONE else Scalar(n1 + n2, d1)
+        else:
+            # when one denominator divides the other, keep the larger one
+            quot = exact_divide(d1, d2)
+            if quot is not None:
+                out = Scalar(n1 + n2 * quot, d1)
+            else:
+                quot = exact_divide(d2, d1)
+                out = (Scalar(n1 * d2 + n2 * d1, d1 * d2) if quot is None
+                       else Scalar(n1 * quot + n2, d2))
+        if table is not None:
+            table.sums[key] = out
         return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        table = active_table
+        if table is None:
+            return self + (-other)
+        # -other is built, and its stored pair interned, once per table
+        oid = other._id or other.form_id(table.ids)
+        neg = table.negations.get(oid)
+        if neg is None:
+            neg = table.negations[oid] = -other
+        return self + neg
 
     def __neg__(self) -> "Scalar":
         return _scalar(-self.n, self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         table = active_table
-        if table is None:
-            return _mul(self, other)
-        ids = table.ids
-        key = (self._id or self.form_id(ids), other._id or other.form_id(ids))
-        out = table.products.get(key)
-        if out is None:
-            out = table.products[key] = _mul(self, other)
+        if table is not None:
+            ids = table.ids
+            key = (self._id or self.form_id(ids), other._id or other.form_id(ids))
+            out = table.products.get(key)
+            if out is not None:
+                return out
+        n1, n2 = self.n, other.n
+        d1, d2 = self.d, other.d
+        t1, t2 = n1._terms, n2._terms
+        if not t1 or not t2:
+            out = ZERO
+        # a factor of exactly +-1 (the one constant term, the int +-1, over
+        # the denominator 1) gives the other factor or its negation
+        elif (d2 is _POLY_ONE and len(t2) == 1
+              and (c := t2.get(_MONO_ONE)).__class__ is int and (c == 1 or c == -1)):
+            out = self if c == 1 else -self
+        elif (d1 is _POLY_ONE and len(t1) == 1
+              and (c := t1.get(_MONO_ONE)).__class__ is int and (c == 1 or c == -1)):
+            out = other if c == 1 else -other
+        elif d1 is _POLY_ONE and (d2 is _POLY_ONE or len(t1) == 1):
+            # over 1 both, or a unit (one term over 1) times n2/d2
+            out = _scalar(n1 * n2, d2)
+        elif d2 is _POLY_ONE and len(t2) == 1:
+            out = _scalar(n1 * n2, d1)
+        else:
+            # cross-cancel before multiplying to slow denominator growth
+            if d2 is not _POLY_ONE:
+                quot = exact_divide(n1, d2)
+                if quot is not None:
+                    n1, d2 = quot, _POLY_ONE
+            if d1 is not _POLY_ONE:
+                quot = exact_divide(n2, d1)
+                if quot is not None:
+                    n2, d1 = quot, _POLY_ONE
+            out = Scalar(n1 * n2, d1 * d2)
+        if table is not None:
+            table.products[key] = out
         return out
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -1125,64 +1182,6 @@ def _scalar(n: LaurentPoly, d: LaurentPoly) -> Scalar:
     out.d = d
     out._id = 0
     return out
-
-
-def _add(a: Scalar, b: Scalar) -> Scalar:
-    """a + b, built (``Scalar.__add__`` reads it from a table in force)."""
-    n1, n2 = a.n, b.n
-    if not n1._terms:
-        return b
-    if not n2._terms:
-        return a
-    d1, d2 = a.d, b.d
-    if d1 is d2 or d1 == d2:
-        if d1 is _POLY_ONE:  # a sum that cancels is stored as ZERO is
-            return _scalar(n1 + n2, _POLY_ONE)
-        return Scalar(n1 + n2, d1)
-    # when one denominator divides the other, keep the larger one
-    quot = exact_divide(d1, d2)
-    if quot is not None:
-        return Scalar(n1 + n2 * quot, d1)
-    quot = exact_divide(d2, d1)
-    if quot is not None:
-        return Scalar(n1 * quot + n2, d2)
-    return Scalar(n1 * d2 + n2 * d1, d1 * d2)
-
-
-def _mul(a: Scalar, b: Scalar) -> Scalar:
-    """a * b, built (``Scalar.__mul__`` reads it from a table in force)."""
-    n1, n2 = a.n, b.n
-    if not n1._terms or not n2._terms:
-        return ZERO
-    d1, d2 = a.d, b.d
-    # a factor of exactly +-1 (the one constant term, the int +-1, over
-    # the denominator 1) gives the other factor or its negation
-    t = n2._terms
-    if d2 is _POLY_ONE and len(t) == 1 and _MONO_ONE in t:
-        c = t[_MONO_ONE]
-        if c.__class__ is int and (c == 1 or c == -1):
-            return a if c == 1 else -a
-    if d1 is _POLY_ONE:
-        t = n1._terms
-        if len(t) == 1 and _MONO_ONE in t:
-            c = t[_MONO_ONE]
-            if c.__class__ is int and (c == 1 or c == -1):
-                return b if c == 1 else -b
-        # over 1 both, or a unit (one term over 1) times n2/d2
-        if d2 is _POLY_ONE or len(t) == 1:
-            return _scalar(n1 * n2, d2)
-    elif d2 is _POLY_ONE and len(n2._terms) == 1:
-        return _scalar(n1 * n2, d1)
-    # cross-cancel before multiplying to slow denominator growth
-    if d2 is not _POLY_ONE:
-        quot = exact_divide(n1, d2)
-        if quot is not None:
-            n1, d2 = quot, _POLY_ONE
-    if d1 is not _POLY_ONE:
-        quot = exact_divide(n2, d1)
-        if quot is not None:
-            n2, d1 = quot, _POLY_ONE
-    return Scalar(n1 * n2, d1 * d2)
 
 
 _form_ids = itertools.count(1)  # the ids of Scalar.form_id; 0 is "none yet"

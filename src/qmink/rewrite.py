@@ -11,6 +11,7 @@ quadratic left sides there are no inclusion ambiguities).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import coeff
 from .coeff import GENERIC, ONE, Regime, Scalar, ZERO
@@ -76,6 +77,13 @@ Word = tuple[int, ...]
 
 def _word_key(w: Word):
     return (len(w), w)
+
+
+# bytes(w).translate(_DESCENDING) orders words of one length in reverse
+# lexicographic order, so a min-heap of (-len(w), that key) pops the
+# degree-lex largest word first; it needs letters below 256
+_DESCENDING = bytes(range(255, -1, -1))
+MAX_LETTERS = len(_DESCENDING)
 
 
 class NCPoly:
@@ -259,11 +267,21 @@ class Obstruction:
     diff: NCPoly
 
 
+def _wait(waiting: dict, heap: list, w: Word, pos: int, c: Scalar) -> None:
+    """Puts w in ``RewriteSystem.normal_form``'s waiting words."""
+    e = waiting[w] = [-len(w), bytes(w).translate(_DESCENDING), w, pos, c]
+    heappush(heap, e)
+
+
 class RewriteSystem:
     """Ordered generators plus oriented quadratic rules."""
 
     def __init__(self, alphabet: Alphabet, rules: list[RewriteRule],
                  regime: Regime = GENERIC):
+        if len(alphabet) > MAX_LETTERS:
+            raise ValueError(
+                f"an alphabet of {len(alphabet)} generators: normal_form orders "
+                f"words by byte keys, so it takes at most {MAX_LETTERS} generators")
         self.alphabet = alphabet
         self.regime = regime
         self.rules: dict[Word, NCPoly] = {}
@@ -289,53 +307,107 @@ class RewriteSystem:
         """Reduce until no rule left side occurs; leftmost position first.
 
         Termination is structural: each step replaces a word by strictly
-        smaller words in degree-lex order.
+        smaller words in degree-lex order.  So when the degree-lex largest
+        reducible word is always reduced first, every contribution to a
+        word has arrived before it is reduced, and it never arrives again:
+        each word is reduced once, with the sum of its contributions, as in
+        Bergman's diamond lemma.  The other reducible words wait in a heap.
+        A word is scanned when it first arrives; an irreducible one goes to
+        the output, where later arrivals are added to it.  The first
+        reducible word a step writes is reduced next, in place, unless a
+        larger word waits, so a chain of one-term rewrites keeps no heap.
 
-        The map is linear in every system, confluent or not: each term is
-        reduced on its own, and only the results are summed, so
-        ``normal_form(a p1 + b p2)`` has the value ``a normal_form(p1) +
-        b normal_form(p2)`` (a Scalar of value zero has no terms, so the
-        zero sums are deleted either way).
+        The map is linear in every system, confluent or not: a word's
+        reduction is the sum of its contributions times the reduction of
+        the word, so ``normal_form(a p1 + b p2)`` has the value ``a
+        normal_form(p1) + b normal_form(p2)``, and sums that cancel are
+        dropped.  The stored forms depend on the order of the sums, as a
+        Scalar has no canonical form.
 
         A word rewritten at ``pos`` keeps its prefix ``w[:pos]``, in which
-        no left side occurs, so each new word is scanned from ``pos - 1``
-        (the first pair that may have changed) and the leftmost left side
-        is still the one found.  Words are pushed and popped in the same
-        order as by a scan from the start, so the coefficients are summed
-        in the same order.  Stored coefficients and rule right sides
-        (filtered in ``__init__``) are nonzero, so their products are
-        nonzero in the field and are pushed without a zero test.
+        no left side occurs, so each new word is scanned from ``pos - 1``.
+        Stored coefficients and rule right sides (filtered in ``__init__``)
+        are nonzero, so their products are nonzero in the field and are
+        taken without a zero test.  Under a ``coeff.WorkBudget`` a scan
+        costs ``1 + len(w) // 16`` and a reduction half a unit per term of
+        the word's coefficient and of its rule: merged coefficients of long
+        words grow to hundreds of terms, and a product by a one-term rule
+        coefficient is charged nowhere else.
         """
-        out: dict[Word, Scalar] = {}
-        stack = [(w, c, 0) for w, c in p.terms.items() if not c.is_zero()]
         rules = self.rules
         budget = coeff.active_budget
-        while stack:
-            w, c, start = stack.pop()
-            if budget is not None:  # a step costs time in its word's length
-                budget.charge(1 + len(w) // 16)
-            pos = None
-            for i in range(start, len(w) - 1):
-                if (w[i], w[i + 1]) in rules:
-                    pos = i
-                    break
-            if pos is None:
-                s = out.get(w)
-                if s is None:
-                    out[w] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[w]
-                    else:
-                        out[w] = s
+        out: dict[Word, Scalar] = {}
+        # A waiting word's entry is [-len(w), key, w, pos, c]: the first two
+        # order the min-heap degree-lex largest first, pos is the word's
+        # leftmost left side and c the sum of its contributions, None when
+        # they cancel.  A popped entry stays in waiting: its word never
+        # arrives again.
+        waiting: dict[Word, list] = {}
+        heap: list = []
+        nw = None  # the first reducible word of a step, with npos, nc; the
+        # others wait
+        for w3, c3 in p.terms.items():  # distinct words
+            if c3.is_zero():
                 continue
-            rhs = rules[(w[pos], w[pos + 1])]
+            if budget is not None:  # a scan costs time in its word's length
+                budget.charge(1 + len(w3) // 16)
+            for i in range(len(w3) - 1):
+                if (w3[i], w3[i + 1]) in rules:
+                    if nw is None:
+                        nw, npos, nc = w3, i, c3
+                    else:
+                        _wait(waiting, heap, w3, i, c3)
+                    break
+            else:
+                out[w3] = c3
+        while True:
+            if nw is not None and (not heap or (len(nw), nw) > (-heap[0][0], heap[0][2])):
+                w, pos, c = nw, npos, nc
+            else:
+                if nw is not None:
+                    _wait(waiting, heap, nw, npos, nc)
+                while True:
+                    if not heap:
+                        return NCPoly(p.alphabet, out)
+                    _, _, w, pos, c = heappop(heap)
+                    if c is not None:
+                        break
+            nw = None
             pre, post = w[:pos], w[pos + 2:]
             start = pos - 1 if pos else 0
-            for w2, c2 in rhs.terms.items():
-                stack.append((pre + w2 + post, c * c2, start))
-        return NCPoly(p.alphabet, out)
+            rhs = rules[(w[pos], w[pos + 1])].terms
+            if budget is not None:  # c times each rule coefficient
+                budget.charge(len(rhs) * c.num_terms() // 2)
+            for w2, c2 in rhs.items():
+                w3 = pre + w2 + post
+                c3 = c * c2
+                if heap:
+                    e = waiting.get(w3)
+                    if e is not None:
+                        s = e[4]
+                        if s is not None:
+                            c3 = s + c3
+                        e[4] = None if c3.is_zero() else c3
+                        continue
+                if budget is not None:
+                    budget.charge(1 + len(w3) // 16)
+                for i in range(start, len(w3) - 1):
+                    if (w3[i], w3[i + 1]) in rules:
+                        if nw is None:
+                            nw, npos, nc = w3, i, c3
+                        else:
+                            _wait(waiting, heap, w3, i, c3)
+                        break
+                else:
+                    s = out.get(w3)
+                    if s is None:
+                        out[w3] = c3
+                    else:
+                        s = s + c3
+                        if s.is_zero():
+                            del out[w3]
+                        else:
+                            out[w3] = s
 
     # -- confluence ----------------------------------------------------------
 

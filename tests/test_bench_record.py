@@ -140,3 +140,23 @@ def test_bench_record_keeps_reference_times_and_flags_a_host_speed_gap(tmp_path,
     entry = json.loads(bench.read_text())["workloads"]["verify-all"]
     assert entry["parent"]["runs"][-1]["reference_ms"] is None
     assert entry["parent"]["reference_ms_median"] == 3.72
+
+
+def test_bench_record_pairs_the_rounds_of_one_seed(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for k, (p, c) in enumerate([(2.0, 1.0), (2.0, 3.0), (2.0, 1.5)], start=1):
+        _record(parent, 11, 0, "aaa", dict.fromkeys(_METRICS, p))
+        _record(change, 11, 0, "bbb", dict.fromkeys(_METRICS, c))
+        for out in (parent, change):
+            (out / "verify-all-seed11-trace0.json").rename(
+                out / f"verify-all-seed11-trace0-r{k}.json")
+    _record(parent, 11, 0, "aaa", dict.fromkeys(_METRICS, 2.0))  # round 0, unpaired
+    bench = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), str(bench)]) == 0
+    entry = json.loads(bench.read_text())["workloads"]["verify-all"]
+    assert entry["parent"]["seeds"] == [11] and len(entry["parent"]["runs"]) == 4
+    assert [r["round"] for r in entry["change"]["runs"]] == [1, 2, 3]
+    assert entry["pairs"]["seeds"] == [11]
+    wins = entry["pairs"]["metrics"]["wall_s"]
+    assert wins["pairs"] == 3 and wins["change_wins"] == 2
+    assert wins["change_median"] == 1.5

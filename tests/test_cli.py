@@ -430,8 +430,9 @@ def test_nf_input_budget_refuses_blowup_quickly(capsys):
 
 @pytest.mark.parametrize("regime, expr", [
     # each concatenates or reduces long words: the first two ran 6.5 s and
-    # 3.2 s at the length caps, the second then accepted; charged one unit
-    # per popped word, the next three were refused after 1.6-2.7 s
+    # 3.2 s at the length caps, the second then accepted; charged per
+    # scanned word and coefficient term, the next three are refused after
+    # 0.2-0.5 s
     ("unit-circle", "*".join(["alpha"] * 60_000)),
     ("unit-circle", "*".join(["q^64"] * 21_000)),
     ("unit-circle", "(delta*alpha)^32"),
@@ -476,7 +477,9 @@ def test_nf_coefficient_over_the_digit_limit_exits_2(capsys, expr):
         # words are not capped: a word of 13 letters prints
         ("alpha^13", 0),
         ("alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha*alpha", 0),
-        ("[(alpha+beta)^6, (gamma+delta)^5]", 2),
+        # 244 995 units since each word is reduced once; refused at 400 000
+        # when equal words were reduced apart
+        ("[(alpha+beta)^6, (gamma+delta)^5]", 0),
         ("q^65", 2),
         ("q^(-129/2)", 2),
     ]
@@ -485,7 +488,11 @@ def test_nf_input_budget_limits(capsys, expr, code):
     assert main(["nf", "--regime", "unit-circle", "--expr", expr]) == code
     out, err = capsys.readouterr()
     if code == 0:
-        assert out == "*".join(["alpha"] * 13) + "\n"
+        assert not err
+        if expr.startswith("alpha"):
+            assert out == "*".join(["alpha"] * 13) + "\n"
+        else:
+            assert out.count(" + ") + out.count(" - ") > 1000
     else:
         assert err.startswith("error: ") and "too large" in err
 
@@ -563,10 +570,11 @@ def test_nf_work_budget_edge(capsys):
             system.normal_form(parse_expr(expr, ctx))
 
 
-@pytest.mark.parametrize("expr", ["delta^5*alpha^5", "(delta+alpha)^8"])
+@pytest.mark.parametrize("expr", ["delta^6*alpha^6", "(delta+alpha)^8"])
 def test_nf_work_budget_bounds_the_reduction(capsys, expr):
-    # accepted by every syntactic cap; they reduced for 177 s and 16 s, and
-    # are refused after 0.3 s and 0.4 s on one core of a 2-core Xeon
+    # accepted by every syntactic cap; with each word reduced once they still
+    # exceed the budget, and are refused after 0.2-0.4 s on one core of a
+    # 2-core Xeon
     t0 = time.perf_counter()
     assert main(["nf", "--regime", "generic", "--expr", expr]) == 2
     assert time.perf_counter() - t0 < 2.0
@@ -590,6 +598,9 @@ def test_nf_work_budget_bounds_the_time_of_a_division(capsys):
 @pytest.mark.parametrize("regime, expr", [
     ("generic", "(q+qb+t+1)^32"),
     ("unit-circle", "delta^6*alpha^6"),
+    # refused when equal words were reduced apart
+    ("generic", "delta^4*alpha^4"),
+    ("generic", "delta^5*alpha^5"),
 ])
 def test_nf_work_budget_admits_the_heaviest_honest_queries(capsys, regime, expr):
     assert main(["nf", "--regime", regime, "--expr", expr]) == 0
@@ -621,12 +632,14 @@ def test_work_budget_charges_each_kind_of_work():
         exact_divide(num, den)
     with pytest.raises(WorkBudgetExceeded), WorkBudget(9):
         exact_divide(num, den)
-    # delta*alpha is popped, then the two words it rewrites to
+    # delta*alpha is scanned, its coefficient (one term) is multiplied by
+    # the two of its rule, half a unit a term, then the two words it
+    # rewrites to are scanned
     alph, system = nf_system(UNIT_CIRCLE)
     p = parse_expr("delta*alpha", ParseContext(alph, UNIT_CIRCLE))
-    with WorkBudget(3):
+    with WorkBudget(4):
         system.normal_form(p)
-    with pytest.raises(WorkBudgetExceeded), WorkBudget(2):
+    with pytest.raises(WorkBudgetExceeded), WorkBudget(3):
         system.normal_form(p)
     # an inner budget passes its charges on, and exit restores the outer one
     with WorkBudget(10) as outer:
@@ -641,7 +654,7 @@ def test_work_budget_charges_each_kind_of_work():
 
 
 def test_normal_form_charges_a_popped_word_by_its_length():
-    # alpha^k is in normal form: one pop, charged 1 + k // 16
+    # alpha^k is in normal form: one scan, charged 1 + k // 16
     alph, system = nf_system(UNIT_CIRCLE)
     ctx = ParseContext(alph, UNIT_CIRCLE)
     for k, units in ((15, 1), (16, 2), (40, 3)):
@@ -649,6 +662,40 @@ def test_normal_form_charges_a_popped_word_by_its_length():
         with WorkBudget(10 ** 6) as budget:
             system.normal_form(p)
         assert budget.units - budget.left == units
+
+
+def test_normal_form_charges_a_reduction_by_its_coefficient_terms():
+    # merged coefficients of long words grow to hundreds of terms, and a
+    # product by a one-term rule coefficient is not charged in coeff: a
+    # coefficient of k terms times the two of delta*alpha's rule is charged
+    # 2 * k // 2 units on top of the products' own charges and the 3 scans
+    alph, system = nf_system(UNIT_CIRCLE)
+    ctx = ParseContext(alph, UNIT_CIRCLE)
+    for k in (1, 4, 9):
+        p = parse_expr("(" + " + ".join(f"q^{j}" for j in range(k)) + ")*delta*alpha", ctx)
+        (w, c), = p.terms.items()
+        with WorkBudget(10 ** 6) as products:
+            for c2 in system.rules[w].terms.values():
+                c * c2
+        with WorkBudget(10 ** 6) as budget:
+            system.normal_form(p)
+        charged = budget.units - budget.left
+        assert charged == 3 + k + products.units - products.left
+
+
+def test_nf_unit_circle_delta7_alpha7_prints_within_a_second(capsys):
+    # each word reduced once: 8541 units; reduced apart, equal words ran
+    # past the budget and were refused after 0.7 s
+    t0 = time.perf_counter()
+    assert main(["nf", "--regime", "unit-circle", "--expr", "delta^7*alpha^7"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    printed = capsys.readouterr().out
+    alph, system = nf_system(UNIT_CIRCLE)
+    ctx = ParseContext(alph, UNIT_CIRCLE)
+    nf = system.normal_form
+    whole = nf(parse_expr("delta^7*alpha^7", ctx))
+    assert printed == f"{whole}\n"
+    assert whole.equals(nf(nf(parse_expr("delta^7", ctx)) * nf(parse_expr("alpha^7", ctx))))
 
 
 @pytest.mark.parametrize("nested, flat", [

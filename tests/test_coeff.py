@@ -1143,4 +1143,4 @@ def test_column_test_spares_the_long_divisions_that_miss(monkeypatch):
 
     monkeypatch.setattr(coeff, "_long_divide", counted)
     system.normal_form(poly)
-    assert len(outcomes) == 84 and all(outcomes)  # 84 hits, 0 of the 184 misses
+    assert len(outcomes) == 15 and all(outcomes)  # 15 hits, 0 of the 124 misses

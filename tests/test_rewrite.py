@@ -8,7 +8,7 @@ from qmink.cli import nf_system
 from qmink.coeff import (ALL_REGIMES, CASE2_MINUS, CASE2_PLUS, GENERIC, I, ONE,
                          Q, QB, REAL_Q, T, UNIT_CIRCLE, ZERO, GaussianRational,
                          LaurentPoly, Scalar, integer, rat)
-from qmink.rewrite import (Alphabet, Generator, NCPoly, NotOrientableError,
+from qmink.rewrite import (MAX_LETTERS, Alphabet, Generator, NCPoly, NotOrientableError,
                            RewriteRule, RewriteSystem, UnknownGeneratorError,
                            _mul_general, orient)
 from qmink.tensor import row_echelon, span_equal
@@ -279,14 +279,18 @@ def test_one_term_products_match_the_general_loop(t, p):
     assert _stored(p * t) == _stored(_mul_general(p, t))
 
 
-def _full_scan_normal_form(system: RewriteSystem, p: NCPoly) -> NCPoly:
-    """normal_form as it was before the resumed scan: every popped word is
-    scanned from its start, and zero products are tested for."""
+def _full_scan_normal_form(system: RewriteSystem, p: NCPoly, popped=None) -> NCPoly:
+    """The depth-first reduction that normal_form replaced: every popped
+    word is scanned from its start and reduced on its own, so equal words
+    are not merged, and zero products are tested for.  The popped words
+    are appended to ``popped`` when it is given."""
     out = {}
     stack = [(w, c) for w, c in p.terms.items() if not c.is_zero()]
     rules = system.rules
     while stack:
         w, c = stack.pop()
+        if popped is not None:
+            popped.append(w)
         pos = next((i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rules), None)
         if pos is None:
             s = out.get(w)
@@ -306,15 +310,51 @@ def _full_scan_normal_form(system: RewriteSystem, p: NCPoly) -> NCPoly:
     return NCPoly(p.alphabet, out)
 
 
+def _reducible(system: RewriteSystem, w) -> bool:
+    return any((w[i], w[i + 1]) in system.rules for i in range(len(w) - 1))
+
+
 @pytest.mark.parametrize("regime", ALL_REGIMES, ids=lambda r: r.label)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_resumed_scan_matches_the_full_scan(regime, data):
     alph, system = nf_system(regime)
     p = data.draw(_ncpolys(alph, 5, max_size=3))
-    got, want = system.normal_form(p), _full_scan_normal_form(system, p)
-    assert _stored(got) == _stored(want)
-    assert str(got) == str(want)
+    popped = []
+    got, want = system.normal_form(p), _full_scan_normal_form(system, p, popped)
+    assert got.equals(want)
+    assert not any(_reducible(system, w) for w in got.terms)
+    if len(set(popped)) == len(popped):
+        # no word is reached twice, so no two contributions are added: each
+        # word's coefficient is the same chain of products either way
+        assert sorted(_stored(got)) == sorted(_stored(want))
+        assert str(got) == str(want)
+
+
+def test_merged_reduction_equals_the_depth_first_one():
+    # the depth-first reduction reaches words of delta^5*alpha^5 many times;
+    # reduced once each, their merged sums give the same value
+    alph, system = nf_system(UNIT_CIRCLE)
+    p = NCPoly.word(alph, ("delta",) * 5 + ("alpha",) * 5)
+    popped = []
+    want = _full_scan_normal_form(system, p, popped)
+    assert len(popped) > len(set(popped))
+    assert system.normal_form(p).equals(want)
+
+
+def test_rewrite_system_refuses_an_alphabet_its_word_keys_cannot_order():
+    gens = [Generator(f"x{k}", f"x{k}") for k in range(MAX_LETTERS + 1)]
+    with pytest.raises(ValueError, match=f"at most {MAX_LETTERS} generators"):
+        RewriteSystem(Alphabet(gens), [])
+    # the largest alphabet accepted orders words by its last letters too:
+    # two reducible inputs wait in the order of their keys
+    alph = Alphabet(gens[:MAX_LETTERS])
+    top, below = MAX_LETTERS - 1, MAX_LETTERS - 2
+    system = RewriteSystem(alph, [RewriteRule((top, below), NCPoly(alph, {(below, top): Q}))])
+    p = NCPoly(alph, {(top, below, top, below): ONE, (top, top, below, below): T})
+    got = system.normal_form(p)
+    assert got.equals(_full_scan_normal_form(system, p))
+    assert not any(_reducible(system, w) for w in got.terms)
 
 
 _LINEARITY_SYSTEMS = {
@@ -341,8 +381,9 @@ def _pool_polys(alph, max_len=4):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_normal_form_is_linear(label, data):
-    # each term is reduced on its own and the results summed, so this holds
-    # in every system, the non-confluent generic one included
+    # a word's reduction is the sum of its contributions times the reduction
+    # of the word, so this holds in every system, the non-confluent generic
+    # one included
     system = _LINEARITY_SYSTEMS[label]()
     p1, p2 = (data.draw(_pool_polys(system.alphabet)) for _ in "ab")
     a, b = data.draw(_pool), data.draw(_pool)
