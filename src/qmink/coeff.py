@@ -13,10 +13,11 @@ moves monomials out of the denominator and makes it monic.  That keeps
 representations small without a multivariate gcd engine, and zero testing
 stays exact because the numerator of a zero value is the zero polynomial.
 Most of these speculative divisions fail: the one in construction, and the
-cross-cancellations of a product (``Scalar.__mul__``).  ``exact_divide`` rejects most
-misses by exponent spans before any long division (its docstring).  The
-multi-term denominators of the generic rewriting are powers of qb^2 + 1,
-which lack q and t, so there the span test runs column by column.
+cross-cancellations of a product (``Scalar.__mul__``).  ``exact_divide``
+rejects most misses by exponent spans before any long division (its
+docstring).  The multi-term denominators of the generic rewriting are
+powers of qb^2 + 1, which lack q and t, so there the span test runs column
+by column.
 
 A coefficient that is a rational integer is stored as an ``int``, so the
 loops of the polynomial arithmetic run native ints; any other

@@ -344,8 +344,8 @@ class RewriteSystem:
         # arrives again.
         waiting: dict[Word, list] = {}
         heap: list = []
-        nw = None  # the first reducible word of a step, with npos, nc; the
-        # others wait
+        # nw, npos, nc: the first reducible word of a step; the others wait
+        nw = None
         for w3, c3 in p.terms.items():  # distinct words
             if c3.is_zero():
                 continue
