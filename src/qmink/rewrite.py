@@ -312,8 +312,9 @@ class RewriteSystem:
         word has arrived before it is reduced, and it never arrives again:
         each word is reduced once, with the sum of its contributions, as in
         Bergman's diamond lemma.  The other reducible words wait in a heap.
-        A word is scanned when it first arrives; an irreducible one goes to
-        the output, where later arrivals are added to it.  The first
+        A reducible word is scanned when it first arrives, later arrivals
+        being added to its waiting sum; an irreducible one is scanned at
+        each arrival and added to the output.  The first
         reducible word a step writes is reduced next, in place, unless a
         larger word waits, so a chain of one-term rewrites keeps no heap.
 
