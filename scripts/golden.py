@@ -17,7 +17,7 @@ fixed points).  ``Scalar`` has no canonical form, so the digests pin stored
 forms as well as values.  check DIR compares every artifact but the
 ``.lines`` with DIR byte for byte and names each that differs.  diff A B
 compares two written trees: reports by check id, transcripts by file and
-line, and each changed digest entry by its class.
+line, each changed digest entry and transcript command by its class.
 
 Exit status: 0 when nothing differs and every check passes, 1 otherwise, 2
 on a usage error or a DIR that cannot be written or read.
@@ -464,9 +464,53 @@ def classify(name: str, key: str, a: list[str], b: list[str]) -> list[tuple[str,
     return out
 
 
+def _commands(text: str) -> dict[tuple[str, int], tuple[int, list[str]]]:
+    """A transcript's commands, keyed by command line and occurrence: the
+    command's line number and the lines it printed."""
+    out: dict[tuple[str, int], tuple[int, list[str]]] = {}
+    body: list[str] = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if line.startswith("$ "):
+            k = 0
+            while (line, k) in out:
+                k += 1
+            body = []
+            out[line, k] = (n, body)
+        else:
+            body.append(line)
+    return out
+
+
+def classify_transcript(name: str, a: str, b: str) -> list[tuple[str, str]]:
+    """(class, entry) for every command of a transcript whose output
+    changed: a refusal change when its ``error:`` lines or exit code differ;
+    else, for ``qmink nf`` with a ``--regime``, both prints are read back in
+    that regime and subtracted, as ``classify`` does for ``nf_digest``.  A
+    change in another command's output is left to its raw lines."""
+    ca, cb = _commands(a), _commands(b)
+    out = []
+    for key, (n, x) in ca.items():
+        y = cb.get(key, (0, x))[1]
+        if x == y:
+            continue
+        entry = f"{name}:{n} {key[0]}"
+        status = [[line for line in side if line.startswith(("[stderr] error:", "[exit "))]
+                  for side in (x, y)]
+        argv = shlex.split(key[0])[2:]  # after "$ qmink"
+        if status[0] != status[1]:
+            out.append(("refusal change", entry))
+        elif argv[:1] == ["nf"] and "--regime" in argv:
+            label = argv[argv.index("--regime") + 1]
+            px, py = ("\n".join(line for line in side if not line.startswith("[")) for side in (x, y))
+            same = (_nf_poly(px, label) - _nf_poly(py, label)).is_zero()
+            out.append(("form-only" if same else "value change", entry))
+    return out
+
+
 def diff_trees(a: dict[str, str], b: dict[str, str]) -> list[str]:
     """Reports by check id, transcripts by file and line, then the count of
-    changed digest entries per class and the entries."""
+    changed digest entries and transcript commands per class and the
+    entries."""
     out = [f"{k}: only in {side}" for side, x, y in (("A", a, b), ("B", b, a))
            for k in sorted(x) if k not in y and not k.endswith(".lines")]
     entries: list[tuple[str, str]] = []
@@ -478,6 +522,7 @@ def diff_trees(a: dict[str, str], b: dict[str, str]) -> list[str]:
             out += [f"{k}{line}" for line in diff_reports(json.loads(a[k]), json.loads(b[k]))]
         elif name not in DIGESTS:
             out += diff_lines(k, a[k], b[k])
+            entries += classify_transcript(k, a[k], b[k])
         elif f"{name}.lines" not in a.keys() & b.keys():
             out.append(f"{k}: differs; write both trees to classify its entries")
         else:

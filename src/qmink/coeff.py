@@ -77,6 +77,13 @@ The leading terms, and so the quotient's terms and their order, are chosen
 as before; the quotient is unique anyway.  ``integer(n)``
 stores n over the shared constant 1 without a ``Fraction`` round trip, the
 num/den that ``Scalar.from_poly`` builds for it.
+
+The +-1 product, the sum over 1 stored as it stands (``Scalar.__add__``)
+and ``integer`` are kept because the parse and normal-form queries slow
+down without them.  No output changes without them, so a test that counts
+calls or pins identity guards each.  A power of a unit, a product by the
+one-term 1 and ``GaussianRational`` arithmetic with d = 1 take the general
+loops, which build the same stored terms.
 """
 
 from __future__ import annotations
@@ -274,13 +281,7 @@ class GaussianRational:
         d, e = self.d, other.d
         if d != e:
             return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
-        if d != 1:
-            return _reduced(self.a + other.a, self.b + other.b, d)
-        out = _new(GaussianRational)
-        out.a = self.a + other.a
-        out.b = self.b + other.b
-        out.d = 1
-        return out
+        return _reduced(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
@@ -301,14 +302,7 @@ class GaussianRational:
         if other.__class__ is int:
             return _reduced(self.a * other, self.b * other, self.d)
         a, b, c, e = self.a, self.b, other.a, other.b
-        d = self.d * other.d
-        if d != 1:
-            return _reduced(a * c - b * e, a * e + b * c, d)
-        out = _new(GaussianRational)
-        out.a = a * c - b * e
-        out.b = a * e + b * c
-        out.d = 1
-        return out
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __rmul__(self, other: int) -> "GaussianRational":
         return self * other  # through __mul__, so a tracer wrapping it counts it
@@ -481,8 +475,6 @@ class LaurentPoly:
         stored).  The terms come out in self's order, as in the loop.
         """
         (m0, c0), = term.items()
-        if c0.__class__ is int and c0 == 1:
-            return self if m0 == _MONO_ONE else self.shifted(m0)
         a, b, e = m0
         out = {}
         for m, c in self._terms.items():
@@ -1070,16 +1062,8 @@ class Scalar:
         if k == 0:
             return ONE
         base = self if k > 0 else self.inverse()
-        k, t = abs(k), base.n._terms
-        if base.d is _POLY_ONE and len(t) == 1:
-            # a unit: the one term that the loop would build, in one step
-            (m, c), = t.items()
-            p = c
-            for _ in range(k - 1):
-                p = p * c
-            return _scalar(_lp({(m[0] * k, m[1] * k, m[2] * k): _stored(p)}), _POLY_ONE)
         out = base
-        for _ in range(k - 1):
+        for _ in range(abs(k) - 1):
             out = out * base
         return out
 

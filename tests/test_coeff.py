@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qmink import coeff
 from qmink.coeff import (CASE2_PLUS, GENERIC, REAL_Q, UNIT_CIRCLE, DomainError,
                          GaussianRational, LaurentPoly, MissingParameterError,
                          ONE, Q, QB, Q_HALF, QB_HALF, Regime, RegimeKind,
@@ -485,7 +486,7 @@ def test_one_term_product_examples():
     scaled = LaurentPoly.monomial((-2, 0, 0), GaussianRational(Fraction(-3, 2), 0))
     assert str(p * scaled) == "-3/2*q + 3/2*q^-1*t - 3/2*q^-1"
     _same_terms(p * scaled, _mul_general(p, scaled))
-    assert ONE.num * p is p  # the unit monomial changes nothing
+    _same_terms(ONE.num * p, p)  # the unit monomial changes nothing
 
 
 def test_unit_tests_on_the_triple_read_d():
@@ -809,6 +810,25 @@ def test_integer_is_stored_as_from_poly(n):
     want = Scalar.from_poly(LaurentPoly.const(GaussianRational.of(n)))
     assert _stored_terms(got.num) == _stored_terms(want.num)
     assert _stored_terms(got.den) == _stored_terms(want.den)
+
+
+def test_integer_takes_no_fraction(monkeypatch):
+    # the parser's integer literals: rat(n) would build them through Fraction
+    def refuse(*args):
+        raise AssertionError("integer() built a Fraction")
+    monkeypatch.setattr(coeff, "Fraction", refuse)
+    assert str(integer(-7)) == "-7" and integer(0).is_zero()
+
+
+def test_a_sum_over_one_is_not_normalised_again(monkeypatch):
+    # two numerators over 1 add to a numerator over 1: the sum is stored as
+    # it stands, with no pass through Scalar.__init__
+    a, b, c = Q + ONE, T - Q, -Q - ONE
+    built = []
+    real = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, n, d: built.append(1) or real(self, n, d))
+    assert str(a + b) == "t + 1" and (a + c).is_zero()
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

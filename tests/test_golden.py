@@ -108,7 +108,35 @@ def test_transcripts_are_compared_by_file_and_line():
     b = {"cli/nf-generic.txt": "$ qmink nf\n[stderr] error\nalpha\n[exit 2]\n"}
     assert golden.diff_trees(a, b) == [
         "cli/nf-generic.txt:2: + [stderr] error",
-        "cli/nf-generic.txt:3: - [exit 0]", "cli/nf-generic.txt:4: + [exit 2]"]
+        "cli/nf-generic.txt:3: - [exit 0]", "cli/nf-generic.txt:4: + [exit 2]",
+        "form-only: 0, value change: 0, charge change: 0, refusal change: 1, rounding: 0",
+        "refusal change: cli/nf-generic.txt:1 $ qmink nf"]
+
+
+def test_transcripts_class_each_changed_command():
+    """A changed nf print is read back in the command's regime, a changed
+    error line is a refusal change, and another command keeps its raw lines
+    only."""
+    def nf(expr, *lines):
+        return f"$ qmink nf --regime generic --expr '{expr}'\n" + "".join(f"{x}\n" for x in lines)
+
+    error = "[stderr] error: unexpected end of input (at position 7)"
+    a = (nf("q*alpha", "q*alpha", "[exit 0]") + nf("alpha - beta", "alpha - beta", "[exit 0]")
+         + nf("alpha +", error, "[exit 2]") + nf("beta", "beta", "[exit 0]")
+         + "$ qmink relations\nalpha*beta -> beta*alpha\n[exit 0]\n")
+    b = (a.replace("\nq*alpha\n", "\n(q^3 + q)/(q^2 + 1)*alpha\n")
+         .replace("\nalpha - beta\n", "\nalpha + beta\n")
+         .replace(error, error.replace("end of input", "token ''"))
+         .replace("alpha*beta -> beta*alpha", "beta*alpha -> alpha*beta"))
+    out = golden.diff_trees({"cli/nf-generic.txt": a}, {"cli/nf-generic.txt": b})
+    changed = [2, 5, 8, 14]
+    assert out[:8] == [f"cli/nf-generic.txt:{n}: {sign} {side.splitlines()[n - 1]}"
+                       for n in changed for sign, side in (("-", a), ("+", b))]
+    assert out[8:] == [
+        "form-only: 1, value change: 1, charge change: 0, refusal change: 1, rounding: 0",
+        "form-only: cli/nf-generic.txt:1 $ qmink nf --regime generic --expr 'q*alpha'",
+        "value change: cli/nf-generic.txt:4 $ qmink nf --regime generic --expr 'alpha - beta'",
+        "refusal change: cli/nf-generic.txt:7 $ qmink nf --regime generic --expr 'alpha +'"]
 
 
 # -- diff: one case per class of digest entry ----------------------------------

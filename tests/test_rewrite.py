@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmink import rewrite
 from qmink.algebras import build_braided_square, minkowski_system, x_alphabet
 from qmink.cli import nf_system
 from qmink.coeff import (ALL_REGIMES, CASE2_MINUS, CASE2_PLUS, GENERIC, I, ONE,
@@ -340,6 +341,21 @@ def test_merged_reduction_equals_the_depth_first_one():
     want = _full_scan_normal_form(system, p, popped)
     assert len(popped) > len(set(popped))
     assert system.normal_form(p).equals(want)
+
+
+def test_a_chain_of_one_term_rewrites_keeps_no_heap(monkeypatch):
+    # each step of beta^2*alpha^2 writes one word, reduced next in place; a
+    # loop that pushed every reducible word would wait it
+    waited = []
+    real = rewrite._wait
+    monkeypatch.setattr(rewrite, "_wait", lambda *e: waited.append(e[2]) or real(*e))
+    p = w(UC_ALPH, "beta", "beta", "alpha", "alpha")
+    assert UC.normal_form(p).equals(_full_scan_normal_form(UC, p))
+    assert waited == []
+    # a step that writes two reducible words waits the second
+    p = w(UC_ALPH, "delta", "delta", "alpha", "alpha")
+    assert UC.normal_form(p).equals(_full_scan_normal_form(UC, p))
+    assert waited
 
 
 def test_rewrite_system_refuses_an_alphabet_its_word_keys_cannot_order():
